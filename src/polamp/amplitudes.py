@@ -17,8 +17,10 @@ measured one. These forms satisfy, and the verification suite checks:
 * orthonormality         sum_t chi(a^s, b^t) conj(chi(a^r, b^t)) = delta_sr
 * chaining               chi(x, y) = sum_s chi(x, c^s) chi(c^s, y) for any c
 
-The ``amp_*`` kernels accept scalars or numpy arrays (broadcasting); the
-label-based wrappers below them are the scalar convenience API.
+:func:`amp_matrix` evaluates all four forms as one 2x2 block, sharing the
+cos/sin factors and the phase; it accepts scalars or numpy arrays
+(broadcasting). The label-based functions below it are the scalar
+convenience API and evaluate one block per pair of directions.
 """
 
 from __future__ import annotations
@@ -31,39 +33,21 @@ from .directions import Branch, BranchLabel, Direction
 
 
 # ---------------------------------------------------------------------------
-# vectorized closed-form kernels, keyed by (initial branch, final branch)
+# vectorized closed-form kernel
 # ---------------------------------------------------------------------------
 
-def amp_pp(theta_a, alpha_a, theta_b, alpha_b):
-    """chi(a+, b+) for scalar or array angles."""
-    phase = np.exp(1j * (np.asarray(alpha_a) - np.asarray(alpha_b)))
-    return np.cos(theta_a) * np.cos(theta_b) + np.sin(theta_a) * np.sin(theta_b) * phase
+def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
+    """The 2x2 block of chi(a^s, b^t) for scalar or array angles.
 
-
-def amp_pm(theta_a, alpha_a, theta_b, alpha_b):
-    """chi(a+, b-) for scalar or array angles."""
-    phase = np.exp(1j * (np.asarray(alpha_a) - np.asarray(alpha_b)))
-    return -np.cos(theta_a) * np.sin(theta_b) + np.sin(theta_a) * np.cos(theta_b) * phase
-
-
-def amp_mp(theta_a, alpha_a, theta_b, alpha_b):
-    """chi(a-, b+) for scalar or array angles."""
-    phase = np.exp(1j * (np.asarray(alpha_a) - np.asarray(alpha_b)))
-    return -np.sin(theta_a) * np.cos(theta_b) + np.cos(theta_a) * np.sin(theta_b) * phase
-
-
-def amp_mm(theta_a, alpha_a, theta_b, alpha_b):
-    """chi(a-, b-) for scalar or array angles."""
-    phase = np.exp(1j * (np.asarray(alpha_a) - np.asarray(alpha_b)))
-    return np.sin(theta_a) * np.sin(theta_b) + np.cos(theta_a) * np.cos(theta_b) * phase
-
-
-AMP_KERNELS = {
-    (Branch.PLUS, Branch.PLUS): amp_pp,
-    (Branch.PLUS, Branch.MINUS): amp_pm,
-    (Branch.MINUS, Branch.PLUS): amp_mp,
-    (Branch.MINUS, Branch.MINUS): amp_mm,
-}
+    Returns ((chi(a+, b+), chi(a+, b-)), (chi(a-, b+), chi(a-, b-))): row
+    index is the initial branch, column index the final one (0 = plus).
+    The trig factors and the phase are evaluated once for all four.
+    """
+    ca, sa = np.cos(theta_a), np.sin(theta_a)
+    cb, sb = np.cos(theta_b), np.sin(theta_b)
+    phase = np.exp(1j * (alpha_a - alpha_b))
+    cc, ss, cs, sc = ca * cb, sa * sb, ca * sb, sa * cb
+    return ((cc + ss * phase, -cs + sc * phase), (-sc + cs * phase, ss + cc * phase))
 
 
 def prob_equal_closed(theta_a, alpha_a, theta_b, alpha_b):
@@ -90,16 +74,29 @@ def prob_mixed_closed(theta_a, alpha_a, theta_b, alpha_b):
 # label-based API
 # ---------------------------------------------------------------------------
 
+def _row(label: BranchLabel) -> int:
+    """Index of ``label``'s branch in an :func:`amp_matrix` block."""
+    return int(label.branch is Branch.MINUS)
+
+
+def _block(a, b):
+    """:func:`amp_matrix` between two directions, or the directions of two labels."""
+    return amp_matrix(a.theta, a.alpha, b.theta, b.alpha)
+
+
+def _probability_of(z) -> float:
+    """|z|^2 of one amplitude, clamped into [0, 1]."""
+    return min(max(abs(complex(z)) ** 2, 0.0), 1.0)
+
+
 def amplitude(initial: BranchLabel, final: BranchLabel) -> complex:
     """Transition amplitude from ``initial`` to ``final``."""
-    kernel = AMP_KERNELS[(initial.branch, final.branch)]
-    return complex(kernel(initial.theta, initial.alpha, final.theta, final.alpha))
+    return complex(_block(initial, final)[_row(initial)][_row(final)])
 
 
 def probability(initial: BranchLabel, final: BranchLabel) -> float:
     """Transition probability |amplitude|^2, clamped into [0, 1]."""
-    p = abs(amplitude(initial, final)) ** 2
-    return min(max(p, 0.0), 1.0)
+    return _probability_of(amplitude(initial, final))
 
 
 def probability_closed(initial: BranchLabel, final: BranchLabel) -> float:
@@ -122,11 +119,10 @@ def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     Returns sum_s amplitude(initial, via^s) * amplitude(via^s, final);
     equals amplitude(initial, final) for every intermediate direction.
     """
-    total = 0.0 + 0.0j
-    for s in Branch:
-        mid = BranchLabel(via, s)
-        total += amplitude(initial, mid) * amplitude(mid, final)
-    return total
+    first = _block(initial, via)[_row(initial)]
+    second = _block(via, final)
+    column = _row(final)
+    return sum(complex(first[s]) * complex(second[s][column]) for s in (0, 1))
 
 
 def hermitian_partner(initial: BranchLabel, final: BranchLabel) -> complex:
@@ -166,7 +162,5 @@ def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
     Component ``s`` is amplitude(label, reference^s); the result has unit
     norm for every reference direction.
     """
-    return StateVector2(
-        amplitude(label, BranchLabel(reference, Branch.PLUS)),
-        amplitude(label, BranchLabel(reference, Branch.MINUS)),
-    )
+    c_plus, c_minus = _block(label, reference)[_row(label)]
+    return StateVector2(complex(c_plus), complex(c_minus))

@@ -16,6 +16,8 @@ file (including the stage cap), 4 invariant-suite failure in ``verify``.
 
 Environment overrides (flags take precedence): ``POLAMP_TOLERANCE`` for
 the numeric tolerance, ``POLAMP_STAGE_CAP`` for the simulation stage cap.
+They pass the same validators as the flags; an invalid value is a usage
+error naming the variable.
 """
 
 from __future__ import annotations
@@ -99,12 +101,28 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _env_value(name: str, validate):
+    """The override ``$name`` passed through the validator of its flag, or None.
+
+    An invalid value is a usage error, reported the way argparse reports a
+    bad flag: a message on stderr and ``SystemExit(EXIT_USAGE)``.
+    """
+    text = os.environ.get(name)
+    if text is None:
+        return None
+    try:
+        return validate(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {name}={text!r}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+
+
 def _resolve_tolerance(args, file_value: float | None = None) -> float:
     if getattr(args, "tolerance", None) is not None:
         return args.tolerance
-    env = os.environ.get(ENV_TOLERANCE)
+    env = _env_value(ENV_TOLERANCE, _positive_float)
     if env is not None:
-        return float(env)
+        return env
     if file_value is not None:
         return file_value
     return DEFAULT_TOLERANCE
@@ -113,9 +131,9 @@ def _resolve_tolerance(args, file_value: float | None = None) -> float:
 def _resolve_stage_cap(args) -> int:
     if getattr(args, "stage_cap", None) is not None:
         return args.stage_cap
-    env = os.environ.get(ENV_STAGE_CAP)
+    env = _env_value(ENV_STAGE_CAP, _positive_int)
     if env is not None:
-        return int(env)
+        return env
     return DEFAULT_STAGE_CAP
 
 
@@ -267,10 +285,7 @@ def cmd_simulate(args) -> int:
     report = sample(loaded.scenario, seed=seed, trials=trials, stage_cap=stage_cap)
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
-    for (seq, count), p in zip(report.items(), dist.probs):
-        expected = report.trials * float(p)
-        spread = math.sqrt(report.trials * float(p) * (1.0 - float(p)))
-        sigma = (abs(count - expected) / spread) if spread > 0 else 0.0
+    for (seq, count), expected, sigma in zip(report.items(), report.expected, report.sigma):
         if machine:
             print(
                 f"sample seq={sequence_to_str(seq)} count={count}"

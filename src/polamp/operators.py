@@ -20,16 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    StateVector2,
-    amp_mm,
-    amp_mp,
-    amp_pm,
-    amp_pp,
-    probability,
-    state_vector,
-)
-from .directions import DEFAULT_TOLERANCE, Branch, BranchLabel, Direction
+from .amplitudes import StateVector2, _probability_of, amp_matrix, state_vector
+from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction
 from . import closedforms
 
 
@@ -77,10 +69,7 @@ def observable_elements_product(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_mi
     Element (i, j) is sum_s conj(chi(c^i, b^s)) chi(c^j, b^s) R_s with c the
     basis direction and b the measured one. Returns ((m11, m12), (m21, m22)).
     """
-    k_pp = amp_pp(theta_c, alpha_c, theta_b, alpha_b)
-    k_pm = amp_pm(theta_c, alpha_c, theta_b, alpha_b)
-    k_mp = amp_mp(theta_c, alpha_c, theta_b, alpha_b)
-    k_mm = amp_mm(theta_c, alpha_c, theta_b, alpha_b)
+    (k_pp, k_pm), (k_mp, k_mm) = amp_matrix(theta_c, alpha_c, theta_b, alpha_b)
     m11 = np.abs(k_pp) ** 2 * r_plus + np.abs(k_pm) ** 2 * r_minus
     m12 = np.conj(k_pp) * k_mp * r_plus + np.conj(k_pm) * k_mm * r_minus
     m21 = np.conj(k_mp) * k_pp * r_plus + np.conj(k_mm) * k_pm * r_minus
@@ -149,10 +138,8 @@ def eigenvector_states(
     pair is orthonormal by construction. The global phase follows the
     component formulas exactly (no re-phasing).
     """
-    return (
-        state_vector(BranchLabel(measure, Branch.PLUS), basis),
-        state_vector(BranchLabel(measure, Branch.MINUS), basis),
-    )
+    (p1, p2), (m1, m2) = amp_matrix(measure.theta, measure.alpha, basis.theta, basis.alpha)
+    return StateVector2(complex(p1), complex(p2)), StateVector2(complex(m1), complex(m2))
 
 
 def expectation(
@@ -181,6 +168,5 @@ def expectation_closed(initial: BranchLabel, measure: Direction) -> float:
     ``expectation(state_vector(initial, basis), polarization_operator(measure, basis))``
     for every basis direction.
     """
-    p_plus = probability(initial, BranchLabel(measure, Branch.PLUS))
-    p_minus = probability(initial, BranchLabel(measure, Branch.MINUS))
-    return p_plus - p_minus
+    state = state_vector(initial, measure)
+    return _probability_of(state.c_plus) - _probability_of(state.c_minus)

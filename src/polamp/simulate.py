@@ -30,11 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitudes import probability
+from .amplitudes import _probability_of, amp_matrix, state_vector
 from .directions import Branch, BranchLabel, Direction
 
 #: Default maximum number of stages (2^n outcome sequences bound memory).
 DEFAULT_STAGE_CAP = 20
+
+#: Trials per sampling block by default (a multiple of 4): bounds the
+#: uniforms and indices held at once to about 4 MB for any trial count.
+DEFAULT_BLOCK_SIZE = 1 << 18
 
 
 class StageCapError(ValueError):
@@ -129,6 +133,11 @@ class SampleReport:
     n_stages: int
     counts: np.ndarray = field(repr=False)
     max_abs_deviation_sigma: float
+    #: Expected count of every sequence, trials * p.
+    expected: np.ndarray = field(repr=False)
+    #: |count - expected| of every sequence in binomial standard deviations;
+    #: 0 where p is 0 or 1 and the count matches, inf where it does not.
+    sigma: np.ndarray = field(repr=False)
 
     def __getitem__(self, sequence: tuple[Branch, ...]) -> int:
         return int(self.counts[sequence_to_index(sequence)])
@@ -143,11 +152,8 @@ class SampleReport:
 
 def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
     """2x2 matrix T[s, t] = P(prev branch s -> stage branch t)."""
-    t = np.empty((2, 2))
-    for s, row in zip((Branch.PLUS, Branch.MINUS), (0, 1)):
-        for u, col in zip((Branch.PLUS, Branch.MINUS), (0, 1)):
-            t[row, col] = probability(BranchLabel(prev, s), BranchLabel(stage, u))
-    return t
+    block = amp_matrix(prev.theta, prev.alpha, stage.theta, stage.alpha)
+    return np.array([[_probability_of(z) for z in row] for row in block])
 
 
 def exact_distribution(
@@ -163,13 +169,8 @@ def exact_distribution(
     if n > stage_cap:
         raise StageCapError(f"{n} stages exceeds the cap of {stage_cap} (2^n outcome blowup)")
 
-    first = scenario.stages[0]
-    probs = np.array(
-        [
-            probability(scenario.initial, BranchLabel(first, Branch.PLUS)),
-            probability(scenario.initial, BranchLabel(first, Branch.MINUS)),
-        ]
-    )
+    first = state_vector(scenario.initial, scenario.stages[0])
+    probs = np.array([_probability_of(first.c_plus), _probability_of(first.c_minus)])
     for k in range(1, n):
         t = _stage_transition(scenario.stages[k - 1], scenario.stages[k])
         last = np.arange(len(probs)) & 1
@@ -199,14 +200,17 @@ def sample(
     seed: int,
     trials: int,
     stage_cap: int = DEFAULT_STAGE_CAP,
-    block_size: int | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SampleReport:
     """Monte Carlo realization of :func:`exact_distribution`.
 
     Trial ``i`` draws its outcome sequence by inverse CDF from the exact
     distribution using the ``i``-th stream double (see the module docstring
-    for the randomness contract). ``block_size`` (a multiple of 4) forces
-    blocked execution; the counts are bit-identical for every block size.
+    for the randomness contract). Trials run in blocks of ``block_size``
+    (a multiple of 4); the counts are bit-identical for every block size.
+    A double at or above the last cumulative probability (a rounding tail
+    of the CDF) maps to the last sequence with nonzero probability, so a
+    sequence of probability 0 is never drawn.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
@@ -219,10 +223,9 @@ def sample(
     dist = exact_distribution(scenario, stage_cap=stage_cap)
     cum = np.cumsum(dist.probs)
     n_seq = len(dist.probs)
+    last_possible = int(np.flatnonzero(dist.probs)[-1])
 
-    if block_size is None:
-        block_size = trials
-    elif block_size < 1 or block_size % 4 != 0:
+    if block_size < 1 or block_size % 4 != 0:
         raise ValueError("block_size must be a positive multiple of 4")
 
     counts = np.zeros(n_seq, dtype=np.int64)
@@ -230,7 +233,7 @@ def sample(
         hi = min(lo + block_size, trials)
         u = _uniform_block(int(seed), lo, hi - lo)
         idx = np.searchsorted(cum, u, side="right")
-        counts += np.bincount(np.minimum(idx, n_seq - 1), minlength=n_seq)
+        counts += np.bincount(np.minimum(idx, last_possible), minlength=n_seq)
 
     expected = trials * dist.probs
     spread = np.sqrt(trials * dist.probs * (1.0 - dist.probs))
@@ -247,4 +250,6 @@ def sample(
         n_stages=dist.n_stages,
         counts=counts,
         max_abs_deviation_sigma=float(sigma.max()),
+        expected=expected,
+        sigma=sigma,
     )

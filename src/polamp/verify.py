@@ -30,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedforms
-from .amplitudes import (
-    amp_mm,
-    amp_mp,
-    amp_pm,
-    amp_pp,
-    prob_equal_closed,
-    prob_mixed_closed,
-)
+from .amplitudes import amp_matrix, prob_equal_closed, prob_mixed_closed
 from .directions import DEFAULT_TOLERANCE
 from .operators import observable_elements_product
 
@@ -112,40 +105,30 @@ def _oracle_amplitude(ta, aa, plus_a: bool, tb, ab, plus_b: bool):
     return np.conj(b1) * a1 + np.conj(b2) * a2
 
 
-_KERNELS = {
-    (True, True): amp_pp,
-    (True, False): amp_pm,
-    (False, True): amp_mp,
-    (False, False): amp_mm,
-}
+#: Block indices of the four (initial, final) branch pairs, row-major (0 = plus).
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def suite_amplitude_oracle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    block = amp_matrix(ta, aa, tb, ab)
     residuals = [
-        np.abs(_KERNELS[pair](ta, aa, tb, ab) - _oracle_amplitude(ta, aa, pair[0], tb, ab, pair[1]))
-        for pair in _KERNELS
+        np.abs(block[s][t] - _oracle_amplitude(ta, aa, s == 0, tb, ab, t == 0)) for s, t in _PAIRS
     ]
     return _result("amplitude_oracle", n, residuals, tol)
 
 
 def suite_hermiticity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
-    residuals = [
-        np.abs(
-            _KERNELS[(sa, sb)](ta, aa, tb, ab) - np.conj(_KERNELS[(sb, sa)](tb, ab, ta, aa))
-        )
-        for sa, sb in _KERNELS
-    ]
+    forward = amp_matrix(ta, aa, tb, ab)
+    reverse = amp_matrix(tb, ab, ta, aa)
+    residuals = [np.abs(forward[s][t] - np.conj(reverse[t][s])) for s, t in _PAIRS]
     return _result("hermiticity", n, residuals, tol)
 
 
 def suite_orthonormality(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
-    pp = amp_pp(ta, aa, tb, ab)
-    pm = amp_pm(ta, aa, tb, ab)
-    mp = amp_mp(ta, aa, tb, ab)
-    mm = amp_mm(ta, aa, tb, ab)
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
     residuals = [
         np.abs(np.abs(pp) ** 2 + np.abs(pm) ** 2 - 1.0),
         np.abs(np.abs(mp) ** 2 + np.abs(mm) ** 2 - 1.0),
@@ -156,25 +139,29 @@ def suite_orthonormality(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
 
 def suite_chaining(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab, tc, ac = _draw_angles(rng, n, 3)
-    residuals = []
-    for sa, sb in _KERNELS:
-        via = _KERNELS[(sa, True)](ta, aa, tc, ac) * _KERNELS[(True, sb)](tc, ac, tb, ab) + _KERNELS[
-            (sa, False)
-        ](ta, aa, tc, ac) * _KERNELS[(False, sb)](tc, ac, tb, ab)
-        residuals.append(np.abs(via - _KERNELS[(sa, sb)](ta, aa, tb, ab)))
+    direct = amp_matrix(ta, aa, tb, ab)
+    to_c = amp_matrix(ta, aa, tc, ac)
+    from_c = amp_matrix(tc, ac, tb, ab)
+    residuals = [
+        np.abs(to_c[s][0] * from_c[0][t] + to_c[s][1] * from_c[1][t] - direct[s][t])
+        for s, t in _PAIRS
+    ]
     return _result("chaining", n, residuals, tol)
 
 
 def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+    equal = prob_equal_closed(ta, aa, tb, ab)
+    mixed = prob_mixed_closed(ta, aa, tb, ab)
     residuals = [
-        np.abs(np.abs(amp_pp(ta, aa, tb, ab)) ** 2 - prob_equal_closed(ta, aa, tb, ab)),
-        np.abs(np.abs(amp_mm(ta, aa, tb, ab)) ** 2 - prob_equal_closed(ta, aa, tb, ab)),
-        np.abs(np.abs(amp_pm(ta, aa, tb, ab)) ** 2 - prob_mixed_closed(ta, aa, tb, ab)),
-        np.abs(np.abs(amp_mp(ta, aa, tb, ab)) ** 2 - prob_mixed_closed(ta, aa, tb, ab)),
+        np.abs(np.abs(pp) ** 2 - equal),
+        np.abs(np.abs(mm) ** 2 - equal),
+        np.abs(np.abs(pm) ** 2 - mixed),
+        np.abs(np.abs(mp) ** 2 - mixed),
         # stated symmetries, via the squared-modulus route
-        np.abs(np.abs(amp_mm(ta, aa, tb, ab)) ** 2 - np.abs(amp_pp(ta, aa, tb, ab)) ** 2),
-        np.abs(np.abs(amp_mp(ta, aa, tb, ab)) ** 2 - np.abs(amp_pm(ta, aa, tb, ab)) ** 2),
+        np.abs(np.abs(mm) ** 2 - np.abs(pp) ** 2),
+        np.abs(np.abs(mp) ** 2 - np.abs(pm) ** 2),
     ]
     return _result("probability_forms", n, residuals, tol)
 
@@ -182,13 +169,13 @@ def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
 def suite_periodicity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
     two_pi = 2 * np.pi
-    base = amp_pm(ta, aa, tb, ab)
+    base = amp_matrix(ta, aa, tb, ab)
     residuals = [
-        np.abs(amp_pm(ta + two_pi, aa, tb, ab) - base),
-        np.abs(amp_pm(ta, aa + two_pi, tb, ab) - base),
-        np.abs(amp_pm(ta, aa, tb - two_pi, ab) - base),
-        np.abs(amp_pm(ta, aa, tb, ab - two_pi) - base),
-        np.abs(amp_mp(ta + two_pi, aa - two_pi, tb, ab) - amp_mp(ta, aa, tb, ab)),
+        np.abs(amp_matrix(ta + two_pi, aa, tb, ab)[0][1] - base[0][1]),
+        np.abs(amp_matrix(ta, aa + two_pi, tb, ab)[0][1] - base[0][1]),
+        np.abs(amp_matrix(ta, aa, tb - two_pi, ab)[0][1] - base[0][1]),
+        np.abs(amp_matrix(ta, aa, tb, ab - two_pi)[0][1] - base[0][1]),
+        np.abs(amp_matrix(ta + two_pi, aa - two_pi, tb, ab)[1][0] - base[1][0]),
     ]
     return _result("periodicity", n, residuals, tol)
 
@@ -213,20 +200,14 @@ def suite_observable_closed_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     return _result("observable_closed_forms", n, residuals, tol)
 
 
-def _eigenvectors_product(tb, ab, tc, ac):
-    """Eigenvector components chi(b^s, c^i), vectorized."""
-    xi_plus = (amp_pp(tb, ab, tc, ac), amp_pm(tb, ab, tc, ac))
-    xi_minus = (amp_mp(tb, ab, tc, ac), amp_mm(tb, ab, tc, ac))
-    return xi_plus, xi_minus
-
-
 def suite_operator_oracle_triangle(n, rng, tol=EIGENSOLVER_TOLERANCE) -> SuiteResult:
     """Amplitude products vs spectral form vs numpy.linalg.eigh."""
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
     r_plus, r_minus = _draw_eigenvalues(rng, n)
     product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
 
-    (xp1, xp2), (xm1, xm2) = _eigenvectors_product(tb, ab, tc, ac)
+    # eigenvector components chi(b^s, c^i)
+    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
     spectral = (
         (
             r_plus * np.abs(xp1) ** 2 + r_minus * np.abs(xm1) ** 2,
@@ -267,7 +248,7 @@ def suite_operator_oracle_triangle(n, rng, tol=EIGENSOLVER_TOLERANCE) -> SuiteRe
 def suite_eigen_residual(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
     ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
-    (xp1, xp2), (xm1, xm2) = _eigenvectors_product(tb, ab, tc, ac)
+    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
     residuals = [
         np.abs(p11 * xp1 + p12 * xp2 - xp1),
         np.abs(p21 * xp1 + p22 * xp2 - xp2),
@@ -286,8 +267,7 @@ def suite_expectation_consistency(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab, tc, ac = _draw_angles(rng, n, 3)
     ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
     # initial states over the same basis, both branches
-    v_plus = (amp_pp(ta, aa, tc, ac), amp_pm(ta, aa, tc, ac))
-    v_minus = (amp_mp(ta, aa, tc, ac), amp_mm(ta, aa, tc, ac))
+    v_plus, v_minus = amp_matrix(ta, aa, tc, ac)
 
     def quad_form(v):
         v1, v2 = v
@@ -297,8 +277,9 @@ def suite_expectation_consistency(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
 
     matrix_plus = quad_form(v_plus)
     matrix_minus = quad_form(v_minus)
-    prob_plus = np.abs(amp_pp(ta, aa, tb, ab)) ** 2 - np.abs(amp_pm(ta, aa, tb, ab)) ** 2
-    prob_minus = np.abs(amp_mp(ta, aa, tb, ab)) ** 2 - np.abs(amp_mm(ta, aa, tb, ab)) ** 2
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+    prob_plus = np.abs(pp) ** 2 - np.abs(pm) ** 2
+    prob_minus = np.abs(mp) ** 2 - np.abs(mm) ** 2
     closed = np.cos(2 * ta) * np.cos(2 * tb) + np.sin(2 * ta) * np.sin(2 * tb) * np.cos(aa - ab)
     residuals = [
         np.abs(matrix_plus.imag),
@@ -316,14 +297,16 @@ def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa = _draw_angles(rng, n, 1)
     zero = np.zeros_like(np.asarray(ta))
     phase = np.exp(1j * np.asarray(aa))
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, zero, zero)
+    (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, zero, zero)
     residuals = [
-        np.abs(amp_pp(ta, aa, zero, zero) - np.cos(ta)),
-        np.abs(amp_pm(ta, aa, zero, zero) - np.sin(ta) * phase),
-        np.abs(amp_mp(ta, aa, zero, zero) + np.sin(ta)),
-        np.abs(amp_mm(ta, aa, zero, zero) - np.cos(ta) * phase),
+        np.abs(pp - np.cos(ta)),
+        np.abs(pm - np.sin(ta) * phase),
+        np.abs(mp + np.sin(ta)),
+        np.abs(mm - np.cos(ta) * phase),
         # perpendicular forms are the parallel ones at theta + pi/2
-        np.abs(amp_mp(ta, aa, zero, zero) - amp_pp(ta + np.pi / 2, aa, zero, zero)),
-        np.abs(amp_mm(ta, aa, zero, zero) - amp_pm(ta + np.pi / 2, aa, zero, zero)),
+        np.abs(mp - pp_turned),
+        np.abs(mm - pm_turned),
     ]
 
     # standard operator: basis fixed at (0, 0), measured direction random
@@ -338,7 +321,7 @@ def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ]
 
     # eigenvectors reduce to the stated standard pair
-    (xp1, xp2), (xm1, xm2) = _eigenvectors_product(tb, ab, zero_b, zero_b)
+    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, zero_b, zero_b)
     (e_p1, e_p2), (e_m1, e_m2) = closedforms.standard_eigvec_components(tb, ab)
     residuals += [
         np.abs(xp1 - e_p1),

@@ -21,6 +21,7 @@ from polamp import (
     probability_closed,
     state_vector,
 )
+from polamp.amplitudes import amp_matrix
 
 TOL = 1e-12
 
@@ -37,6 +38,49 @@ def ref_state(theta, alpha, branch):
 
 def oracle_amplitude(a: BranchLabel, b: BranchLabel) -> complex:
     return complex(np.vdot(ref_state(b.theta, b.alpha, b.branch), ref_state(a.theta, a.alpha, a.branch)))
+
+
+# ---------------------------------------------------------------------------
+# amp_matrix, the batched kernel behind every amplitude
+# ---------------------------------------------------------------------------
+
+def unitarity_residual(block):
+    """Largest deviation of the 2x2 block from U U^dag = U^dag U = I."""
+    (pp, pm), (mp, mm) = block
+    return max(
+        np.max(np.abs(np.abs(pp) ** 2 + np.abs(pm) ** 2 - 1.0)),
+        np.max(np.abs(np.abs(mp) ** 2 + np.abs(mm) ** 2 - 1.0)),
+        np.max(np.abs(pp * np.conj(mp) + pm * np.conj(mm))),
+        np.max(np.abs(np.abs(pp) ** 2 + np.abs(mp) ** 2 - 1.0)),
+        np.max(np.abs(np.abs(pm) ** 2 + np.abs(mm) ** 2 - 1.0)),
+        np.max(np.abs(np.conj(pp) * pm + np.conj(mp) * mm)),
+    )
+
+
+class TestAmpMatrix:
+
+    @given(angles, angles, branches, angles, angles, branches)
+    @settings(max_examples=200, deadline=None)
+    def test_amplitude_is_exactly_a_block_element(self, ta, aa, ba, tb, ab, bb):
+        row, column = int(ba is Branch.MINUS), int(bb is Branch.MINUS)
+        a, b = BranchLabel(Direction(ta, aa), ba), BranchLabel(Direction(tb, ab), bb)
+        assert amplitude(a, b) == complex(amp_matrix(ta, aa, tb, ab)[row][column])
+
+    @given(angles, angles, angles, angles)
+    @settings(max_examples=200, deadline=None)
+    def test_unitary_for_scalars(self, ta, aa, tb, ab):
+        assert unitarity_residual(amp_matrix(ta, aa, tb, ab)) < TOL
+
+    def test_unitary_for_arrays_and_broadcasting(self):
+        rng = np.random.default_rng(17)
+        ta, aa, tb, ab = rng.uniform(-10.0, 10.0, (4, 1000))
+        block = amp_matrix(ta, aa, tb, ab)
+        assert all(np.shape(element) == (1000,) for row in block for element in row)
+        assert unitarity_residual(block) < TOL
+        # a scalar final direction broadcasts against array initial angles
+        (pp, pm), _ = amp_matrix(ta, aa, 0.0, 0.0)
+        assert np.max(np.abs(pp - np.cos(ta))) < TOL
+        assert np.max(np.abs(pm - np.sin(ta) * np.exp(1j * aa))) < TOL
 
 
 # ---------------------------------------------------------------------------

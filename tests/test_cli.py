@@ -2,10 +2,17 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from polamp.cli import EXIT_FILE, EXIT_OK, EXIT_VERIFY, run
+from polamp import load_scenario_file, sample
+from polamp.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
+
+#: ``verify --machine --seed 0 --draws 2000`` as recorded with the earlier
+#: per-element amplitude kernels: every residual, the errata set
+#: {Eq58, Eq59, Eq72} and the record layout must reproduce byte for byte.
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed0_draws2000.txt"
 
 MALUS = {
     "initial": {"theta_deg": 0, "alpha_deg": 0, "branch": "+"},
@@ -223,6 +230,23 @@ class TestSimulate:
         monkeypatch.setenv("POLAMP_STAGE_CAP", "1")
         assert run(["simulate", malus_file, "--stage-cap", "5"]) == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_invalid_stage_cap_env_is_a_usage_error(self, capsys, malus_file, monkeypatch, value):
+        monkeypatch.setenv("POLAMP_STAGE_CAP", value)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", malus_file])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: POLAMP_STAGE_CAP={value!r}")
+        assert captured.out == ""
+
+    def test_sample_lines_print_the_library_statistics(self, capsys, malus_file):
+        _, lines = run_capture(capsys, ["simulate", malus_file, "--machine"])
+        report = sample(load_scenario_file(malus_file).scenario, seed=42, trials=100000)
+        samples = [fields(l) for l in lines if l.startswith("sample")]
+        assert [float(s["expected"]) for s in samples] == report.expected.tolist()
+        assert [float(s["sigma"]) for s in samples] == report.sigma.tolist()
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -257,6 +281,21 @@ class TestVerify:
         code, lines = run_capture(capsys, ["verify", "--draws", "200", "--machine"])
         assert code == EXIT_VERIFY
         assert fields(lines[-1])["pass"] == "0"
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_invalid_env_tolerance_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("POLAMP_TOLERANCE", value)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--draws", "200", "--machine"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: POLAMP_TOLERANCE={value!r}")
+        assert captured.out == ""
+
+    def test_machine_output_matches_golden_record(self, capsys):
+        code, lines = run_capture(capsys, ["verify", "--machine", "--seed", "0", "--draws", "2000"])
+        assert code == EXIT_OK
+        assert lines == GOLDEN_VERIFY.read_text().splitlines()
 
     def test_flag_overrides_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("POLAMP_TOLERANCE", "1e-30")

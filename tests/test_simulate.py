@@ -1,10 +1,14 @@
 """Analyzer-chain simulation: exact distributions and seeded sampling."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polamp import simulate
 from polamp import (
     Branch,
     Direction,
@@ -16,9 +20,18 @@ from polamp import (
     sample,
 )
 from polamp.directions import BranchLabel
-from polamp.simulate import index_to_sequence, sequence_to_index, sequence_to_str, str_to_sequence
+from polamp.simulate import (
+    DEFAULT_BLOCK_SIZE,
+    index_to_sequence,
+    sequence_to_index,
+    sequence_to_str,
+    str_to_sequence,
+)
 
 TOL = 1e-12
+
+#: The largest double below 1: the top of the sampling stream's range.
+LAST_UNIFORM = np.nextafter(1.0, 0.0)
 
 P, M = Branch.PLUS, Branch.MINUS
 
@@ -29,6 +42,21 @@ def malus_chain():
         initial=plus(0.0, 0.0),
         stages=(Direction(math.pi / 4, 0.0), Direction(math.pi / 2, 0.0)),
     )
+
+
+def tail_chain():
+    """First stage equal to the preparation: every sequence that starts with
+    '-' has p = 0 exactly, and the cumulative probabilities end below 1."""
+    return MeasurementScenario(
+        initial=plus(2.11, 1.37),
+        stages=(Direction(2.11, 1.37), Direction(2.69, 2.51), Direction(1.16, 2.92)),
+    )
+
+
+def stream_of(uniforms):
+    """Stand-in for the Philox stream that yields ``uniforms`` in trial order."""
+    uniforms = np.asarray(uniforms, dtype=float)
+    return lambda seed, start, count: uniforms[start : start + count]
 
 
 class TestSequenceIndexing:
@@ -127,12 +155,15 @@ class TestSample:
         assert not np.array_equal(r1.counts, r2.counts)
 
     def test_block_partitioning_is_bit_identical(self):
-        # the stream-split rule: any 4-aligned partition of the trial space
+        # the stream-split rule: any 4-aligned partition of the trial space,
+        # the default one included, which splits runs above DEFAULT_BLOCK_SIZE
         scenario = malus_chain()
-        whole = sample(scenario, seed=99, trials=12345)
-        for block in (4, 64, 1000, 4096):
-            split = sample(scenario, seed=99, trials=12345, block_size=block)
-            assert np.array_equal(whole.counts, split.counts)
+        for trials, blocks in ((12345, (4, 64, 1000, 4096)), (DEFAULT_BLOCK_SIZE + 12345, (4096,))):
+            whole = sample(scenario, seed=99, trials=trials, block_size=trials + (-trials % 4))
+            assert np.array_equal(whole.counts, sample(scenario, seed=99, trials=trials).counts)
+            for block in blocks:
+                split = sample(scenario, seed=99, trials=trials, block_size=block)
+                assert np.array_equal(whole.counts, split.counts)
 
     def test_misaligned_block_rejected(self):
         with pytest.raises(ValueError, match="multiple of 4"):
@@ -153,3 +184,36 @@ class TestSample:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             sample(malus_chain(), seed=-1, trials=10)
+
+
+class TestSampleTail:
+
+    def test_rounding_tail_maps_to_a_possible_sequence(self):
+        scenario = tail_chain()
+        probs = exact_distribution(scenario).probs
+        assert probs[-1] == 0.0 and np.cumsum(probs)[-1] <= LAST_UNIFORM
+        with mock.patch.object(simulate, "_uniform_block", stream_of([LAST_UNIFORM] * 8)):
+            report = sample(scenario, seed=0, trials=8)
+        assert report.counts[np.flatnonzero(probs)[-1]] == 8
+        assert report.counts.sum() == 8
+        assert np.isfinite(report.max_abs_deviation_sigma)
+
+    @given(
+        angles=st.lists(st.floats(-4.0, 4.0), min_size=14, max_size=14),
+        n_stages=st.integers(1, 6),
+        first_is_initial=st.booleans(),
+        uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zero_probability_is_never_sampled(self, angles, n_stages, first_is_initial, uniforms):
+        pairs = list(zip(angles[::2], angles[1::2]))
+        stages = [Direction(t, a) for t, a in pairs[1 : n_stages + 1]]
+        if first_is_initial:
+            stages[0] = Direction(*pairs[0])
+        scenario = MeasurementScenario(initial=plus(*pairs[0]), stages=tuple(stages))
+        uniforms = [*uniforms, LAST_UNIFORM]
+        with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
+            report = sample(scenario, seed=0, trials=len(uniforms))
+        probs = exact_distribution(scenario).probs
+        assert not report.counts[probs == 0.0].any()
+        assert report.counts.sum() == len(uniforms)
