@@ -21,9 +21,7 @@ from .amplitudes import (
     StateVector2,
     amplitude,
     chain,
-    hermitian_partner,
     probability,
-    probability_closed,
     state_vector,
 )
 from .operators import (
@@ -32,7 +30,6 @@ from .operators import (
     expectation,
     expectation_closed,
     observable_matrix,
-    observable_matrix_closed,
     polarization_operator,
 )
 from .limits import standard_amplitudes, standard_operator, standard_states
@@ -74,16 +71,13 @@ __all__ = [
     "exact_distribution",
     "expectation",
     "expectation_closed",
-    "hermitian_partner",
     "load_scenario_file",
     "minus",
     "observable_matrix",
-    "observable_matrix_closed",
     "parse_scenario",
     "plus",
     "polarization_operator",
     "probability",
-    "probability_closed",
     "run_all",
     "sample",
     "standard_amplitudes",

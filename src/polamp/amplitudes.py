@@ -20,7 +20,11 @@ measured one. These forms satisfy, and the verification suite checks:
 :func:`amp_matrix` evaluates all four forms as one 2x2 block, sharing the
 cos/sin factors and the phase; it accepts scalars or numpy arrays
 (broadcasting). The label-based functions below it are the scalar
-convenience API and evaluate one block per pair of directions.
+convenience API and evaluate one block per pair of directions. This is
+the one route to amplitudes, probabilities (squared moduli) and states;
+the reversed amplitude is ``amplitude(final, initial)``, and the closed
+trig forms of the probabilities live in :mod:`polamp.closedforms`, where
+:mod:`polamp.verify` checks them against this route.
 """
 
 from __future__ import annotations
@@ -48,26 +52,6 @@ def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
     phase = np.exp(1j * (alpha_a - alpha_b))
     cc, ss, cs, sc = ca * cb, sa * sb, ca * sb, sa * cb
     return ((cc + ss * phase, -cs + sc * phase), (-sc + cs * phase, ss + cc * phase))
-
-
-def prob_equal_closed(theta_a, alpha_a, theta_b, alpha_b):
-    """Closed trig form of P(a+, b+), which also equals P(a-, b-)."""
-    d = np.asarray(alpha_a) - np.asarray(alpha_b)
-    return (
-        np.cos(theta_a) ** 2 * np.cos(theta_b) ** 2
-        + np.sin(theta_a) ** 2 * np.sin(theta_b) ** 2
-        + 0.5 * np.sin(2 * np.asarray(theta_a)) * np.sin(2 * np.asarray(theta_b)) * np.cos(d)
-    )
-
-
-def prob_mixed_closed(theta_a, alpha_a, theta_b, alpha_b):
-    """Closed trig form of P(a+, b-), which also equals P(a-, b+)."""
-    d = np.asarray(alpha_a) - np.asarray(alpha_b)
-    return (
-        np.cos(theta_a) ** 2 * np.sin(theta_b) ** 2
-        + np.sin(theta_a) ** 2 * np.cos(theta_b) ** 2
-        - 0.5 * np.sin(2 * np.asarray(theta_a)) * np.sin(2 * np.asarray(theta_b)) * np.cos(d)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +83,6 @@ def probability(initial: BranchLabel, final: BranchLabel) -> float:
     return _probability_of(amplitude(initial, final))
 
 
-def probability_closed(initial: BranchLabel, final: BranchLabel) -> float:
-    """Transition probability via the closed trig forms.
-
-    Cross-check route only; :func:`probability` (squared modulus) is the
-    normative one. The equal-branch and mixed-branch expressions are shared,
-    so P(a+,b+) == P(a-,b-) and P(a+,b-) == P(a-,b+) hold exactly here.
-    """
-    if initial.branch is final.branch:
-        form = prob_equal_closed
-    else:
-        form = prob_mixed_closed
-    return float(form(initial.theta, initial.alpha, final.theta, final.alpha))
-
-
 def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     """Amplitude decomposed through a complete set of outcomes at ``via``.
 
@@ -123,11 +93,6 @@ def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     second = _block(via, final)
     column = _row(final)
     return sum(complex(first[s]) * complex(second[s][column]) for s in (0, 1))
-
-
-def hermitian_partner(initial: BranchLabel, final: BranchLabel) -> complex:
-    """The reversed amplitude; equals conj(amplitude(initial, final))."""
-    return amplitude(final, initial)
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,13 @@ def _non_negative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be a positive number")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite positive number")
     return value
 
 
-def _fmt_float(x: float, machine: bool) -> str:
-    return f"{x:.17g}" if machine else f"{x:.12g}"
+def _fmt_float(x: float) -> str:
+    return f"{x:.12g}"
 
 
 def _fmt_complex(z: complex, machine: bool) -> str:
@@ -117,24 +117,21 @@ def _env_value(name: str, validate):
         raise SystemExit(EXIT_USAGE) from None
 
 
+def _first(*values):
+    """The first of ``values`` that is not None."""
+    return next(v for v in values if v is not None)
+
+
 def _resolve_tolerance(args, file_value: float | None = None) -> float:
-    if getattr(args, "tolerance", None) is not None:
+    if args.tolerance is not None:
         return args.tolerance
-    env = _env_value(ENV_TOLERANCE, _positive_float)
-    if env is not None:
-        return env
-    if file_value is not None:
-        return file_value
-    return DEFAULT_TOLERANCE
+    return _first(_env_value(ENV_TOLERANCE, _positive_float), file_value, DEFAULT_TOLERANCE)
 
 
 def _resolve_stage_cap(args) -> int:
-    if getattr(args, "stage_cap", None) is not None:
+    if args.stage_cap is not None:
         return args.stage_cap
-    env = _env_value(ENV_STAGE_CAP, _positive_int)
-    if env is not None:
-        return env
-    return DEFAULT_STAGE_CAP
+    return _first(_env_value(ENV_STAGE_CAP, _positive_int), DEFAULT_STAGE_CAP)
 
 
 def _label(args, prefix: str, degrees: bool) -> BranchLabel:
@@ -162,7 +159,7 @@ def cmd_amp(args) -> int:
         )
     else:
         print(f"amplitude   = {_fmt_complex(z, False)}")
-        print(f"|amplitude|^2 = {_fmt_float(abs(z) ** 2, False)}")
+        print(f"|amplitude|^2 = {_fmt_float(abs(z) ** 2)}")
     return EXIT_OK
 
 
@@ -172,7 +169,7 @@ def cmd_prob(args) -> int:
     if args.machine:
         print(f"prob value={p:.17g}")
     else:
-        print(f"probability = {_fmt_float(p, False)}")
+        print(f"probability = {_fmt_float(p)}")
     return EXIT_OK
 
 
@@ -192,7 +189,7 @@ def _eigvec_lines(obs: Observable2, machine: bool) -> list[str]:
             )
         else:
             lines.append(
-                f"eigvec {sign} (eigenvalue {_fmt_float(r, False)}): "
+                f"eigvec {sign} (eigenvalue {_fmt_float(r)}): "
                 f"({_fmt_complex(xi.c_plus, False)}, {_fmt_complex(xi.c_minus, False)})"
                 f"  residual = {residual:.3e}"
             )
@@ -216,8 +213,8 @@ def cmd_operator(args) -> int:
         print(f"  [ {_fmt_complex(obs.m11, False)}  {_fmt_complex(obs.m12, False)} ]")
         print(f"  [ {_fmt_complex(obs.m21, False)}  {_fmt_complex(obs.m22, False)} ]")
         print(
-            f"trace = {_fmt_float(obs.trace.real, False)}"
-            f"  det = {_fmt_float(obs.determinant.real, False)}"
+            f"trace = {_fmt_float(obs.trace.real)}"
+            f"  det = {_fmt_float(obs.determinant.real)}"
         )
     for line in _eigvec_lines(obs, args.machine):
         print(line)
@@ -241,7 +238,7 @@ def cmd_expect(args) -> int:
     if args.machine:
         print(f"expect value={value:.17g}")
     else:
-        print(f"expectation = {_fmt_float(value, False)}")
+        print(f"expectation = {_fmt_float(value)}")
     return EXIT_OK
 
 
@@ -271,18 +268,14 @@ def cmd_simulate(args) -> int:
         if machine:
             print(f"distribution seq={sequence_to_str(seq)} p={p:.17g}")
         else:
-            print(f"  {sequence_to_str(seq)}  p = {_fmt_float(p, False)}")
+            print(f"  {sequence_to_str(seq)}  p = {_fmt_float(p)}")
 
     if args.exact:
         return EXIT_OK
 
-    seed = args.seed if args.seed is not None else (loaded.seed if loaded.seed is not None else 0)
-    trials = (
-        args.trials
-        if args.trials is not None
-        else (loaded.trials if loaded.trials is not None else DEFAULT_TRIALS)
-    )
-    report = sample(loaded.scenario, seed=seed, trials=trials, stage_cap=stage_cap)
+    seed = _first(args.seed, loaded.seed, 0)
+    trials = _first(args.trials, loaded.trials, DEFAULT_TRIALS)
+    report = sample(dist, seed=seed, trials=trials)
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
     for (seq, count), expected, sigma in zip(report.items(), report.expected, report.sigma):
@@ -294,7 +287,7 @@ def cmd_simulate(args) -> int:
         else:
             print(
                 f"  {sequence_to_str(seq)}  count = {count}"
-                f"  expected = {_fmt_float(expected, False)}  deviation = {sigma:.2f} sigma"
+                f"  expected = {_fmt_float(expected)}  deviation = {sigma:.2f} sigma"
             )
     if machine:
         print(
@@ -369,6 +362,9 @@ def _add_unit_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--machine", action="store_true", help="machine-readable output")
+
+
+def _add_tolerance_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tolerance", type=_positive_float, default=None,
         help=f"numeric tolerance (default: ${ENV_TOLERANCE} or {DEFAULT_TOLERANCE})",
@@ -442,12 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"maximum stage count (default: ${ENV_STAGE_CAP} or {DEFAULT_STAGE_CAP})",
     )
     _add_common_flags(p)
+    _add_tolerance_flag(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("verify", help="run every invariant suite and report errata")
     p.add_argument("--draws", type=_non_negative_int, default=DEFAULT_DRAWS, help="random draws per suite")
     p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed for the draws")
     _add_common_flags(p)
+    _add_tolerance_flag(p)
     p.set_defaults(handler=cmd_verify)
 
     return parser

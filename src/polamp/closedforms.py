@@ -1,11 +1,11 @@
-"""Verbatim closed-form matrix elements, kept separate for adjudication.
+"""Verbatim closed forms: the second routes that :mod:`polamp.verify` checks.
 
 The derivation this package implements states explicit trig expressions for
-the observable and polarization-operator matrix elements. They are
-transcribed here exactly as stated, suspected misprints included, and never
-used on the normative path: the verifier (:mod:`polamp.verify`) compares
-each element against the amplitude-product construction and emits an
-erratum record for any element that disagrees.
+the transition probabilities and the observable and polarization-operator
+matrix elements. They are transcribed here exactly as stated, suspected
+misprints included, and never used on the normative path: the verifier
+compares each against the amplitude route and emits an erratum record for
+any matrix element that disagrees.
 
 Each transcription carries a reference id (``Eq53`` ... ``Eq74``) naming
 the stated expression; those ids appear in errata reports.
@@ -33,6 +33,26 @@ ELEMENT_NAMES = (("m11", "m12"), ("m21", "m22"))
 OBSERVABLE_ELEMENT_IDS = (("Eq53", "Eq54"), ("Eq55", "Eq56"))
 POLARIZATION_ELEMENT_IDS = (("Eq57", "Eq58"), ("Eq59", "Eq60"))
 STANDARD_OPERATOR_ID = "Eq72"
+
+
+def prob_equal_closed(theta_a, alpha_a, theta_b, alpha_b):
+    """Closed trig form of P(a+, b+), which also equals P(a-, b-)."""
+    d = np.asarray(alpha_a) - np.asarray(alpha_b)
+    return (
+        np.cos(theta_a) ** 2 * np.cos(theta_b) ** 2
+        + np.sin(theta_a) ** 2 * np.sin(theta_b) ** 2
+        + 0.5 * np.sin(2 * np.asarray(theta_a)) * np.sin(2 * np.asarray(theta_b)) * np.cos(d)
+    )
+
+
+def prob_mixed_closed(theta_a, alpha_a, theta_b, alpha_b):
+    """Closed trig form of P(a+, b-), which also equals P(a-, b+)."""
+    d = np.asarray(alpha_a) - np.asarray(alpha_b)
+    return (
+        np.cos(theta_a) ** 2 * np.sin(theta_b) ** 2
+        + np.sin(theta_a) ** 2 * np.cos(theta_b) ** 2
+        - 0.5 * np.sin(2 * np.asarray(theta_a)) * np.sin(2 * np.asarray(theta_b)) * np.cos(d)
+    )
 
 
 def observable_elements(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_minus):

@@ -9,9 +9,9 @@ evaluates the generalized machinery at that boundary.
 
 from __future__ import annotations
 
-from .amplitudes import StateVector2, amplitude, state_vector
-from .directions import Branch, BranchLabel, Direction
-from .operators import Observable2, polarization_operator
+from .amplitudes import StateVector2, amp_matrix
+from .directions import Direction
+from .operators import Observable2, eigenvector_states, polarization_operator
 
 X_DIRECTION = Direction(0.0, 0.0)
 
@@ -24,20 +24,13 @@ def standard_amplitudes(a: Direction) -> tuple[complex, complex, complex, comple
     cos theta_a e^{i alpha_a}): the outcomes of measuring along the x
     direction for the parallel and perpendicular preparations.
     """
-    return (
-        amplitude(BranchLabel(a, Branch.PLUS), BranchLabel(X_DIRECTION, Branch.PLUS)),
-        amplitude(BranchLabel(a, Branch.PLUS), BranchLabel(X_DIRECTION, Branch.MINUS)),
-        amplitude(BranchLabel(a, Branch.MINUS), BranchLabel(X_DIRECTION, Branch.PLUS)),
-        amplitude(BranchLabel(a, Branch.MINUS), BranchLabel(X_DIRECTION, Branch.MINUS)),
-    )
+    (pp, pm), (mp, mm) = amp_matrix(a.theta, a.alpha, X_DIRECTION.theta, X_DIRECTION.alpha)
+    return complex(pp), complex(pm), complex(mp), complex(mm)
 
 
 def standard_states(a: Direction) -> tuple[StateVector2, StateVector2]:
     """Textbook state pair for direction ``a``: the x-referenced state vectors."""
-    return (
-        state_vector(BranchLabel(a, Branch.PLUS), X_DIRECTION),
-        state_vector(BranchLabel(a, Branch.MINUS), X_DIRECTION),
-    )
+    return eigenvector_states(a, X_DIRECTION)
 
 
 def standard_operator(measure: Direction) -> Observable2:

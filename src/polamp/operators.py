@@ -9,9 +9,9 @@ direction ``c``, its matrix element (i, j) is the amplitude product
 
 which is exactly the spectral form R+ v+ v+^dag + R- v- v-^dag with
 eigenvectors v_s given componentwise by chi(b^s, c^i). This amplitude
-product construction is the normative one; :func:`observable_matrix_closed`
-transcribes the equivalent closed trig expressions and exists to be checked
-against it (see :mod:`polamp.verify`).
+product construction is the only route here; the closed trig expressions
+live in :mod:`polamp.closedforms`, where :mod:`polamp.verify` checks them
+against it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .amplitudes import StateVector2, _probability_of, amp_matrix, state_vector
 from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction
-from . import closedforms
 
 
 @dataclass(frozen=True)
@@ -88,25 +87,6 @@ def observable_matrix(
     """
     m = observable_elements_product(
         basis.theta, basis.alpha, measure.theta, measure.alpha, float(r_plus), float(r_minus)
-    )
-    return Observable2(
-        m11=complex(m[0][0]),
-        m12=complex(m[0][1]),
-        m21=complex(m[1][0]),
-        m22=complex(m[1][1]),
-        r_plus=float(r_plus),
-        r_minus=float(r_minus),
-        measure_dir=measure,
-        basis_dir=basis,
-    )
-
-
-def observable_matrix_closed(
-    measure: Direction, basis: Direction, r_plus: float, r_minus: float
-) -> Observable2:
-    """Same observable via the closed trig expressions (cross-check route)."""
-    m = closedforms.observable_elements(
-        basis.theta, basis.alpha, measure.theta, measure.alpha, r_plus, r_minus
     )
     return Observable2(
         m11=complex(m[0][0]),

@@ -37,6 +37,11 @@ class ScenarioFile:
     tolerance: float | None = None
 
 
+def _shown(value) -> str:
+    """``value`` for a diagnostic; a list or object is named by its type only."""
+    return type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+
+
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
@@ -56,10 +61,14 @@ def _number(mapping: dict, key: str, where: str, default=None) -> float:
         raise ScenarioError(f"{where}.{key}: missing required key")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+        raise ScenarioError(f"{where}.{key}: expected a number, got {_shown(value)}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}.{key}: integer too large for a float") from None
+    if not math.isfinite(number):
         raise ScenarioError(f"{where}.{key}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _direction(mapping: dict, where: str) -> Direction:
@@ -83,8 +92,11 @@ def parse_scenario(document: dict, where: str = "scenario") -> ScenarioFile:
     alpha = _number(initial_map, "alpha_deg", f"{where}.initial", default=0.0)
     if "branch" not in initial_map:
         raise ScenarioError(f"{where}.initial.branch: missing required key")
+    token = initial_map["branch"]
+    if not isinstance(token, str):
+        raise ScenarioError(f"{where}.initial.branch: expected '+' or '-', got {_shown(token)}")
     try:
-        branch = Branch.from_token(str(initial_map["branch"]))
+        branch = Branch.from_token(token)
     except ValueError as exc:
         raise ScenarioError(f"{where}.initial.branch: {exc}") from None
     initial = BranchLabel(Direction(math.radians(theta), math.radians(alpha)), branch)
@@ -102,14 +114,16 @@ def parse_scenario(document: dict, where: str = "scenario") -> ScenarioFile:
     if "seed" in document:
         value = document["seed"]
         if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-            raise ScenarioError(f"{where}.seed: expected an unsigned 64-bit integer, got {value!r}")
+            raise ScenarioError(
+                f"{where}.seed: expected an unsigned 64-bit integer, got {_shown(value)}"
+            )
         seed = value
 
     trials = None
     if "trials" in document:
         value = document["trials"]
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ScenarioError(f"{where}.trials: expected a positive integer, got {value!r}")
+            raise ScenarioError(f"{where}.trials: expected a positive integer, got {_shown(value)}")
         trials = value
 
     tolerance = None
@@ -137,6 +151,10 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the decoder's recursion limit, or an integer
+        # literal longer than Python converts
+        raise ScenarioError(f"{path}: {exc}") from None
     try:
         return parse_scenario(document)
     except ScenarioError as exc:

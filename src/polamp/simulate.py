@@ -108,9 +108,6 @@ class OutcomeDistribution:
         for i, p in enumerate(self.probs):
             yield index_to_sequence(i, self.n_stages), float(p)
 
-    def as_dict(self) -> dict[tuple[Branch, ...], float]:
-        return dict(self.items())
-
     def total(self) -> float:
         return float(self.probs.sum())
 
@@ -145,9 +142,6 @@ class SampleReport:
     def items(self):
         for i, c in enumerate(self.counts):
             yield index_to_sequence(i, self.n_stages), int(c)
-
-    def as_dict(self) -> dict[tuple[Branch, ...], int]:
-        return dict(self.items())
 
 
 def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
@@ -196,15 +190,14 @@ def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def sample(
-    scenario: MeasurementScenario,
+    distribution: OutcomeDistribution,
     seed: int,
     trials: int,
-    stage_cap: int = DEFAULT_STAGE_CAP,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SampleReport:
-    """Monte Carlo realization of :func:`exact_distribution`.
+    """Monte Carlo realization of ``distribution`` (see :func:`exact_distribution`).
 
-    Trial ``i`` draws its outcome sequence by inverse CDF from the exact
+    Trial ``i`` draws its outcome sequence by inverse CDF from the
     distribution using the ``i``-th stream double (see the module docstring
     for the randomness contract). Trials run in blocks of ``block_size``
     (a multiple of 4); the counts are bit-identical for every block size.
@@ -219,14 +212,13 @@ def sample(
         raise ValueError("trials must be >= 1")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-
-    dist = exact_distribution(scenario, stage_cap=stage_cap)
-    cum = np.cumsum(dist.probs)
-    n_seq = len(dist.probs)
-    last_possible = int(np.flatnonzero(dist.probs)[-1])
-
     if block_size < 1 or block_size % 4 != 0:
         raise ValueError("block_size must be a positive multiple of 4")
+
+    probs = distribution.probs
+    cum = np.cumsum(probs)
+    n_seq = len(probs)
+    last_possible = int(np.flatnonzero(probs)[-1])
 
     counts = np.zeros(n_seq, dtype=np.int64)
     for lo in range(0, trials, block_size):
@@ -235,8 +227,8 @@ def sample(
         idx = np.searchsorted(cum, u, side="right")
         counts += np.bincount(np.minimum(idx, last_possible), minlength=n_seq)
 
-    expected = trials * dist.probs
-    spread = np.sqrt(trials * dist.probs * (1.0 - dist.probs))
+    expected = trials * probs
+    spread = np.sqrt(trials * probs * (1.0 - probs))
     deviation = np.abs(counts - expected)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(
@@ -247,7 +239,7 @@ def sample(
     return SampleReport(
         seed=int(seed),
         trials=int(trials),
-        n_stages=dist.n_stages,
+        n_stages=distribution.n_stages,
         counts=counts,
         max_abs_deviation_sigma=float(sigma.max()),
         expected=expected,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedforms
-from .amplitudes import amp_matrix, prob_equal_closed, prob_mixed_closed
+from .amplitudes import amp_matrix
 from .directions import DEFAULT_TOLERANCE
 from .operators import observable_elements_product
 
@@ -152,8 +152,8 @@ def suite_chaining(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
 def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
     (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-    equal = prob_equal_closed(ta, aa, tb, ab)
-    mixed = prob_mixed_closed(ta, aa, tb, ab)
+    equal = closedforms.prob_equal_closed(ta, aa, tb, ab)
+    mixed = closedforms.prob_mixed_closed(ta, aa, tb, ab)
     residuals = [
         np.abs(np.abs(pp) ** 2 - equal),
         np.abs(np.abs(mm) ** 2 - equal),
@@ -200,8 +200,13 @@ def suite_observable_closed_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     return _result("observable_closed_forms", n, residuals, tol)
 
 
-def suite_operator_oracle_triangle(n, rng, tol=EIGENSOLVER_TOLERANCE) -> SuiteResult:
-    """Amplitude products vs spectral form vs numpy.linalg.eigh."""
+def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+    """Amplitude products vs spectral form vs numpy.linalg.eigh.
+
+    Runs at no less than EIGENSOLVER_TOLERANCE, since one leg is a generic
+    eigensolver.
+    """
+    tol = max(tol, EIGENSOLVER_TOLERANCE)
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
     r_plus, r_minus = _draw_eigenvalues(rng, n)
     product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
@@ -415,11 +420,6 @@ def run_all(
 ) -> VerifyReport:
     """Run every suite plus the errata adjudication, deterministically."""
     rng = np.random.default_rng(seed)
-    suites = []
-    for suite in ALL_SUITES:
-        if suite is suite_operator_oracle_triangle:
-            suites.append(suite(draws, rng, max(tolerance, EIGENSOLVER_TOLERANCE)))
-        else:
-            suites.append(suite(draws, rng, tolerance))
+    suites = tuple(suite(draws, rng, tolerance) for suite in ALL_SUITES)
     errata = collect_errata(draws, rng, tolerance)
-    return VerifyReport(suites=tuple(suites), errata=tuple(errata))
+    return VerifyReport(suites=suites, errata=tuple(errata))

@@ -173,10 +173,10 @@ def test_criterion_10_simulation_statistics():
     assert abs(pp - closed_form) < 1e-15
     assert abs(pp - 0.25) < 1e-15
 
-    report = sample(scenario, seed=20240810, trials=1_000_000)
+    report = sample(dist, seed=20240810, trials=1_000_000)
     assert report.max_abs_deviation_sigma <= 5.0
 
-    again = sample(scenario, seed=20240810, trials=1_000_000)
+    again = sample(exact_distribution(scenario), seed=20240810, trials=1_000_000)
     assert np.array_equal(report.counts, again.counts)
     assert report.max_abs_deviation_sigma == again.max_abs_deviation_sigma
     assert (report.seed, report.trials) == (again.seed, again.trials)

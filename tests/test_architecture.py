@@ -1,0 +1,98 @@
+"""Import-graph guards: the oracle routes and the normative routes stay separate code.
+
+The verify suites only prove something while each law is checked against
+an independent route. These tests read the sources (AST, not text search):
+the normative modules never reach the closed-form transcriptions, and
+neither the transcriptions nor the inner-product oracle reach the
+amplitude kernel they are compared with.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import polamp
+
+SRC = Path(polamp.__file__).parent
+
+#: Modules on the normative path: they compute each quantity one way.
+NORMATIVE = ("amplitudes", "operators", "limits", "simulate", "scenario", "cli")
+
+#: The verify functions that form the inner-product amplitude oracle.
+ORACLE_FUNCTIONS = ("_reference_state", "_oracle_amplitude")
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(), filename=f"{module}.py")
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Absolute names of every module (and module attribute) ``tree`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "polamp" if node.level else ""
+            module = ".".join(part for part in (base, node.module or "") if part)
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Every bare name and attribute name used under ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.asname or sub.name)
+    return names
+
+
+def names_from(tree: ast.Module, *modules: str) -> set[str]:
+    """Names that ``tree`` imports from the given relative modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module in modules
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("module", NORMATIVE)
+def test_normative_modules_import_nothing_from_closedforms(module):
+    imported = imported_modules(parse(module))
+    closed = {name for name in imported if name.startswith("polamp.closedforms")}
+    assert not closed, f"{module} imports {sorted(closed)}"
+
+
+def test_closedforms_stays_independent_of_the_kernel():
+    tree = parse("closedforms")
+    assert not {m for m in imported_modules(tree) if m.startswith("polamp")}
+    assert "amp_matrix" not in referenced_names(tree)
+
+
+def test_amplitude_oracle_stays_independent_of_the_kernel():
+    tree = parse("verify")
+    normative = names_from(tree, "amplitudes", "operators")
+    assert "amp_matrix" in normative  # the suites do compare against the kernel
+    functions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLE_FUNCTIONS
+    }
+    assert set(functions) == set(ORACLE_FUNCTIONS)
+    for name, node in functions.items():
+        used = referenced_names(node) & normative
+        assert not used, f"verify.{name} uses {sorted(used)}"
+
+
+def test_guard_sees_relative_imports():
+    tree = ast.parse("from . import closedforms\nfrom .closedforms import observable_elements\n")
+    expected = {"polamp.closedforms", "polamp.closedforms.observable_elements"}
+    assert expected <= imported_modules(tree)

@@ -3,10 +3,11 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from polamp import load_scenario_file, sample
+from polamp import exact_distribution, load_scenario_file, sample
 from polamp.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 
 #: ``verify --machine --seed 0 --draws 2000`` as recorded with the earlier
@@ -99,6 +100,22 @@ class TestAmp:
         with pytest.raises(SystemExit) as exc:
             run(["amp", "30", "0", "x", "0", "0", "+"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amp", "30", "0", "+", "0", "0", "+"],
+            ["prob", "30", "0", "+", "0", "0", "+"],
+            ["operator", "30", "0", "0", "0"],
+            ["eigvec", "30", "0", "0", "0"],
+            ["expect", "30", "0", "+", "0", "0"],
+        ],
+    )
+    def test_tolerance_flag_only_where_it_is_read(self, capsys, argv):
+        # only simulate and verify read a tolerance
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--tolerance", "1e-9"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_prob(self, capsys):
         code, lines = run_capture(capsys, ["prob", "30", "0", "+", "0", "0", "+", "--machine"])
@@ -242,10 +259,40 @@ class TestSimulate:
 
     def test_sample_lines_print_the_library_statistics(self, capsys, malus_file):
         _, lines = run_capture(capsys, ["simulate", malus_file, "--machine"])
-        report = sample(load_scenario_file(malus_file).scenario, seed=42, trials=100000)
+        dist = exact_distribution(load_scenario_file(malus_file).scenario)
+        report = sample(dist, seed=42, trials=100000)
         samples = [fields(l) for l in lines if l.startswith("sample")]
         assert [float(s["expected"]) for s in samples] == report.expected.tolist()
         assert [float(s["sigma"]) for s in samples] == report.sigma.tolist()
+
+    def test_one_exact_distribution_per_run(self, capsys, malus_file):
+        counted = mock.Mock(wraps=exact_distribution)
+        with mock.patch("polamp.cli.exact_distribution", counted), mock.patch(
+            "polamp.simulate.exact_distribution", counted
+        ):
+            code, _ = run_capture(capsys, ["simulate", malus_file, "--machine"])
+        assert code == EXIT_OK
+        assert counted.call_count == 1
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            # a literal too large for a float
+            ('{"initial": {"theta_deg": 1%s, "branch": "+"}, "stages": [{"theta_deg": 1}]}'
+             % ("0" * 400), "initial.theta_deg"),
+            # nesting deeper than the JSON decoder's recursion limit
+            ("[" * 100000 + "]" * 100000, "deep.json"),
+        ],
+        ids=["huge_integer", "deep_nesting"],
+    )
+    def test_unreadable_numbers_and_nesting_exit_3(self, capsys, tmp_path, text, fragment):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = run(["simulate", str(path)])
+        assert code == EXIT_FILE
+        captured = capsys.readouterr()
+        assert fragment in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +329,7 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert fields(lines[-1])["pass"] == "0"
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
     def test_invalid_env_tolerance_is_a_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("POLAMP_TOLERANCE", value)
         with pytest.raises(SystemExit) as exc:
@@ -291,6 +338,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: POLAMP_TOLERANCE={value!r}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_flag_is_a_usage_error(self, capsys, value):
+        # an infinite tolerance would pass every suite and hide every erratum
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--draws", "10", "--machine", "--tolerance", value])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_machine_output_matches_golden_record(self, capsys):
         code, lines = run_capture(capsys, ["verify", "--machine", "--seed", "0", "--draws", "2000"])

@@ -16,12 +16,12 @@ from polamp import (
     expectation_closed,
     minus,
     observable_matrix,
-    observable_matrix_closed,
     plus,
     polarization_operator,
     state_vector,
 )
 from polamp.amplitudes import StateVector2
+from polamp.closedforms import observable_elements
 
 TOL = 1e-12
 
@@ -34,6 +34,12 @@ RNG = np.random.default_rng(20250810)
 def random_directions(n):
     draws = RNG.uniform(-2 * math.pi, 2 * math.pi, (n, 4))
     return [(Direction(t1, a1), Direction(t2, a2)) for t1, a1, t2, a2 in draws]
+
+
+def closed_matrix(measure, basis, r_plus, r_minus):
+    """The observable via the closed trig forms Eq53-Eq56."""
+    m = observable_elements(basis.theta, basis.alpha, measure.theta, measure.alpha, r_plus, r_minus)
+    return np.array(m, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +78,20 @@ class TestObservableMatrixClosed:
 
     def test_same_direction_is_diagonal(self):
         d = Direction(-1.9, 0.6)
-        obs = observable_matrix_closed(d, d, 4.0, 1.0)
-        np.testing.assert_allclose(obs.as_array(), np.diag([4.0, 1.0]), atol=TOL)
+        np.testing.assert_allclose(closed_matrix(d, d, 4.0, 1.0), np.diag([4.0, 1.0]), atol=TOL)
 
     def test_agrees_with_product_construction(self):
         for measure, basis in random_directions(100):
             product = observable_matrix(measure, basis, 1.4, -2.2).as_array()
-            closed = observable_matrix_closed(measure, basis, 1.4, -2.2).as_array()
+            closed = closed_matrix(measure, basis, 1.4, -2.2)
             np.testing.assert_allclose(closed, product, atol=TOL)
 
     def test_top_left_in_standard_basis(self):
         # basis (0, 0): m11 = cos^2(tb) r_plus + sin^2(tb) r_minus
         rp, rm = 2.5, -0.5
-        obs = observable_matrix_closed(Direction(0.9, 1.1), Direction(0.0, 0.0), rp, rm)
-        assert obs.m11 == pytest.approx(0.6591968579603693, abs=TOL)
-        assert obs.m11 == pytest.approx(math.cos(0.9) ** 2 * rp + math.sin(0.9) ** 2 * rm, abs=TOL)
+        m11 = closed_matrix(Direction(0.9, 1.1), Direction(0.0, 0.0), rp, rm)[0, 0]
+        assert m11 == pytest.approx(0.6591968579603693, abs=TOL)
+        assert m11 == pytest.approx(math.cos(0.9) ** 2 * rp + math.sin(0.9) ** 2 * rm, abs=TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polamp import Branch, ScenarioError, load_scenario_file, parse_scenario
 
@@ -88,3 +90,59 @@ def test_file_errors_include_path(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match="bad.json"):
         load_scenario_file(path)
+
+
+@pytest.mark.parametrize("key", ["theta_deg", "branch"])
+def test_deeply_nested_values_are_named_by_type(key):
+    # deeper than repr() can recurse: the diagnostic names the type instead
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    doc = json.loads(json.dumps(VALID))
+    doc["initial"][key] = deep
+    with pytest.raises(ScenarioError, match=f"initial.{key}: .* got list"):
+        parse_scenario(doc)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)  # beyond any float
+    | st.floats()  # nan and the infinities included, as json.loads accepts them
+    | st.sampled_from(["+", "-", "x"])
+    | st.text(max_size=4)
+)
+
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+#: Scenario-shaped documents: the schema's keys with any JSON value, so that
+#: every inner check is reached, not only the top-level type check (unknown
+#: keys come from the text-keyed objects of JSON_VALUES).
+NUMBERS = st.integers(min_value=-(10**400), max_value=10**400) | st.floats() | JSON_VALUES
+DIRECTIONS = st.fixed_dictionaries(
+    {},
+    optional={"theta_deg": NUMBERS, "alpha_deg": NUMBERS, "branch": st.just("+") | JSON_VALUES},
+)
+DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "initial": DIRECTIONS,
+        "stages": st.lists(DIRECTIONS, max_size=3) | JSON_VALUES,
+        **{key: NUMBERS for key in ("seed", "trials", "tolerance")},
+    },
+)
+
+
+@given(DOCUMENTS | JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_any_json_value_parses_or_raises_scenario_error(document):
+    try:
+        parse_scenario(document)
+    except ScenarioError:
+        pass

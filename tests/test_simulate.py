@@ -136,64 +136,64 @@ class TestSample:
     def test_certain_outcome(self):
         d = Direction(0.7, 0.1)
         scenario = MeasurementScenario(initial=BranchLabel(d, P), stages=(d,))
-        report = sample(scenario, seed=3, trials=5000)
+        report = sample(exact_distribution(scenario), seed=3, trials=5000)
         assert report[(P,)] == 5000
         assert report[(M,)] == 0
         assert report.max_abs_deviation_sigma == 0.0
 
     def test_determinism(self):
-        scenario = malus_chain()
-        r1 = sample(scenario, seed=123, trials=20000)
-        r2 = sample(scenario, seed=123, trials=20000)
+        dist = exact_distribution(malus_chain())
+        r1 = sample(dist, seed=123, trials=20000)
+        r2 = sample(dist, seed=123, trials=20000)
         assert np.array_equal(r1.counts, r2.counts)
         assert r1.max_abs_deviation_sigma == r2.max_abs_deviation_sigma
 
     def test_seed_changes_counts(self):
-        scenario = malus_chain()
-        r1 = sample(scenario, seed=1, trials=20000)
-        r2 = sample(scenario, seed=2, trials=20000)
+        dist = exact_distribution(malus_chain())
+        r1 = sample(dist, seed=1, trials=20000)
+        r2 = sample(dist, seed=2, trials=20000)
         assert not np.array_equal(r1.counts, r2.counts)
 
     def test_block_partitioning_is_bit_identical(self):
         # the stream-split rule: any 4-aligned partition of the trial space,
         # the default one included, which splits runs above DEFAULT_BLOCK_SIZE
-        scenario = malus_chain()
+        dist = exact_distribution(malus_chain())
         for trials, blocks in ((12345, (4, 64, 1000, 4096)), (DEFAULT_BLOCK_SIZE + 12345, (4096,))):
-            whole = sample(scenario, seed=99, trials=trials, block_size=trials + (-trials % 4))
-            assert np.array_equal(whole.counts, sample(scenario, seed=99, trials=trials).counts)
+            whole = sample(dist, seed=99, trials=trials, block_size=trials + (-trials % 4))
+            assert np.array_equal(whole.counts, sample(dist, seed=99, trials=trials).counts)
             for block in blocks:
-                split = sample(scenario, seed=99, trials=trials, block_size=block)
+                split = sample(dist, seed=99, trials=trials, block_size=block)
                 assert np.array_equal(whole.counts, split.counts)
 
     def test_misaligned_block_rejected(self):
         with pytest.raises(ValueError, match="multiple of 4"):
-            sample(malus_chain(), seed=0, trials=100, block_size=10)
+            sample(exact_distribution(malus_chain()), seed=0, trials=100, block_size=10)
 
     def test_counts_sum_to_trials(self):
-        report = sample(malus_chain(), seed=11, trials=33333)
+        report = sample(exact_distribution(malus_chain()), seed=11, trials=33333)
         assert int(report.counts.sum()) == 33333
 
     def test_malus_frequencies_within_five_sigma(self):
-        report = sample(malus_chain(), seed=2024, trials=1_000_000)
+        report = sample(exact_distribution(malus_chain()), seed=2024, trials=1_000_000)
         assert report.max_abs_deviation_sigma <= 5.0
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
-            sample(malus_chain(), seed=0, trials=0)
+            sample(exact_distribution(malus_chain()), seed=0, trials=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            sample(malus_chain(), seed=-1, trials=10)
+            sample(exact_distribution(malus_chain()), seed=-1, trials=10)
 
 
 class TestSampleTail:
 
     def test_rounding_tail_maps_to_a_possible_sequence(self):
-        scenario = tail_chain()
-        probs = exact_distribution(scenario).probs
+        dist = exact_distribution(tail_chain())
+        probs = dist.probs
         assert probs[-1] == 0.0 and np.cumsum(probs)[-1] <= LAST_UNIFORM
         with mock.patch.object(simulate, "_uniform_block", stream_of([LAST_UNIFORM] * 8)):
-            report = sample(scenario, seed=0, trials=8)
+            report = sample(dist, seed=0, trials=8)
         assert report.counts[np.flatnonzero(probs)[-1]] == 8
         assert report.counts.sum() == 8
         assert np.isfinite(report.max_abs_deviation_sigma)
@@ -212,8 +212,8 @@ class TestSampleTail:
             stages[0] = Direction(*pairs[0])
         scenario = MeasurementScenario(initial=plus(*pairs[0]), stages=tuple(stages))
         uniforms = [*uniforms, LAST_UNIFORM]
+        dist = exact_distribution(scenario)
         with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
-            report = sample(scenario, seed=0, trials=len(uniforms))
-        probs = exact_distribution(scenario).probs
-        assert not report.counts[probs == 0.0].any()
+            report = sample(dist, seed=0, trials=len(uniforms))
+        assert not report.counts[dist.probs == 0.0].any()
         assert report.counts.sum() == len(uniforms)

@@ -64,6 +64,11 @@ def test_triangle_uses_wider_tolerance():
     result = suite_operator_oracle_triangle(1000, rng)
     assert result.tolerance == EIGENSOLVER_TOLERANCE
     assert result.passed
+    # the suite raises a tighter tolerance to its floor itself
+    result = suite_operator_oracle_triangle(1000, rng, tol=1e-12)
+    assert result.tolerance == EIGENSOLVER_TOLERANCE
+    assert result.passed
+    assert suite_operator_oracle_triangle(10, rng, tol=1e-9).tolerance == 1e-9
 
 
 def test_default_draw_count():
