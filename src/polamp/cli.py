@@ -43,7 +43,7 @@ from .simulate import (
     StageCapError,
     exact_distribution,
     sample,
-    sequence_to_str,
+    sequence_labels,
 )
 from .verify import DEFAULT_DRAWS, run_all
 
@@ -262,13 +262,14 @@ def cmd_simulate(args) -> int:
         print(f"warning: distribution sums to 1 {total_dev:+.3e}", file=sys.stderr)
 
     machine = args.machine
+    labels = sequence_labels(dist.n_stages)
     if not machine:
         print(f"exact distribution over {dist.n_stages} stage(s):")
-    for seq, p in dist.items():
+    for label, p in zip(labels, dist.probs.tolist()):
         if machine:
-            print(f"distribution seq={sequence_to_str(seq)} p={p:.17g}")
+            print(f"distribution seq={label} p={p:.17g}")
         else:
-            print(f"  {sequence_to_str(seq)}  p = {_fmt_float(p)}")
+            print(f"  {label}  p = {_fmt_float(p)}")
 
     if args.exact:
         return EXIT_OK
@@ -278,15 +279,16 @@ def cmd_simulate(args) -> int:
     report = sample(dist, seed=seed, trials=trials)
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
-    for (seq, count), expected, sigma in zip(report.items(), report.expected, report.sigma):
+    columns = (report.counts.tolist(), report.expected.tolist(), report.sigma.tolist())
+    for label, count, expected, sigma in zip(labels, *columns):
         if machine:
             print(
-                f"sample seq={sequence_to_str(seq)} count={count}"
+                f"sample seq={label} count={count}"
                 f" expected={expected:.17g} sigma={sigma:.17g}"
             )
         else:
             print(
-                f"  {sequence_to_str(seq)}  count = {count}"
+                f"  {label}  count = {count}"
                 f"  expected = {_fmt_float(expected)}  deviation = {sigma:.2f} sigma"
             )
     if machine:

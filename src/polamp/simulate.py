@@ -20,8 +20,8 @@ deterministic in (scenario, seed, trials). Stream-split rule for parallel
 or blocked execution: partition the trial index space into contiguous
 ranges whose boundaries are multiples of 4 (the Philox output block is
 four 64-bit words); a worker owning [lo, hi) reconstructs its uniforms by
-advancing the counter ``lo / 4`` blocks. Counts are summed per sequence,
-so the report is bit-identical for every partition, including none.
+advancing the counter ``lo / 4`` blocks. Each block is sorted and counted
+per sequence; the sums are bit-identical for every partition, including none.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .directions import Branch, BranchLabel, Direction
 DEFAULT_STAGE_CAP = 20
 
 #: Trials per sampling block by default (a multiple of 4): bounds the
-#: uniforms and indices held at once to about 4 MB for any trial count.
+#: uniforms held at once to 2 MB (8 B per trial) for any trial count.
 DEFAULT_BLOCK_SIZE = 1 << 18
 
 
@@ -63,6 +63,12 @@ def index_to_sequence(index: int, n_stages: int) -> tuple[Branch, ...]:
 
 def sequence_to_str(sequence: tuple[Branch, ...]) -> str:
     return "".join(b.value for b in sequence)
+
+
+def sequence_labels(n_stages: int) -> list[str]:
+    """``sequence_to_str`` of every sequence of ``n_stages``, in index order."""
+    plus_minus = str.maketrans("01", "+-")
+    return [format(i, f"0{n_stages}b").translate(plus_minus) for i in range(1 << n_stages)]
 
 
 def str_to_sequence(text: str) -> tuple[Branch, ...]:
@@ -91,8 +97,9 @@ class MeasurementScenario:
 class OutcomeDistribution:
     """Probability of every outcome sequence of a scenario.
 
-    Stored as a dense vector over sequence indices; behaves like a mapping
-    from branch sequences to probabilities.
+    Stored as a dense vector over sequence indices (see
+    :func:`sequence_labels`); indexing by a branch sequence gives its
+    probability.
     """
 
     n_stages: int
@@ -103,10 +110,6 @@ class OutcomeDistribution:
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    def items(self):
-        for i, p in enumerate(self.probs):
-            yield index_to_sequence(i, self.n_stages), float(p)
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -138,10 +141,6 @@ class SampleReport:
 
     def __getitem__(self, sequence: tuple[Branch, ...]) -> int:
         return int(self.counts[sequence_to_index(sequence)])
-
-    def items(self):
-        for i, c in enumerate(self.counts):
-            yield index_to_sequence(i, self.n_stages), int(c)
 
 
 def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
@@ -197,13 +196,13 @@ def sample(
 ) -> SampleReport:
     """Monte Carlo realization of ``distribution`` (see :func:`exact_distribution`).
 
-    Trial ``i`` draws its outcome sequence by inverse CDF from the
-    distribution using the ``i``-th stream double (see the module docstring
-    for the randomness contract). Trials run in blocks of ``block_size``
-    (a multiple of 4); the counts are bit-identical for every block size.
-    A double at or above the last cumulative probability (a rounding tail
-    of the CDF) maps to the last sequence with nonzero probability, so a
-    sequence of probability 0 is never drawn.
+    Trial ``i`` draws sequence ``j`` iff ``cum[j-1] <= u < cum[j]``, with
+    ``u`` its stream double (module docstring) and ``cum`` the cumulative
+    probabilities. Trials run in blocks of ``block_size`` (a multiple of 4);
+    sorted, a block gives the number of its doubles below each ``cum[j]``,
+    whose differences are its counts (bit-identical for any block size). A
+    double in the rounding tail, at or above ``cum[-1]``, maps to the last
+    sequence with nonzero probability, so p = 0 is never drawn.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
@@ -217,15 +216,15 @@ def sample(
 
     probs = distribution.probs
     cum = np.cumsum(probs)
-    n_seq = len(probs)
     last_possible = int(np.flatnonzero(probs)[-1])
 
-    counts = np.zeros(n_seq, dtype=np.int64)
+    below = np.zeros(len(cum), dtype=np.int64)
     for lo in range(0, trials, block_size):
-        hi = min(lo + block_size, trials)
-        u = _uniform_block(int(seed), lo, hi - lo)
-        idx = np.searchsorted(cum, u, side="right")
-        counts += np.bincount(np.minimum(idx, last_possible), minlength=n_seq)
+        u = _uniform_block(int(seed), lo, min(block_size, trials - lo))
+        u.sort()
+        below += np.searchsorted(u, cum, side="left")
+    counts = np.diff(below, prepend=0)
+    counts[last_possible] += trials - below[-1]
 
     expected = trials * probs
     spread = np.sqrt(trials * probs * (1.0 - probs))

@@ -170,13 +170,19 @@ def suite_periodicity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
     two_pi = 2 * np.pi
     base = amp_matrix(ta, aa, tb, ab)
-    residuals = [
-        np.abs(amp_matrix(ta + two_pi, aa, tb, ab)[0][1] - base[0][1]),
-        np.abs(amp_matrix(ta, aa + two_pi, tb, ab)[0][1] - base[0][1]),
-        np.abs(amp_matrix(ta, aa, tb - two_pi, ab)[0][1] - base[0][1]),
-        np.abs(amp_matrix(ta, aa, tb, ab - two_pi)[0][1] - base[0][1]),
-        np.abs(amp_matrix(ta + two_pi, aa - two_pi, tb, ab)[1][0] - base[1][0]),
-    ]
+    shifted = (
+        (ta + two_pi, aa, tb, ab),
+        (ta, aa + two_pi, tb, ab),
+        (ta, aa, tb - two_pi, ab),
+        (ta, aa, tb, ab - two_pi),
+        (ta + two_pi, aa - two_pi, tb, ab),
+    )
+    # lazy, so that one shifted block and one residual are held at a time
+    residuals = (
+        np.abs(block[s][t] - base[s][t])
+        for block in (amp_matrix(*angles) for angles in shifted)
+        for s, t in _PAIRS
+    )
     return _result("periodicity", n, residuals, tol)
 
 

@@ -15,6 +15,13 @@ from polamp.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 #: {Eq58, Eq59, Eq72} and the record layout must reproduce byte for byte.
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed0_draws2000.txt"
 
+#: ``simulate --machine`` on ``data/simulate_<name>.json`` as recorded when
+#: every trial was classified on its own: the counts of a seeded run are a
+#: contract. ``two_stage`` runs 1,000,003 trials (several default blocks and a
+#: partial block of 3 mod 4); ``six_stage`` starts with a stage equal to the
+#: preparation, so 32 of its sequences have p = 0.
+GOLDEN_SIMULATE = ("two_stage", "six_stage")
+
 MALUS = {
     "initial": {"theta_deg": 0, "alpha_deg": 0, "branch": "+"},
     "stages": [{"theta_deg": 45, "alpha_deg": 0}, {"theta_deg": 90, "alpha_deg": 0}],
@@ -273,6 +280,13 @@ class TestSimulate:
             code, _ = run_capture(capsys, ["simulate", malus_file, "--machine"])
         assert code == EXIT_OK
         assert counted.call_count == 1
+
+    @pytest.mark.parametrize("name", GOLDEN_SIMULATE)
+    def test_machine_output_matches_golden_record(self, capsys, name):
+        data = Path(__file__).parent / "data"
+        code = run(["simulate", str(data / f"simulate_{name}.json"), "--machine"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (data / f"simulate_{name}.txt").read_text()
 
     @pytest.mark.parametrize(
         "text, fragment",

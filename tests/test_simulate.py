@@ -22,7 +22,9 @@ from polamp import (
 from polamp.directions import BranchLabel
 from polamp.simulate import (
     DEFAULT_BLOCK_SIZE,
+    OutcomeDistribution,
     index_to_sequence,
+    sequence_labels,
     sequence_to_index,
     sequence_to_str,
     str_to_sequence,
@@ -59,6 +61,24 @@ def stream_of(uniforms):
     return lambda seed, start, count: uniforms[start : start + count]
 
 
+def random_chain(angles, n_stages, first_is_initial):
+    """A chain from (theta, alpha) pairs: the preparation, then ``n_stages``
+    stages; with ``first_is_initial`` the first stage equals the preparation."""
+    pairs = list(zip(angles[::2], angles[1::2]))
+    stages = [Direction(t, a) for t, a in pairs[1 : n_stages + 1]]
+    if first_is_initial:
+        stages[0] = Direction(*pairs[0])
+    return MeasurementScenario(initial=plus(*pairs[0]), stages=tuple(stages))
+
+
+def per_trial_counts(dist, uniforms):
+    """Reference counts: classify every double on its own by inverse CDF,
+    the rounding tail clamped to the last sequence with nonzero probability."""
+    idx = np.searchsorted(np.cumsum(dist.probs), uniforms, side="right")
+    idx = np.minimum(idx, np.flatnonzero(dist.probs)[-1])
+    return np.bincount(idx, minlength=len(dist.probs))
+
+
 class TestSequenceIndexing:
 
     def test_round_trip(self):
@@ -72,6 +92,11 @@ class TestSequenceIndexing:
     def test_string_round_trip(self):
         assert sequence_to_str((P, M, P)) == "+-+"
         assert str_to_sequence("+-+") == (P, M, P)
+
+    def test_labels_in_index_order(self):
+        for n in range(1, 11):
+            expected = [sequence_to_str(index_to_sequence(i, n)) for i in range(2**n)]
+            assert sequence_labels(n) == expected
 
 
 class TestExactDistribution:
@@ -217,3 +242,46 @@ class TestSampleTail:
             report = sample(dist, seed=0, trials=len(uniforms))
         assert not report.counts[dist.probs == 0.0].any()
         assert report.counts.sum() == len(uniforms)
+
+
+class TestSampleCounting:
+    """Counting sorted blocks gives exactly the per-trial inverse-CDF counts."""
+
+    @given(
+        angles=st.lists(st.floats(-4.0, 4.0), min_size=18, max_size=18),
+        n_stages=st.integers(1, 8),
+        first_is_initial=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        trials=st.integers(1, 6000).filter(lambda t: t % 4 != 0),
+        block_size=st.integers(1, 1024).map(lambda k: 4 * k),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_per_trial_reference(
+        self, angles, n_stages, first_is_initial, seed, trials, block_size
+    ):
+        dist = exact_distribution(random_chain(angles, n_stages, first_is_initial))
+        report = sample(dist, seed=seed, trials=trials, block_size=block_size)
+        reference = per_trial_counts(dist, simulate._uniform_block(seed, 0, trials))
+        assert np.array_equal(report.counts, reference)
+
+    def test_ties_go_to_the_next_possible_sequence(self):
+        # cum = (0.25, 0.25, 0.75, 1): a double equal to cum[k] belongs to the
+        # first sequence whose cum exceeds it, so the p = 0 sequence 1 is skipped
+        dist = OutcomeDistribution(n_stages=2, probs=np.array([0.25, 0.0, 0.5, 0.25]))
+        under_quarter, under_three_quarters = np.nextafter([0.25, 0.75], 0.0)
+        uniforms = [0.0, 0.25, 0.25, under_quarter, 0.75, 0.75, under_three_quarters, 0.5]
+        uniforms.append(LAST_UNIFORM)
+        for block_size in (4, 8, 12):
+            with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
+                report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
+            assert report.counts.tolist() == [2, 0, 4, 3]
+
+    def test_repeated_and_boundary_doubles_match_reference(self):
+        dist = exact_distribution(tail_chain())
+        cum = np.cumsum(dist.probs)
+        edges = [np.nextafter(c, d) for c in cum for d in (0.0, 1.0)]
+        uniforms = [0.0, *cum, *cum, *edges, *cum[::-1], LAST_UNIFORM, LAST_UNIFORM, 0.0]
+        for block_size in (4, 12, 64):
+            with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
+                report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
+            assert np.array_equal(report.counts, per_trial_counts(dist, np.array(uniforms)))

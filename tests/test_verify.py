@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from polamp import verify
+from polamp.amplitudes import amp_matrix
 from polamp.verify import (
     DEFAULT_DRAWS,
     EIGENSOLVER_TOLERANCE,
@@ -10,6 +12,7 @@ from polamp.verify import (
     run_all,
     suite_amplitude_oracle,
     suite_operator_oracle_triangle,
+    suite_periodicity,
 )
 
 
@@ -69,6 +72,18 @@ def test_triangle_uses_wider_tolerance():
     assert result.tolerance == EIGENSOLVER_TOLERANCE
     assert result.passed
     assert suite_operator_oracle_triangle(10, rng, tol=1e-9).tolerance == 1e-9
+
+
+@pytest.mark.parametrize("s, t", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_periodicity_checks_every_element(monkeypatch, s, t):
+    # a kernel whose element (s, t) drifts with theta_a is not 2 pi periodic
+    def drifting(theta_a, alpha_a, theta_b, alpha_b):
+        block = [list(row) for row in amp_matrix(theta_a, alpha_a, theta_b, alpha_b)]
+        block[s][t] = block[s][t] + 1e-6 * theta_a
+        return block
+
+    monkeypatch.setattr(verify, "amp_matrix", drifting)
+    assert not suite_periodicity(100, np.random.default_rng(8)).passed
 
 
 def test_default_draw_count():
