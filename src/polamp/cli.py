@@ -79,6 +79,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -94,11 +101,6 @@ def _fmt_complex(z: complex, machine: bool) -> str:
     if machine:
         return f"{z.real:.17g}{z.imag:+.17g}i"
     return f"{z.real:.10g}{z.imag:+.10g}i"
-
-
-def _angle(value: float, degrees: bool) -> float:
-    """The single degree-to-radian conversion point."""
-    return math.radians(value) if degrees else value
 
 
 def _env_value(name: str, validate):
@@ -122,28 +124,28 @@ def _first(*values):
     return next(v for v in values if v is not None)
 
 
-def _resolve_tolerance(args, file_value: float | None = None) -> float:
-    if args.tolerance is not None:
-        return args.tolerance
-    return _first(_env_value(ENV_TOLERANCE, _positive_float), file_value, DEFAULT_TOLERANCE)
+def _resolve(flag, env_name: str, validate, *fallbacks):
+    """A setting: its flag if given, else ``$env_name``, else the first fallback.
+
+    The variable is read only when the flag is absent, so a flag overrides
+    even an invalid value in the environment.
+    """
+    if flag is not None:
+        return flag
+    return _first(_env_value(env_name, validate), *fallbacks)
 
 
-def _resolve_stage_cap(args) -> int:
-    if args.stage_cap is not None:
-        return args.stage_cap
-    return _first(_env_value(ENV_STAGE_CAP, _positive_int), DEFAULT_STAGE_CAP)
+def _direction(args, prefix: str) -> Direction:
+    """Direction ``prefix`` of the parsed arguments.
+
+    The single degree-to-radian conversion point.
+    """
+    angles = (getattr(args, f"theta_{prefix}"), getattr(args, f"alpha_{prefix}"))
+    return Direction(*(angles if args.rad else (math.radians(a) for a in angles)))
 
 
-def _label(args, prefix: str, degrees: bool) -> BranchLabel:
-    theta = _angle(getattr(args, f"theta_{prefix}"), degrees)
-    alpha = _angle(getattr(args, f"alpha_{prefix}"), degrees)
-    return BranchLabel(Direction(theta, alpha), getattr(args, f"branch_{prefix}"))
-
-
-def _direction(args, prefix: str, degrees: bool) -> Direction:
-    theta = _angle(getattr(args, f"theta_{prefix}"), degrees)
-    alpha = _angle(getattr(args, f"alpha_{prefix}"), degrees)
-    return Direction(theta, alpha)
+def _label(args, prefix: str) -> BranchLabel:
+    return BranchLabel(_direction(args, prefix), getattr(args, f"branch_{prefix}"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +153,7 @@ def _direction(args, prefix: str, degrees: bool) -> Direction:
 # ---------------------------------------------------------------------------
 
 def cmd_amp(args) -> int:
-    degrees = not args.rad
-    z = amplitude(_label(args, "a", degrees), _label(args, "b", degrees))
+    z = amplitude(_label(args, "a"), _label(args, "b"))
     if args.machine:
         print(
             f"amp re={z.real:.17g} im={z.imag:.17g} modulus2={abs(z) ** 2:.17g}"
@@ -164,8 +165,7 @@ def cmd_amp(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    degrees = not args.rad
-    p = probability(_label(args, "a", degrees), _label(args, "b", degrees))
+    p = probability(_label(args, "a"), _label(args, "b"))
     if args.machine:
         print(f"prob value={p:.17g}")
     else:
@@ -197,10 +197,7 @@ def _eigvec_lines(obs: Observable2, machine: bool) -> list[str]:
 
 
 def cmd_operator(args) -> int:
-    degrees = not args.rad
-    obs = observable_matrix(
-        _direction(args, "b", degrees), _direction(args, "c", degrees), args.r_plus, args.r_minus
-    )
+    obs = observable_matrix(_direction(args, "b"), _direction(args, "c"), args.r_plus, args.r_minus)
     if args.machine:
         print(
             "matrix"
@@ -222,19 +219,15 @@ def cmd_operator(args) -> int:
 
 
 def cmd_eigvec(args) -> int:
-    degrees = not args.rad
-    obs = observable_matrix(
-        _direction(args, "b", degrees), _direction(args, "c", degrees), 1.0, -1.0
-    )
+    obs = observable_matrix(_direction(args, "b"), _direction(args, "c"), 1.0, -1.0)
     for line in _eigvec_lines(obs, args.machine):
         print(line)
     return EXIT_OK
 
 
 def cmd_expect(args) -> int:
-    degrees = not args.rad
-    initial = _label(args, "a", degrees)
-    value = expectation_closed(initial, _direction(args, "b", degrees))
+    initial = _label(args, "a")
+    value = expectation_closed(initial, _direction(args, "b"))
     if args.machine:
         print(f"expect value={value:.17g}")
     else:
@@ -249,8 +242,10 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
 
-    tolerance = _resolve_tolerance(args, loaded.tolerance)
-    stage_cap = _resolve_stage_cap(args)
+    tolerance = _resolve(
+        args.tolerance, ENV_TOLERANCE, _positive_float, loaded.tolerance, DEFAULT_TOLERANCE
+    )
+    stage_cap = _resolve(args.stage_cap, ENV_STAGE_CAP, _positive_int, DEFAULT_STAGE_CAP)
     try:
         dist = exact_distribution(loaded.scenario, stage_cap=stage_cap)
     except StageCapError as exc:
@@ -302,7 +297,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tolerance = _resolve_tolerance(args)
+    tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, DEFAULT_TOLERANCE)
     report = run_all(draws=args.draws, seed=args.seed, tolerance=tolerance)
     machine = args.machine
     for s in report.suites:
@@ -373,9 +368,13 @@ def _add_tolerance_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_direction_args(parser: argparse.ArgumentParser, prefix: str, what: str) -> None:
+    parser.add_argument(f"theta_{prefix}", type=_finite_float, help=f"plane angle of {what}")
+    parser.add_argument(f"alpha_{prefix}", type=_finite_float, help=f"relative phase of {what}")
+
+
 def _add_label_args(parser: argparse.ArgumentParser, prefix: str) -> None:
-    parser.add_argument(f"theta_{prefix}", type=float, help=f"plane angle of direction {prefix}")
-    parser.add_argument(f"alpha_{prefix}", type=float, help=f"relative phase of direction {prefix}")
+    _add_direction_args(parser, prefix, f"direction {prefix}")
     parser.add_argument(
         f"branch_{prefix}", type=Branch.from_token, help=f"branch of direction {prefix}: + or -"
     )
@@ -403,29 +402,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_prob)
 
     p = sub.add_parser("operator", help="observable matrix, eigenvectors and residuals")
-    p.add_argument("theta_b", type=float, help="plane angle of the measured direction")
-    p.add_argument("alpha_b", type=float, help="relative phase of the measured direction")
-    p.add_argument("theta_c", type=float, help="plane angle of the basis direction")
-    p.add_argument("alpha_c", type=float, help="relative phase of the basis direction")
-    p.add_argument("--r-plus", type=float, default=1.0, help="value on the parallel branch")
-    p.add_argument("--r-minus", type=float, default=-1.0, help="value on the perpendicular branch")
+    _add_direction_args(p, "b", "the measured direction")
+    _add_direction_args(p, "c", "the basis direction")
+    p.add_argument("--r-plus", type=_finite_float, default=1.0, help="value on the parallel branch")
+    p.add_argument("--r-minus", type=_finite_float, default=-1.0, help="value on the perpendicular branch")
     _add_unit_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_operator)
 
     p = sub.add_parser("eigvec", help="eigenvector pair of the polarization operator")
-    p.add_argument("theta_b", type=float, help="plane angle of the measured direction")
-    p.add_argument("alpha_b", type=float, help="relative phase of the measured direction")
-    p.add_argument("theta_c", type=float, help="plane angle of the basis direction")
-    p.add_argument("alpha_c", type=float, help="relative phase of the basis direction")
+    _add_direction_args(p, "b", "the measured direction")
+    _add_direction_args(p, "c", "the basis direction")
     _add_unit_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_eigvec)
 
     p = sub.add_parser("expect", help="polarization expectation value")
     _add_label_args(p, "a")
-    p.add_argument("theta_b", type=float, help="plane angle of the measured direction")
-    p.add_argument("alpha_b", type=float, help="relative phase of the measured direction")
+    _add_direction_args(p, "b", "the measured direction")
     _add_unit_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_expect)

@@ -122,15 +122,14 @@ def eigenvector_states(
     return StateVector2(complex(p1), complex(p2)), StateVector2(complex(m1), complex(m2))
 
 
-def expectation(
-    state: StateVector2, obs: Observable2, tol: float = DEFAULT_TOLERANCE
-) -> float:
+def expectation(state: StateVector2, obs: Observable2) -> float:
     """Expectation value <state| obs |state>.
 
-    ``state`` must be normalized within ``tol``; the imaginary residue of
-    the quadratic form (zero up to rounding for Hermitian matrices) is
-    checked against ``tol`` and discarded.
+    ``state`` must be normalized within the package tolerance
+    ``DEFAULT_TOLERANCE``; the imaginary residue of the quadratic form (zero
+    up to rounding for Hermitian matrices) is checked against it and discarded.
     """
+    tol = DEFAULT_TOLERANCE
     norm_dev = abs(state.norm - 1.0)
     if norm_dev > tol:
         raise ValueError(f"state is not normalized: |norm - 1| = {norm_dev:.3e} > {tol:.3e}")

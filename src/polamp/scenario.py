@@ -71,9 +71,10 @@ def _number(mapping: dict, key: str, where: str, default=None) -> float:
     return number
 
 
-def _direction(mapping: dict, where: str) -> Direction:
+def _direction(mapping: dict, where: str, extra: frozenset = frozenset()) -> Direction:
+    """The direction of ``mapping``, whose keys besides the angles are ``extra``."""
     _require_mapping(mapping, where)
-    _reject_unknown(mapping, {"theta_deg", "alpha_deg"}, where)
+    _reject_unknown(mapping, {"theta_deg", "alpha_deg"} | extra, where)
     theta = _number(mapping, "theta_deg", where)
     alpha = _number(mapping, "alpha_deg", where, default=0.0)
     return Direction(math.radians(theta), math.radians(alpha))
@@ -86,10 +87,8 @@ def parse_scenario(document: dict, where: str = "scenario") -> ScenarioFile:
 
     if "initial" not in document:
         raise ScenarioError(f"{where}.initial: missing required key")
-    initial_map = _require_mapping(document["initial"], f"{where}.initial")
-    _reject_unknown(initial_map, {"theta_deg", "alpha_deg", "branch"}, f"{where}.initial")
-    theta = _number(initial_map, "theta_deg", f"{where}.initial")
-    alpha = _number(initial_map, "alpha_deg", f"{where}.initial", default=0.0)
+    initial_map = document["initial"]
+    direction = _direction(initial_map, f"{where}.initial", extra=frozenset({"branch"}))
     if "branch" not in initial_map:
         raise ScenarioError(f"{where}.initial.branch: missing required key")
     token = initial_map["branch"]
@@ -99,7 +98,7 @@ def parse_scenario(document: dict, where: str = "scenario") -> ScenarioFile:
         branch = Branch.from_token(token)
     except ValueError as exc:
         raise ScenarioError(f"{where}.initial.branch: {exc}") from None
-    initial = BranchLabel(Direction(math.radians(theta), math.radians(alpha)), branch)
+    initial = BranchLabel(direction, branch)
 
     if "stages" not in document:
         raise ScenarioError(f"{where}.stages: missing required key")
@@ -144,16 +143,16 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     """Read and validate a scenario file; diagnostics name the file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
     try:
-        document = json.loads(text)
+        document = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (RecursionError, ValueError) as exc:
-        # nesting deeper than the decoder's recursion limit, or an integer
-        # literal longer than Python converts
+        # nesting deeper than the decoder's recursion limit, bytes that are
+        # not UTF-8, or an integer literal longer than Python converts
         raise ScenarioError(f"{path}: {exc}") from None
     try:
         return parse_scenario(document)

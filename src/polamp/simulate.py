@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitudes import _probability_of, amp_matrix, state_vector
+from .amplitudes import _probability_of, _row, amp_matrix
 from .directions import Branch, BranchLabel, Direction
 
 #: Default maximum number of stages (2^n outcome sequences bound memory).
@@ -162,15 +162,12 @@ def exact_distribution(
     if n > stage_cap:
         raise StageCapError(f"{n} stages exceeds the cap of {stage_cap} (2^n outcome blowup)")
 
-    first = state_vector(scenario.initial, scenario.stages[0])
-    probs = np.array([_probability_of(first.c_plus), _probability_of(first.c_minus)])
-    for k in range(1, n):
-        t = _stage_transition(scenario.stages[k - 1], scenario.stages[k])
-        last = np.arange(len(probs)) & 1
-        grown = np.empty(2 * len(probs))
-        grown[0::2] = probs * t[last, 0]
-        grown[1::2] = probs * t[last, 1]
-        probs = grown
+    initial, stages = scenario.initial, scenario.stages
+    probs = _stage_transition(initial.direction, stages[0])[_row(initial)]
+    for prev, stage in zip(stages, stages[1:]):
+        # sequence 2i + t extends sequence i, whose last branch is i & 1
+        t = _stage_transition(prev, stage)
+        probs = (probs.reshape(-1, 2)[:, :, None] * t).reshape(-1)
     return OutcomeDistribution(n_stages=n, probs=probs)
 
 
@@ -227,14 +224,9 @@ def sample(
     counts[last_possible] += trials - below[-1]
 
     expected = trials * probs
-    spread = np.sqrt(trials * probs * (1.0 - probs))
-    deviation = np.abs(counts - expected)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(
-            spread > 0.0,
-            deviation / np.where(spread > 0.0, spread, 1.0),
-            np.where(deviation == 0.0, 0.0, np.inf),
-        )
+        sigma = np.abs(counts - expected) / np.sqrt(trials * probs * (1.0 - probs))
+    sigma[np.isnan(sigma)] = 0.0  # 0/0: p is 0 or 1 and the count matches
     return SampleReport(
         seed=int(seed),
         trials=int(trials),

@@ -198,11 +198,7 @@ def suite_observable_closed_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     r_plus, r_minus = _draw_eigenvalues(rng, n)
     derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
     stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
-    residuals = [
-        np.abs(np.asarray(stated[i][j]) - np.asarray(derived[i][j]))
-        for i in range(2)
-        for j in range(2)
-    ]
+    residuals = [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
     return _result("observable_closed_forms", n, residuals, tol)
 
 
@@ -230,11 +226,7 @@ def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult
         ),
     )
 
-    residuals = [
-        np.abs(np.asarray(product[i][j]) - np.asarray(spectral[i][j]))
-        for i in range(2)
-        for j in range(2)
-    ]
+    residuals = [np.abs(product[i][j] - spectral[i][j]) for i, j in _PAIRS]
 
     if n > 0:
         matrices = np.empty((n, 2, 2), dtype=complex)
@@ -360,24 +352,20 @@ ALL_SUITES = (
 
 def _errata_for(equation_ids, element_names, stated, derived, tol) -> list[ErrataRecord]:
     records = []
-    for i in range(2):
-        for j in range(2):
-            s = np.atleast_1d(np.asarray(stated[i][j], dtype=complex))
-            d = np.atleast_1d(np.asarray(derived[i][j], dtype=complex))
-            if s.size == 0:
-                continue
-            diff = np.abs(s - d)
-            worst = int(np.argmax(diff))
-            if diff[worst] > tol:
-                records.append(
-                    ErrataRecord(
-                        equation=equation_ids[i][j],
-                        element=element_names[i][j],
-                        paper_value=complex(s[worst]),
-                        derived_value=complex(d[worst]),
-                        max_abs_diff=float(diff[worst]),
-                    )
+    for i, j in _PAIRS:
+        s, d = stated[i][j], derived[i][j]
+        diff = np.abs(s - d)
+        worst = int(np.argmax(diff))
+        if diff[worst] > tol:
+            records.append(
+                ErrataRecord(
+                    equation=equation_ids[i][j],
+                    element=element_names[i][j],
+                    paper_value=complex(s[worst]),
+                    derived_value=complex(d[worst]),
+                    max_abs_diff=float(diff[worst]),
                 )
+            )
     return records
 
 

@@ -96,3 +96,38 @@ def test_guard_sees_relative_imports():
     tree = ast.parse("from . import closedforms\nfrom .closedforms import observable_elements\n")
     expected = {"polamp.closedforms", "polamp.closedforms.observable_elements"}
     assert expected <= imported_modules(tree)
+
+
+def radians_calls(tree: ast.AST) -> list[ast.Call]:
+    """Every call of ``math.radians`` (or a bare ``radians``) under ``tree``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "radians")
+            or (isinstance(node.func, ast.Name) and node.func.id == "radians")
+        )
+    ]
+
+
+def top_level_function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_cli_converts_degrees_at_one_site():
+    # README: degree input is converted to radians at a single point
+    assert len(radians_calls(parse("cli"))) == 1
+
+
+def test_scenario_converts_degrees_only_in_its_direction_parser():
+    tree = parse("scenario")
+    inside = radians_calls(top_level_function(tree, "_direction"))
+    assert inside and len(radians_calls(tree)) == len(inside)
+
+
+def test_chain_steps_take_one_route():
+    # every stage, the first included, is a row of the stage-transition matrix
+    imported = imported_modules(parse("simulate"))
+    assert "polamp.amplitudes.state_vector" not in imported
+    assert "state_vector" not in referenced_names(parse("simulate"))

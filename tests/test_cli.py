@@ -1,11 +1,15 @@
 """End-to-end CLI tests: flags, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polamp import exact_distribution, load_scenario_file, sample
 from polamp.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
@@ -21,6 +25,31 @@ GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed0_draws2000.txt"
 #: partial block of 3 mod 4); ``six_stage`` starts with a stage equal to the
 #: preparation, so 32 of its sequences have p = 0.
 GOLDEN_SIMULATE = ("two_stage", "six_stage")
+
+#: Human and ``--machine`` output of amp, prob, operator (default and custom
+#: eigenvalues), eigvec and expect, in degrees and with ``--rad``, as
+#: recorded before the subcommands shared one angle-parsing path: each
+#: ``$ argv`` line is followed by the output that command printed.
+GOLDEN_LABELS = Path(__file__).parent / "data" / "label_subcommands.txt"
+
+#: A valid invocation of every subcommand that takes angles on the command line.
+LABEL_COMMANDS = {
+    "amp": ["amp", "30", "0", "+", "0", "0", "+"],
+    "prob": ["prob", "30", "0", "+", "0", "0", "+"],
+    "operator": ["operator", "30", "0", "0", "0"],
+    "eigvec": ["eigvec", "30", "0", "0", "0"],
+    "expect": ["expect", "30", "0", "+", "0", "0"],
+}
+
+#: (subcommand, argv index) of every angle positional.
+ANGLE_SLOTS = [
+    (name, k)
+    for name, argv in LABEL_COMMANDS.items()
+    for k, token in enumerate(argv)
+    if k > 0 and token not in ("+", "-")
+]
+
+NON_FINITE = ["nan", "inf", "-inf", "1e309"]
 
 MALUS = {
     "initial": {"theta_deg": 0, "alpha_deg": 0, "branch": "+"},
@@ -48,6 +77,22 @@ def cplx(text):
 def run_capture(capsys, argv):
     code = run(argv)
     return code, capsys.readouterr().out.strip().splitlines()
+
+
+def golden_label_records():
+    """One ``(argv, output)`` param per record in ``GOLDEN_LABELS``."""
+    records = []
+    for line in GOLDEN_LABELS.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            records.append((line[2:].split(), []))
+        else:
+            records[-1][1].append(line)
+    return [pytest.param(argv, "".join(out), id=" ".join(argv)) for argv, out in records]
+
+
+def with_positionals_after(argv, value):
+    """``argv`` made safe for ``value``: after ``--`` argparse takes ``-inf`` as a value."""
+    return [argv[0], "--", *argv[1:]] if value.startswith("-") else argv
 
 
 @pytest.fixture
@@ -127,6 +172,61 @@ class TestAmp:
     def test_prob(self, capsys):
         code, lines = run_capture(capsys, ["prob", "30", "0", "+", "0", "0", "+", "--machine"])
         assert float(fields(lines[0])["value"]) == pytest.approx(0.75, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every label subcommand: recorded output and the angle boundary
+# ---------------------------------------------------------------------------
+
+class TestLabelSubcommands:
+
+    @pytest.mark.parametrize("argv, output", golden_label_records())
+    def test_output_matches_golden_record(self, capsys, argv, output):
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == output
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name, slot", ANGLE_SLOTS)
+    def test_non_finite_angle_is_a_usage_error(self, capsys, name, slot, value):
+        argv = list(LABEL_COMMANDS[name])
+        argv[slot] = value
+        with pytest.raises(SystemExit) as exc:
+            run(with_positionals_after(argv, value))
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "must be a finite number" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", ["--r-plus", "--r-minus"])
+    def test_non_finite_eigenvalue_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run([*LABEL_COMMANDS["operator"], f"{flag}={value}"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "must be a finite number" in captured.err and captured.out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        slot=st.sampled_from([k for name, k in ANGLE_SLOTS if name == "amp"]),
+        text=st.one_of(
+            st.text(),
+            st.floats().map(repr),
+            st.sampled_from(["nan", "-nan", "Infinity", "-inf", "1e309", "-1e309", "1_0", "-0"]),
+        ),
+    )
+    def test_any_angle_text_exits_0_or_usage(self, slot, text):
+        argv = list(LABEL_COMMANDS["amp"])
+        argv[slot] = text
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        # 0 also covers text that argparse reads as --help
+        assert code in (EXIT_OK, EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +331,15 @@ class TestSimulate:
         assert code == EXIT_FILE
         assert "absent.json" in capsys.readouterr().err
 
+    def test_undecodable_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"initial": \xc3\x28}')
+        code = run(["simulate", str(path)])
+        assert code == EXIT_FILE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unknown_key_diagnostic(self, capsys, tmp_path):
         doc = json.loads(json.dumps(MALUS))
         doc["stages"][1]["spin"] = 1
@@ -240,6 +349,15 @@ class TestSimulate:
         assert code == EXIT_FILE
         err = capsys.readouterr().err
         assert "stages[1].spin" in err and "odd.json" in err
+
+    def test_stage_cap_flag_overrides_invalid_env(self, capsys, malus_file, monkeypatch):
+        # the variable is read only when the flag is absent
+        monkeypatch.setenv("POLAMP_STAGE_CAP", "0")
+        assert run(["simulate", malus_file, "--exact", "--stage-cap", "3"]) == EXIT_OK
+
+    def test_tolerance_flag_overrides_invalid_env(self, capsys, malus_file, monkeypatch):
+        monkeypatch.setenv("POLAMP_TOLERANCE", "abc")
+        assert run(["simulate", malus_file, "--exact", "--tolerance", "1e-9"]) == EXIT_OK
 
     def test_stage_cap_flag(self, capsys, malus_file):
         code = run(["simulate", malus_file, "--stage-cap", "1"])
@@ -368,6 +486,12 @@ class TestVerify:
 
     def test_flag_overrides_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("POLAMP_TOLERANCE", "1e-30")
+        code, _ = run_capture(capsys, ["verify", "--draws", "200", "--tolerance", "1e-9"])
+        assert code == EXIT_OK
+
+    def test_flag_overrides_invalid_env_tolerance(self, capsys, monkeypatch):
+        # the variable is read only when the flag is absent
+        monkeypatch.setenv("POLAMP_TOLERANCE", "abc")
         code, _ = run_capture(capsys, ["verify", "--draws", "200", "--tolerance", "1e-9"])
         assert code == EXIT_OK
 
