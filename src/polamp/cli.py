@@ -11,8 +11,9 @@ Output modes: a human-readable table (default) and ``--machine``:
 one record per line of space-separated ``key=value`` fields, floats with
 17 significant digits (round-trip safe), complex values as ``re+imi``.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable or invalid scenario
-file (including the stage cap), 4 invariant-suite failure in ``verify``.
+Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
+3 unreadable or invalid scenario file (including the stage cap),
+4 invariant-suite failure in ``verify``.
 
 Environment overrides (flags take precedence): ``POLAMP_TOLERANCE`` for
 the numeric tolerance, ``POLAMP_STAGE_CAP`` for the simulation stage cap.
@@ -48,6 +49,7 @@ from .simulate import (
 from .verify import DEFAULT_DRAWS, run_all
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_VERIFY = 4
@@ -58,39 +60,55 @@ ENV_STAGE_CAP = "POLAMP_STAGE_CAP"
 DEFAULT_TRIALS = 100_000
 
 
+def _number(convert, text: str):
+    """``convert(text)``; text that is no number is a usage error in plain words."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+
+
 def _seed_u64(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be a finite number")
     return value
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError("must be a finite positive number")
     return value
+
+
+def _branch(text: str) -> Branch:
+    try:
+        return Branch.from_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt_float(x: float) -> str:
@@ -114,7 +132,7 @@ def _env_value(name: str, validate):
         return None
     try:
         return validate(text)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except argparse.ArgumentTypeError as exc:
         print(f"error: {name}={text!r}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
 
@@ -376,7 +394,7 @@ def _add_direction_args(parser: argparse.ArgumentParser, prefix: str, what: str)
 def _add_label_args(parser: argparse.ArgumentParser, prefix: str) -> None:
     _add_direction_args(parser, prefix, f"direction {prefix}")
     parser.add_argument(
-        f"branch_{prefix}", type=Branch.from_token, help=f"branch of direction {prefix}: + or -"
+        f"branch_{prefix}", type=_branch, help=f"branch of direction {prefix}: + or -"
     )
 
 
@@ -453,7 +471,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

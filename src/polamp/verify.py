@@ -25,6 +25,7 @@ Eq72, none for Eq53-Eq56.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ from .directions import DEFAULT_TOLERANCE
 from .operators import observable_elements_product
 
 DEFAULT_DRAWS = 100_000
+
+#: Lanes per block. Every suite and errata table evaluates its residuals over
+#: blocks of this many lanes, one thread per available CPU, and reduces them in
+#: block order: results do not depend on the block size or the thread count,
+#: and a block's temporaries stay cache-sized.
+LANE_BLOCK = 8192
 
 #: Wider tolerance for the legs involving the generic eigensolver.
 EIGENSOLVER_TOLERANCE = 1e-10
@@ -85,8 +92,23 @@ def _draw_angles(rng: np.random.Generator, n: int, count: int = 1):
     return out
 
 
-def _result(name: str, n: int, residuals, tol: float) -> SuiteResult:
-    max_res = 0.0 if n == 0 else float(max(np.max(r) for r in residuals))
+def _map_blocks(fn, arrays) -> list:
+    """``fn`` of each ``LANE_BLOCK``-lane slice of ``arrays``, in block order."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    starts = range(0, len(arrays[0]), LANE_BLOCK)
+    if not starts:
+        return []
+    # one thread per available CPU: numpy releases the GIL in its ufunc loops and in eigh
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(cpus or 1, len(starts))) as pool:
+        return list(pool.map(fn, *([a[i : i + LANE_BLOCK] for i in starts] for a in arrays)))
+
+
+def _result(name: str, tol: float, residuals, *arrays) -> SuiteResult:
+    """The largest of the lane arrays ``residuals(*block)`` over every block of ``arrays``."""
+    maxima = _map_blocks(lambda *block: max(np.max(r) for r in residuals(*block)), arrays)
+    n, max_res = len(arrays[0]), float(max(maxima, default=0.0))
     return SuiteResult(name=name, draws=n, max_residual=max_res, tolerance=tol, passed=max_res < tol)
 
 
@@ -111,79 +133,98 @@ _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def suite_amplitude_oracle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
-    block = amp_matrix(ta, aa, tb, ab)
-    residuals = [
-        np.abs(block[s][t] - _oracle_amplitude(ta, aa, s == 0, tb, ab, t == 0)) for s, t in _PAIRS
-    ]
-    return _result("amplitude_oracle", n, residuals, tol)
+
+    def residuals(ta, aa, tb, ab):
+        block = amp_matrix(ta, aa, tb, ab)
+        return [
+            np.abs(block[s][t] - _oracle_amplitude(ta, aa, s == 0, tb, ab, t == 0))
+            for s, t in _PAIRS
+        ]
+
+    return _result("amplitude_oracle", tol, residuals, ta, aa, tb, ab)
 
 
 def suite_hermiticity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
-    forward = amp_matrix(ta, aa, tb, ab)
-    reverse = amp_matrix(tb, ab, ta, aa)
-    residuals = [np.abs(forward[s][t] - np.conj(reverse[t][s])) for s, t in _PAIRS]
-    return _result("hermiticity", n, residuals, tol)
+
+    def residuals(ta, aa, tb, ab):
+        forward = amp_matrix(ta, aa, tb, ab)
+        reverse = amp_matrix(tb, ab, ta, aa)
+        return [np.abs(forward[s][t] - np.conj(reverse[t][s])) for s, t in _PAIRS]
+
+    return _result("hermiticity", tol, residuals, ta, aa, tb, ab)
 
 
 def suite_orthonormality(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
-    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-    residuals = [
-        np.abs(np.abs(pp) ** 2 + np.abs(pm) ** 2 - 1.0),
-        np.abs(np.abs(mp) ** 2 + np.abs(mm) ** 2 - 1.0),
-        np.abs(pp * np.conj(mp) + pm * np.conj(mm)),
-    ]
-    return _result("orthonormality", n, residuals, tol)
+
+    def residuals(ta, aa, tb, ab):
+        (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+        return [
+            np.abs(np.abs(pp) ** 2 + np.abs(pm) ** 2 - 1.0),
+            np.abs(np.abs(mp) ** 2 + np.abs(mm) ** 2 - 1.0),
+            np.abs(pp * np.conj(mp) + pm * np.conj(mm)),
+        ]
+
+    return _result("orthonormality", tol, residuals, ta, aa, tb, ab)
 
 
 def suite_chaining(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab, tc, ac = _draw_angles(rng, n, 3)
-    direct = amp_matrix(ta, aa, tb, ab)
-    to_c = amp_matrix(ta, aa, tc, ac)
-    from_c = amp_matrix(tc, ac, tb, ab)
-    residuals = [
-        np.abs(to_c[s][0] * from_c[0][t] + to_c[s][1] * from_c[1][t] - direct[s][t])
-        for s, t in _PAIRS
-    ]
-    return _result("chaining", n, residuals, tol)
+
+    def residuals(ta, aa, tb, ab, tc, ac):
+        direct = amp_matrix(ta, aa, tb, ab)
+        to_c = amp_matrix(ta, aa, tc, ac)
+        from_c = amp_matrix(tc, ac, tb, ab)
+        return [
+            np.abs(to_c[s][0] * from_c[0][t] + to_c[s][1] * from_c[1][t] - direct[s][t])
+            for s, t in _PAIRS
+        ]
+
+    return _result("chaining", tol, residuals, ta, aa, tb, ab, tc, ac)
 
 
 def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
-    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-    equal = closedforms.prob_equal_closed(ta, aa, tb, ab)
-    mixed = closedforms.prob_mixed_closed(ta, aa, tb, ab)
-    residuals = [
-        np.abs(np.abs(pp) ** 2 - equal),
-        np.abs(np.abs(mm) ** 2 - equal),
-        np.abs(np.abs(pm) ** 2 - mixed),
-        np.abs(np.abs(mp) ** 2 - mixed),
-        # stated symmetries, via the squared-modulus route
-        np.abs(np.abs(mm) ** 2 - np.abs(pp) ** 2),
-        np.abs(np.abs(mp) ** 2 - np.abs(pm) ** 2),
-    ]
-    return _result("probability_forms", n, residuals, tol)
+
+    def residuals(ta, aa, tb, ab):
+        (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+        equal = closedforms.prob_equal_closed(ta, aa, tb, ab)
+        mixed = closedforms.prob_mixed_closed(ta, aa, tb, ab)
+        return [
+            np.abs(np.abs(pp) ** 2 - equal),
+            np.abs(np.abs(mm) ** 2 - equal),
+            np.abs(np.abs(pm) ** 2 - mixed),
+            np.abs(np.abs(mp) ** 2 - mixed),
+            # stated symmetries, via the squared-modulus route
+            np.abs(np.abs(mm) ** 2 - np.abs(pp) ** 2),
+            np.abs(np.abs(mp) ** 2 - np.abs(pm) ** 2),
+        ]
+
+    return _result("probability_forms", tol, residuals, ta, aa, tb, ab)
 
 
 def suite_periodicity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab = _draw_angles(rng, n, 2)
     two_pi = 2 * np.pi
-    base = amp_matrix(ta, aa, tb, ab)
-    shifted = (
-        (ta + two_pi, aa, tb, ab),
-        (ta, aa + two_pi, tb, ab),
-        (ta, aa, tb - two_pi, ab),
-        (ta, aa, tb, ab - two_pi),
-        (ta + two_pi, aa - two_pi, tb, ab),
-    )
-    # lazy, so that one shifted block and one residual are held at a time
-    residuals = (
-        np.abs(block[s][t] - base[s][t])
-        for block in (amp_matrix(*angles) for angles in shifted)
-        for s, t in _PAIRS
-    )
-    return _result("periodicity", n, residuals, tol)
+
+    def residuals(ta, aa, tb, ab):
+        base = amp_matrix(ta, aa, tb, ab)
+        shifted = (
+            (ta + two_pi, aa, tb, ab),
+            (ta, aa + two_pi, tb, ab),
+            (ta, aa, tb - two_pi, ab),
+            (ta, aa, tb, ab - two_pi),
+            (ta + two_pi, aa - two_pi, tb, ab),
+        )
+        # lazy, so that one shifted block and one residual are held at a time
+        return (
+            np.abs(block[s][t] - base[s][t])
+            for block in (amp_matrix(*angles) for angles in shifted)
+            for s, t in _PAIRS
+        )
+
+    return _result("periodicity", tol, residuals, ta, aa, tb, ab)
 
 
 def _draw_eigenvalues(rng: np.random.Generator, n: int):
@@ -196,10 +237,13 @@ def _draw_eigenvalues(rng: np.random.Generator, n: int):
 def suite_observable_closed_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
     r_plus, r_minus = _draw_eigenvalues(rng, n)
-    derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
-    stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
-    residuals = [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
-    return _result("observable_closed_forms", n, residuals, tol)
+
+    def residuals(tc, ac, tb, ab, r_plus, r_minus):
+        derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
+        stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
+        return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
+
+    return _result("observable_closed_forms", tol, residuals, tc, ac, tb, ab, r_plus, r_minus)
 
 
 def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
@@ -211,128 +255,142 @@ def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult
     tol = max(tol, EIGENSOLVER_TOLERANCE)
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
     r_plus, r_minus = _draw_eigenvalues(rng, n)
-    product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
 
-    # eigenvector components chi(b^s, c^i)
-    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
-    spectral = (
-        (
-            r_plus * np.abs(xp1) ** 2 + r_minus * np.abs(xm1) ** 2,
-            r_plus * xp1 * np.conj(xp2) + r_minus * xm1 * np.conj(xm2),
-        ),
-        (
-            r_plus * xp2 * np.conj(xp1) + r_minus * xm2 * np.conj(xm1),
-            r_plus * np.abs(xp2) ** 2 + r_minus * np.abs(xm2) ** 2,
-        ),
-    )
+    def residuals(tc, ac, tb, ab, r_plus, r_minus):
+        m = len(r_plus)
+        product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
 
-    residuals = [np.abs(product[i][j] - spectral[i][j]) for i, j in _PAIRS]
+        # eigenvector components chi(b^s, c^i)
+        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
+        spectral = (
+            (
+                r_plus * np.abs(xp1) ** 2 + r_minus * np.abs(xm1) ** 2,
+                r_plus * xp1 * np.conj(xp2) + r_minus * xm1 * np.conj(xm2),
+            ),
+            (
+                r_plus * xp2 * np.conj(xp1) + r_minus * xm2 * np.conj(xm1),
+                r_plus * np.abs(xp2) ** 2 + r_minus * np.abs(xm2) ** 2,
+            ),
+        )
 
-    if n > 0:
-        matrices = np.empty((n, 2, 2), dtype=complex)
+        out = [np.abs(product[i][j] - spectral[i][j]) for i, j in _PAIRS]
+
+        matrices = np.empty((m, 2, 2), dtype=complex)
         for i in range(2):
             for j in range(2):
                 matrices[:, i, j] = product[i][j]
         eigvals, eigvecs = np.linalg.eigh(matrices)
         lo = np.minimum(r_plus, r_minus)
         hi = np.maximum(r_plus, r_minus)
-        residuals.append(np.abs(eigvals[:, 0] - lo))
-        residuals.append(np.abs(eigvals[:, 1] - hi))
+        out.append(np.abs(eigvals[:, 0] - lo))
+        out.append(np.abs(eigvals[:, 1] - hi))
         # eigenvector comparison is phase-free: match projectors v v^dag
         plus_col = np.where(r_plus > r_minus, 1, 0)
-        v = eigvecs[np.arange(n), :, plus_col]
+        v = eigvecs[np.arange(m), :, plus_col]
         proj_solver = v[:, :, None] * np.conj(v[:, None, :])
         xi = np.stack([xp1, xp2], axis=1)
         proj_product = xi[:, :, None] * np.conj(xi[:, None, :])
-        residuals.append(np.abs(proj_solver - proj_product).reshape(n, -1).max(axis=1))
-    return _result("operator_oracle_triangle", n, residuals, tol)
+        out.append(np.abs(proj_solver - proj_product).reshape(m, -1).max(axis=1))
+        return out
+
+    return _result("operator_oracle_triangle", tol, residuals, tc, ac, tb, ab, r_plus, r_minus)
 
 
 def suite_eigen_residual(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
-    ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
-    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
-    residuals = [
-        np.abs(p11 * xp1 + p12 * xp2 - xp1),
-        np.abs(p21 * xp1 + p22 * xp2 - xp2),
-        np.abs(p11 * xm1 + p12 * xm2 + xm1),
-        np.abs(p21 * xm1 + p22 * xm2 + xm2),
-        # involution p @ p = identity
-        np.abs(p11 * p11 + p12 * p21 - 1.0),
-        np.abs(p11 * p12 + p12 * p22),
-        np.abs(p21 * p11 + p22 * p21),
-        np.abs(p21 * p12 + p22 * p22 - 1.0),
-    ]
-    return _result("eigen_residual", n, residuals, tol)
+
+    def residuals(tc, ac, tb, ab):
+        ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
+        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
+        return [
+            np.abs(p11 * xp1 + p12 * xp2 - xp1),
+            np.abs(p21 * xp1 + p22 * xp2 - xp2),
+            np.abs(p11 * xm1 + p12 * xm2 + xm1),
+            np.abs(p21 * xm1 + p22 * xm2 + xm2),
+            # involution p @ p = identity
+            np.abs(p11 * p11 + p12 * p21 - 1.0),
+            np.abs(p11 * p12 + p12 * p22),
+            np.abs(p21 * p11 + p22 * p21),
+            np.abs(p21 * p12 + p22 * p22 - 1.0),
+        ]
+
+    return _result("eigen_residual", tol, residuals, tc, ac, tb, ab)
 
 
 def suite_expectation_consistency(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     ta, aa, tb, ab, tc, ac = _draw_angles(rng, n, 3)
-    ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
-    # initial states over the same basis, both branches
-    v_plus, v_minus = amp_matrix(ta, aa, tc, ac)
 
-    def quad_form(v):
-        v1, v2 = v
-        return (
-            np.conj(v1) * (p11 * v1 + p12 * v2) + np.conj(v2) * (p21 * v1 + p22 * v2)
-        )
+    def residuals(ta, aa, tb, ab, tc, ac):
+        ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
+        # initial states over the same basis, both branches
+        v_plus, v_minus = amp_matrix(ta, aa, tc, ac)
 
-    matrix_plus = quad_form(v_plus)
-    matrix_minus = quad_form(v_minus)
-    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-    prob_plus = np.abs(pp) ** 2 - np.abs(pm) ** 2
-    prob_minus = np.abs(mp) ** 2 - np.abs(mm) ** 2
-    closed = np.cos(2 * ta) * np.cos(2 * tb) + np.sin(2 * ta) * np.sin(2 * tb) * np.cos(aa - ab)
-    residuals = [
-        np.abs(matrix_plus.imag),
-        np.abs(matrix_minus.imag),
-        np.abs(matrix_plus.real - prob_plus),
-        np.abs(matrix_minus.real - prob_minus),
-        np.abs(matrix_plus.real - closed),
-        np.abs(matrix_minus.real + closed),
-    ]
-    return _result("expectation_consistency", n, residuals, tol)
+        def quad_form(v):
+            v1, v2 = v
+            return (
+                np.conj(v1) * (p11 * v1 + p12 * v2) + np.conj(v2) * (p21 * v1 + p22 * v2)
+            )
+
+        matrix_plus = quad_form(v_plus)
+        matrix_minus = quad_form(v_minus)
+        (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+        prob_plus = np.abs(pp) ** 2 - np.abs(pm) ** 2
+        prob_minus = np.abs(mp) ** 2 - np.abs(mm) ** 2
+        closed = np.cos(2 * ta) * np.cos(2 * tb) + np.sin(2 * ta) * np.sin(2 * tb) * np.cos(aa - ab)
+        return [
+            np.abs(matrix_plus.imag),
+            np.abs(matrix_minus.imag),
+            np.abs(matrix_plus.real - prob_plus),
+            np.abs(matrix_minus.real - prob_minus),
+            np.abs(matrix_plus.real - closed),
+            np.abs(matrix_minus.real + closed),
+        ]
+
+    return _result("expectation_consistency", tol, residuals, ta, aa, tb, ab, tc, ac)
 
 
 def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     """Generalized formulas at the (0, 0) boundary match the textbook forms."""
     ta, aa = _draw_angles(rng, n, 1)
-    zero = np.zeros_like(np.asarray(ta))
-    phase = np.exp(1j * np.asarray(aa))
-    (pp, pm), (mp, mm) = amp_matrix(ta, aa, zero, zero)
-    (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, zero, zero)
-    residuals = [
-        np.abs(pp - np.cos(ta)),
-        np.abs(pm - np.sin(ta) * phase),
-        np.abs(mp + np.sin(ta)),
-        np.abs(mm - np.cos(ta) * phase),
-        # perpendicular forms are the parallel ones at theta + pi/2
-        np.abs(mp - pp_turned),
-        np.abs(mm - pm_turned),
-    ]
-
-    # standard operator: basis fixed at (0, 0), measured direction random
     tb, ab = _draw_angles(rng, n, 1)
-    zero_b = np.zeros_like(np.asarray(tb))
-    ((p11, p12), (p21, p22)) = observable_elements_product(zero_b, zero_b, tb, ab, 1.0, -1.0)
-    residuals += [
-        np.abs(p11 - np.cos(2 * tb)),
-        np.abs(p12 - np.sin(2 * tb) * np.exp(-1j * np.asarray(ab))),
-        np.abs(p11 + p22),  # traceless
-        np.abs(p11 * p11 + p12 * p21 - 1.0),  # involutory
-    ]
 
-    # eigenvectors reduce to the stated standard pair
-    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, zero_b, zero_b)
-    (e_p1, e_p2), (e_m1, e_m2) = closedforms.standard_eigvec_components(tb, ab)
-    residuals += [
-        np.abs(xp1 - e_p1),
-        np.abs(xp2 - e_p2),
-        np.abs(xm1 - e_m1),
-        np.abs(xm2 - e_m2),
-    ]
-    return _result("standard_limits", n, residuals, tol)
+    def residuals(ta, aa, tb, ab):
+        zero = np.zeros_like(np.asarray(ta))
+        phase = np.exp(1j * np.asarray(aa))
+        (pp, pm), (mp, mm) = amp_matrix(ta, aa, zero, zero)
+        (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, zero, zero)
+        out = [
+            np.abs(pp - np.cos(ta)),
+            np.abs(pm - np.sin(ta) * phase),
+            np.abs(mp + np.sin(ta)),
+            np.abs(mm - np.cos(ta) * phase),
+            # perpendicular forms are the parallel ones at theta + pi/2
+            np.abs(mp - pp_turned),
+            np.abs(mm - pm_turned),
+        ]
+
+        # standard operator: basis fixed at (0, 0), measured direction random
+        zero_b = np.zeros_like(np.asarray(tb))
+        ((p11, p12), (p21, p22)) = observable_elements_product(zero_b, zero_b, tb, ab, 1.0, -1.0)
+        out += [
+            np.abs(p11 - np.cos(2 * tb)),
+            np.abs(p12 - np.sin(2 * tb) * np.exp(-1j * np.asarray(ab))),
+            np.abs(p11 + p22),  # traceless
+            np.abs(p11 * p11 + p12 * p21 - 1.0),  # involutory
+        ]
+
+        # eigenvectors reduce to the stated standard pair
+        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, zero_b, zero_b)
+        (e_p1, e_p2), (e_m1, e_m2) = closedforms.standard_eigvec_components(tb, ab)
+        out += [
+            np.abs(xp1 - e_p1),
+            np.abs(xp2 - e_p2),
+            np.abs(xm1 - e_m1),
+            np.abs(xm2 - e_m2),
+        ]
+        return out
+
+    return _result("standard_limits", tol, residuals, ta, aa, tb, ab)
 
 
 ALL_SUITES = (
@@ -350,20 +408,32 @@ ALL_SUITES = (
 )
 
 
-def _errata_for(equation_ids, element_names, stated, derived, tol) -> list[ErrataRecord]:
+def _errata_for(equation_ids, tol, forms, *arrays) -> list[ErrataRecord]:
+    """A record per element where ``forms(*block) = (stated, derived)`` differ beyond tol."""
+
+    def worst(*block):
+        stated, derived = forms(*block)
+        out = []
+        for i, j in _PAIRS:
+            s, d = stated[i][j], derived[i][j]
+            diff = np.abs(s - d)
+            k = int(np.argmax(diff))
+            out.append((float(diff[k]), complex(s[k]), complex(d[k])))
+        return out
+
     records = []
-    for i, j in _PAIRS:
-        s, d = stated[i][j], derived[i][j]
-        diff = np.abs(s - d)
-        worst = int(np.argmax(diff))
-        if diff[worst] > tol:
+    for (i, j), candidates in zip(_PAIRS, zip(*_map_blocks(worst, arrays))):
+        # max keeps the first of equal maxima, so the record holds the values
+        # at the first lane of the largest diff, as np.argmax over all lanes
+        diff, stated, derived = max(candidates, key=lambda c: c[0])
+        if diff > tol:
             records.append(
                 ErrataRecord(
                     equation=equation_ids[i][j],
-                    element=element_names[i][j],
-                    paper_value=complex(s[worst]),
-                    derived_value=complex(d[worst]),
-                    max_abs_diff=float(diff[worst]),
+                    element=closedforms.ELEMENT_NAMES[i][j],
+                    paper_value=stated,
+                    derived_value=derived,
+                    max_abs_diff=diff,
                 )
             )
     return records
@@ -371,40 +441,39 @@ def _errata_for(equation_ids, element_names, stated, derived, tol) -> list[Errat
 
 def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
     """Adjudicate every verbatim transcription against the derived values."""
-    if n == 0:
-        return []
     records: list[ErrataRecord] = []
 
     tc, ac, tb, ab = _draw_angles(rng, n, 2)
     r_plus, r_minus = _draw_eigenvalues(rng, n)
     records += _errata_for(
         closedforms.OBSERVABLE_ELEMENT_IDS,
-        closedforms.ELEMENT_NAMES,
-        closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus),
-        observable_elements_product(tc, ac, tb, ab, r_plus, r_minus),
         tol,
+        lambda tc, ac, tb, ab, r_plus, r_minus: (
+            closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus),
+            observable_elements_product(tc, ac, tb, ab, r_plus, r_minus),
+        ),
+        tc, ac, tb, ab, r_plus, r_minus,
     )
     records += _errata_for(
         closedforms.POLARIZATION_ELEMENT_IDS,
-        closedforms.ELEMENT_NAMES,
-        closedforms.polarization_elements_literal(tc, ac, tb, ab),
-        observable_elements_product(tc, ac, tb, ab, 1.0, -1.0),
         tol,
+        lambda tc, ac, tb, ab: (
+            closedforms.polarization_elements_literal(tc, ac, tb, ab),
+            observable_elements_product(tc, ac, tb, ab, 1.0, -1.0),
+        ),
+        tc, ac, tb, ab,
     )
 
     # standard-limit operator: the stated form drags in an initial-state phase
     tb, ab, aa = rng.uniform(-2 * np.pi, 2 * np.pi, (3, n))
-    zero = np.zeros(n)
-    ids = (
-        (closedforms.STANDARD_OPERATOR_ID, closedforms.STANDARD_OPERATOR_ID),
-        (closedforms.STANDARD_OPERATOR_ID, closedforms.STANDARD_OPERATOR_ID),
-    )
     records += _errata_for(
-        ids,
-        closedforms.ELEMENT_NAMES,
-        closedforms.standard_operator_literal(tb, ab, aa),
-        observable_elements_product(zero, zero, tb, ab, 1.0, -1.0),
+        ((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2,
         tol,
+        lambda tb, ab, aa, zero: (
+            closedforms.standard_operator_literal(tb, ab, aa),
+            observable_elements_product(zero, zero, tb, ab, 1.0, -1.0),
+        ),
+        tb, ab, aa, np.zeros(n),
     )
     return records
 

@@ -8,6 +8,9 @@ amplitude kernel they are compared with.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +134,13 @@ def test_chain_steps_take_one_route():
     imported = imported_modules(parse("simulate"))
     assert "polamp.amplitudes.state_vector" not in imported
     assert "state_vector" not in referenced_names(parse("simulate"))
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # verify imports concurrent.futures inside its block helper, so that
+    # ``import polamp`` and every non-verify command start no slower
+    code = "import sys, polamp, polamp.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -11,13 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polamp
 from polamp import exact_distribution, load_scenario_file, sample
-from polamp.cli import EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
+from polamp.cli import EXIT_CLOSED, EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 
 #: ``verify --machine --seed 0 --draws 2000`` as recorded with the earlier
 #: per-element amplitude kernels: every residual, the errata set
 #: {Eq58, Eq59, Eq72} and the record layout must reproduce byte for byte.
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed0_draws2000.txt"
+
+#: ``verify --machine --seed 7 --draws 20001`` as recorded before the suites
+#: ran over lane blocks. Its draws span blocks of 8192, 8192 and 3617 lanes,
+#: so every suite maximum and every erratum crosses two block boundaries.
+GOLDEN_VERIFY_BLOCKS = Path(__file__).parent / "data" / "verify_seed7_draws20001.txt"
 
 #: ``simulate --machine`` on ``data/simulate_<name>.json`` as recorded when
 #: every trial was classified on its own: the counts of a seeded run are a
@@ -484,6 +494,11 @@ class TestVerify:
         assert code == EXIT_OK
         assert lines == GOLDEN_VERIFY.read_text().splitlines()
 
+    def test_machine_output_across_lane_blocks_matches_golden_record(self, capsys):
+        code = run(["verify", "--machine", "--seed", "7", "--draws", "20001"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_VERIFY_BLOCKS.read_text()
+
     def test_flag_overrides_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("POLAMP_TOLERANCE", "1e-30")
         code, _ = run_capture(capsys, ["verify", "--draws", "200", "--tolerance", "1e-9"])
@@ -500,3 +515,63 @@ class TestVerify:
         assert code == EXIT_OK
         assert any(l.startswith("PASS") for l in lines)
         assert "all invariant suites pass" in lines[-1]
+
+
+# ---------------------------------------------------------------------------
+# usage errors in plain words; output closed by the reader
+# ---------------------------------------------------------------------------
+
+#: A value that is no number, in each kind of numeric argument, and a bad branch.
+BAD_VALUES = {
+    "--draws": ["verify", "--draws", "abc"],
+    "--trials": ["simulate", "chain.json", "--trials", "abc"],
+    "--seed": ["verify", "--seed", "abc"],
+    "--tolerance": ["verify", "--tolerance", "abc"],
+    "alpha_a": ["amp", "30", "abc", "+", "0", "0", "+"],
+    "branch_a": ["amp", "30", "0", "abc", "0", "0", "+"],
+}
+
+
+@pytest.mark.parametrize("name", BAD_VALUES)
+def test_usage_error_is_in_plain_words(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        run(BAD_VALUES[name])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {name}: " in err and "'abc'" in err
+    # no private function name, such as that of an argparse type function
+    assert not re.search(r"(?<!\w)_[a-z]", err), err
+
+
+def polamp_process(*argv: str, buffered: bool = False) -> subprocess.Popen:
+    """``polamp argv`` in a fresh interpreter, stdout and stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(polamp.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "polamp.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_reader_closing_after_one_line_exits_1_without_traceback(tmp_path):
+    # 2^12 distribution records overflow the pipe, so later writes meet the closed end
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**MALUS, "stages": [{"theta_deg": 15 * k} for k in range(12)]}))
+    proc = polamp_process("simulate", str(path), "--exact", "--machine")
+    assert proc.stdout.readline().startswith(b"distribution seq=")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED
+    assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_verify_into_a_closed_pipe_exits_1_without_traceback(buffered):
+    # unbuffered, print meets the closed pipe; buffered, the flush in main does
+    proc = polamp_process("verify", "--machine", "--draws", "10", buffered=buffered)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED
+    assert proc.stderr.read() == b""

@@ -1,5 +1,7 @@
 """The verification layer itself: suites, determinism, discrimination."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,62 @@ def test_periodicity_checks_every_element(monkeypatch, s, t):
 
 def test_default_draw_count():
     assert DEFAULT_DRAWS >= 100_000
+
+
+# ---------------------------------------------------------------------------
+# lane blocks: the block partition and the thread count never show
+# ---------------------------------------------------------------------------
+
+BLOCK_DRAWS = (0, 3, 1001)
+
+
+@pytest.fixture(scope="module")
+def unblocked_reports():
+    """``run_all`` at the shipped block size and thread count, per draw count."""
+    return {draws: run_all(draws=draws, seed=21) for draws in BLOCK_DRAWS}
+
+
+@pytest.mark.parametrize("one_worker", [False, True], ids=["default_workers", "one_worker"])
+@pytest.mark.parametrize("lane_block", [1, 5, 64, 8192])
+@pytest.mark.parametrize("draws", BLOCK_DRAWS)
+def test_results_do_not_depend_on_blocks_or_workers(
+    monkeypatch, unblocked_reports, draws, lane_block, one_worker
+):
+    monkeypatch.setattr(verify, "LANE_BLOCK", lane_block)
+    if one_worker:
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_all(draws=draws, seed=21) == unblocked_reports[draws]
+
+
+def test_more_workers_than_cores_under_fast_thread_switching(monkeypatch, unblocked_reports):
+    # blocks share only read-only inputs; switching threads every microsecond
+    # must still give the serial result
+    monkeypatch.setattr(verify, "LANE_BLOCK", 16)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_all(draws=1001, seed=21) == unblocked_reports[1001]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_errata_take_the_first_lane_of_equal_maxima(monkeypatch):
+    # blocks of two lanes: lanes 0 and 2 sit in different blocks
+    monkeypatch.setattr(verify, "LANE_BLOCK", 2)
+    ids = (("Eq11", "Eq12"), ("Eq21", "Eq22"))
+    tie = np.array([1.0, 0.0, -1.0, 0.0], dtype=complex)  # |diff| 1 at lanes 0 and 2
+    later = np.array([1.0, 0.0, 0.0, -2j])  # a strictly larger diff in the last block
+    zero = np.zeros(4, dtype=complex)
+
+    def forms(zero, tie, later):
+        return ((zero, zero), (zero, zero)), ((tie, later), (zero, zero))
+
+    records = verify._errata_for(ids, 0.5, forms, zero, tie, later)
+    assert [(r.equation, r.element) for r in records] == [("Eq11", "m11"), ("Eq12", "m12")]
+    first, larger = records
+    assert (first.paper_value, first.derived_value, first.max_abs_diff) == (0j, 1 + 0j, 1.0)
+    assert (larger.paper_value, larger.derived_value, larger.max_abs_diff) == (0j, -2j, 2.0)
+    # the same records as np.argmax over all lanes, in one block
+    monkeypatch.setattr(verify, "LANE_BLOCK", 4)
+    assert verify._errata_for(ids, 0.5, forms, zero, tie, later) == records
