@@ -13,7 +13,6 @@ from .directions import (
     Branch,
     BranchLabel,
     Direction,
-    canonicalize,
     minus,
     plus,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SuiteResult",
     "VerifyReport",
     "amplitude",
-    "canonicalize",
     "chain",
     "eigenvector_states",
     "exact_distribution",

@@ -114,12 +114,6 @@ class StateVector2:
     def norm(self) -> float:
         return float(np.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2))
 
-    def inner(self, other: "StateVector2") -> complex:
-        """Hermitian inner product <self|other>."""
-        return complex(
-            np.conj(self.c_plus) * other.c_plus + np.conj(self.c_minus) * other.c_minus
-        )
-
 
 def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
     """State of ``label`` expressed over the outcomes of ``reference``.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -109,6 +110,19 @@ def _branch(text: str) -> Branch:
         return Branch.from_token(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+#: A negative number in any form ``float()`` reads, except with underscores:
+#: ``-20``, ``-0.5``, ``-1e5``, ``-2.5E+1``, ``-inf``.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes every ``_NEGATIVE_NUMBER`` for a value; argparse alone takes ``-1e5`` for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER  # no polamp flag looks like a number
 
 
 def _fmt_float(x: float) -> str:
@@ -270,8 +284,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_FILE
 
-    total_dev = abs(dist.total() - 1.0)
-    if total_dev > tolerance:
+    total_dev = dist.total() - 1.0
+    if abs(total_dev) > tolerance:
         print(f"warning: distribution sums to 1 {total_dev:+.3e}", file=sys.stderr)
 
     machine = args.machine
@@ -325,10 +339,10 @@ def cmd_verify(args) -> int:
                 f" tolerance={s.tolerance:.17g} pass={int(s.passed)}"
             )
         else:
-            flag = "PASS" if s.passed else "FAIL"
+            flag, relation = ("PASS", "<") if s.passed else ("FAIL", ">=")
             print(
                 f"{flag} {s.name:<26} max residual {s.max_residual:.3e}"
-                f" < {s.tolerance:.0e} ({s.draws} draws)"
+                f" {relation} {s.tolerance:.0e} ({s.draws} draws)"
             )
     for e in report.errata:
         if machine:
@@ -399,7 +413,7 @@ def _add_label_args(parser: argparse.ArgumentParser, prefix: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polamp",
         description="Generalized polarization amplitudes, operators and analyzer-chain simulation.",
     )

@@ -6,8 +6,7 @@ components. Each context has exactly two outcomes: polarization parallel
 (``Branch.PLUS``) or perpendicular (``Branch.MINUS``) to the direction.
 
 Angles are used exactly as given; all formulas downstream are 2*pi-periodic
-in both angles, so no normalization is applied automatically. Use
-:func:`canonicalize` when a canonical representative is wanted.
+in both angles, so no normalization is applied.
 """
 
 from __future__ import annotations
@@ -76,22 +75,6 @@ class BranchLabel:
     @property
     def alpha(self) -> float:
         return self.direction.alpha
-
-
-def canonicalize(direction: Direction) -> Direction:
-    """Map ``theta`` into [0, pi) and ``alpha`` into [0, 2*pi).
-
-    Probabilities are unchanged under this mapping; amplitudes may flip
-    sign when ``theta`` is reduced by an odd multiple of pi (the two
-    representatives describe the same physical direction).
-    """
-    theta = math.fmod(direction.theta, math.pi)
-    if theta < 0.0:
-        theta += math.pi
-    alpha = math.fmod(direction.alpha, 2.0 * math.pi)
-    if alpha < 0.0:
-        alpha += 2.0 * math.pi
-    return Direction(theta, alpha)
 
 
 def plus(theta: float, alpha: float = 0.0) -> BranchLabel:

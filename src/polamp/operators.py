@@ -53,14 +53,6 @@ class Observable2:
     def determinant(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def hermiticity_residual(self) -> float:
-        """Max deviation from M = M^dag (0 for matrices built here)."""
-        return max(
-            abs(self.m21 - np.conj(self.m12)),
-            abs(self.m11.imag),
-            abs(self.m22.imag),
-        )
-
 
 def observable_elements_product(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_minus):
     """Amplitude-product matrix elements, vectorized over the angle arrays.

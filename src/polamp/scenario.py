@@ -80,8 +80,9 @@ def _direction(mapping: dict, where: str, extra: frozenset = frozenset()) -> Dir
     return Direction(math.radians(theta), math.radians(alpha))
 
 
-def parse_scenario(document: dict, where: str = "scenario") -> ScenarioFile:
-    """Validate a decoded scenario document."""
+def parse_scenario(document: dict) -> ScenarioFile:
+    """Validate a decoded scenario document; diagnostics start ``scenario.``."""
+    where = "scenario"
     _require_mapping(document, where)
     _reject_unknown(document, {"initial", "stages", "seed", "trials", "tolerance"}, where)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitudes import _probability_of, _row, amp_matrix
-from .directions import Branch, BranchLabel, Direction
+from .directions import BranchLabel, Direction
 
 #: Default maximum number of stages (2^n outcome sequences bound memory).
 DEFAULT_STAGE_CAP = 20
@@ -45,34 +45,10 @@ class StageCapError(ValueError):
     """Scenario has more stages than the configured cap allows."""
 
 
-def sequence_to_index(sequence: tuple[Branch, ...]) -> int:
-    """Index of an outcome sequence (first stage = most significant bit)."""
-    index = 0
-    for branch in sequence:
-        index = (index << 1) | (branch is Branch.MINUS)
-    return index
-
-
-def index_to_sequence(index: int, n_stages: int) -> tuple[Branch, ...]:
-    """Inverse of :func:`sequence_to_index`."""
-    return tuple(
-        Branch.MINUS if (index >> (n_stages - 1 - k)) & 1 else Branch.PLUS
-        for k in range(n_stages)
-    )
-
-
-def sequence_to_str(sequence: tuple[Branch, ...]) -> str:
-    return "".join(b.value for b in sequence)
-
-
 def sequence_labels(n_stages: int) -> list[str]:
-    """``sequence_to_str`` of every sequence of ``n_stages``, in index order."""
+    """The label of every sequence, in index order: ``["++", "+-", "-+", "--"]`` at 2 stages."""
     plus_minus = str.maketrans("01", "+-")
     return [format(i, f"0{n_stages}b").translate(plus_minus) for i in range(1 << n_stages)]
-
-
-def str_to_sequence(text: str) -> tuple[Branch, ...]:
-    return tuple(Branch.from_token(ch) for ch in text)
 
 
 @dataclass(frozen=True)
@@ -97,31 +73,16 @@ class MeasurementScenario:
 class OutcomeDistribution:
     """Probability of every outcome sequence of a scenario.
 
-    Stored as a dense vector over sequence indices (see
-    :func:`sequence_labels`); indexing by a branch sequence gives its
-    probability.
+    ``probs[i]`` is the probability of sequence ``i`` (module docstring),
+    whose label is ``sequence_labels(n_stages)[i]``. Summing out the last
+    stage is ``probs.reshape(-1, 2).sum(axis=1)``.
     """
 
     n_stages: int
     probs: np.ndarray = field(repr=False)
 
-    def __getitem__(self, sequence: tuple[Branch, ...]) -> float:
-        return float(self.probs[sequence_to_index(sequence)])
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def total(self) -> float:
         return float(self.probs.sum())
-
-    def marginal_dropping_last(self) -> "OutcomeDistribution":
-        """Distribution of the first n-1 stages (sums out the final stage)."""
-        if self.n_stages < 2:
-            raise ValueError("nothing left after dropping the only stage")
-        return OutcomeDistribution(
-            n_stages=self.n_stages - 1,
-            probs=self.probs.reshape(-1, 2).sum(axis=1),
-        )
 
 
 @dataclass(frozen=True)
@@ -130,7 +91,7 @@ class SampleReport:
 
     seed: int
     trials: int
-    n_stages: int
+    #: Count of every sequence, indexed as ``OutcomeDistribution.probs``.
     counts: np.ndarray = field(repr=False)
     max_abs_deviation_sigma: float
     #: Expected count of every sequence, trials * p.
@@ -138,9 +99,6 @@ class SampleReport:
     #: |count - expected| of every sequence in binomial standard deviations;
     #: 0 where p is 0 or 1 and the count matches, inf where it does not.
     sigma: np.ndarray = field(repr=False)
-
-    def __getitem__(self, sequence: tuple[Branch, ...]) -> int:
-        return int(self.counts[sequence_to_index(sequence)])
 
 
 def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
@@ -230,7 +188,6 @@ def sample(
     return SampleReport(
         seed=int(seed),
         trials=int(trials),
-        n_stages=distribution.n_stages,
         counts=counts,
         max_abs_deviation_sigma=float(sigma.max()),
         expected=expected,

@@ -12,7 +12,6 @@ from polamp import (
     BranchLabel,
     Direction,
     amplitude,
-    canonicalize,
     chain,
     minus,
     plus,
@@ -283,7 +282,7 @@ class TestStateVector:
         # <state(b)|state(a)> over any shared reference equals amplitude(a, b)
         a, b, ref = plus(0.3, 1.2), minus(2.4, 0.5), Direction(0.9, 2.8)
         va, vb = state_vector(a, ref), state_vector(b, ref)
-        assert vb.inner(va) == pytest.approx(amplitude(a, b), abs=TOL)
+        assert np.vdot(vb.as_array(), va.as_array()) == pytest.approx(amplitude(a, b), abs=TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +298,15 @@ class TestDirections:
             Direction(0.0, math.inf)
 
     def test_canonicalize_ranges(self):
-        d = canonicalize(Direction(-0.25 + 4 * math.pi, -3.0))
-        assert 0.0 <= d.theta < math.pi
-        assert 0.0 <= d.alpha < 2 * math.pi
+        # no normalization: angles are kept exactly as given
+        d = Direction(-0.25 + 4 * math.pi, -3.0)
+        assert (d.theta, d.alpha) == (-0.25 + 4 * math.pi, -3.0)
 
     def test_canonicalize_preserves_probabilities(self):
+        # a representative shifted by pi in theta and 2*pi in alpha is the
+        # same physical direction
         d = Direction(5.8, -2.9)
-        cd = canonicalize(d)
+        cd = Direction(5.8 - math.pi, -2.9 + 2 * math.pi)
         b = plus(0.4, 1.0)
         for s in Branch:
             assert probability(b, BranchLabel(d, s)) == pytest.approx(

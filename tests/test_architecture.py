@@ -1,14 +1,18 @@
-"""Import-graph guards: the oracle routes and the normative routes stay separate code.
+"""Import-graph guards: the oracle routes and the normative routes stay separate code,
+and the public API holds only what a caller needs.
 
 The verify suites only prove something while each law is checked against
 an independent route. These tests read the sources (AST, not text search):
 the normative modules never reach the closed-form transcriptions, and
 neither the transcriptions nor the inner-product oracle reach the
-amplitude kernel they are compared with.
+amplitude kernel they are compared with. Every name in ``polamp.__all__``
+is used by the CLI, the benchmark or the README library example, or is on
+an allow-list that says why it is public.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +22,7 @@ import pytest
 import polamp
 
 SRC = Path(polamp.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Modules on the normative path: they compute each quantity one way.
 NORMATIVE = ("amplitudes", "operators", "limits", "simulate", "scenario", "cli")
@@ -144,3 +149,112 @@ def test_import_leaves_the_thread_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+#: Public names that no CLI, benchmark or README code calls, and why each is public.
+PUBLIC_WITHOUT_CALLER = {
+    # result types: callers read the values the public functions return
+    "ErrataRecord": "element of VerifyReport.errata",
+    "OutcomeDistribution": "returned by exact_distribution, taken by sample",
+    "SampleReport": "returned by sample",
+    "ScenarioFile": "returned by load_scenario_file and parse_scenario",
+    "StateVector2": "returned by state_vector and eigenvector_states",
+    "SuiteResult": "element of VerifyReport.suites",
+    "VerifyReport": "returned by run_all",
+    # the paper's standard limits (the CLI and the benchmark use only the operator)
+    "standard_amplitudes": "the textbook amplitudes as a boundary value",
+    "standard_states": "the textbook state pair as a boundary value",
+    # a scenario document already in memory, with no file to name
+    "parse_scenario": "validates a decoded scenario document",
+}
+
+
+def init_exports(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """(names ``__init__`` imports from its submodules, the literal ``__all__``)."""
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    return imported, exported
+
+
+def polamp_names_used(tree: ast.Module) -> set[str]:
+    """Names ``tree`` imports from polamp or reads as an attribute of the package.
+
+    Relative imports count (``cli`` is inside the package), and so does an
+    alias of the package: ``p = polamp`` and then ``p.amplitude``.
+    """
+    aliases = {"polamp"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name == "polamp" and a.asname)
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "polamp"
+        ):
+            used.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            used.add(node.attr)
+    return used
+
+
+def readme_library_example() -> ast.Module:
+    """The Python block under the README's "Library example" heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library example", 1)[1]
+    return ast.parse(re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1))
+
+
+def public_callers() -> set[str]:
+    """Every polamp name that the CLI, a benchmark file or the README example uses."""
+    trees = [parse("cli"), readme_library_example()]
+    trees += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    return set().union(*map(polamp_names_used, trees))
+
+
+def unused_exports(exported, used, allowed) -> list[str]:
+    return sorted(set(exported) - set(used) - set(allowed))
+
+
+def test_init_imports_exactly_the_public_names():
+    imported, exported = init_exports(parse("__init__"))
+    assert len(exported) == len(set(exported)), "__all__ names a name twice"
+    assert sorted(imported) == sorted(exported)
+
+
+def test_every_public_name_has_a_caller():
+    _, exported = init_exports(parse("__init__"))
+    unused = unused_exports(exported, public_callers(), PUBLIC_WITHOUT_CALLER)
+    assert not unused, f"public without a caller (delete, or allow-list with a reason): {unused}"
+    stale = sorted(set(PUBLIC_WITHOUT_CALLER) - set(exported))
+    assert not stale, f"allow-listed but not public: {stale}"
+
+
+def test_public_api_guard_sees_every_kind_of_use():
+    source = (
+        "import polamp\nfrom polamp import plus\nfrom .simulate import sample\n"
+        "p = polamp\np.chain(1)\npolamp.amplitude\nother.probability\n"
+    )
+    used = polamp_names_used(ast.parse(source))
+    assert {"plus", "sample", "chain", "amplitude"} <= used
+    assert "probability" not in used
+    assert unused_exports(["plus", "helper", "Result"], used, {"Result": "why"}) == ["helper"]

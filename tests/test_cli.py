@@ -218,15 +218,19 @@ class TestLabelSubcommands:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        slot=st.sampled_from([k for name, k in ANGLE_SLOTS if name == "amp"]),
+        name_slot=st.sampled_from(ANGLE_SLOTS),
         text=st.one_of(
             st.text(),
             st.floats().map(repr),
-            st.sampled_from(["nan", "-nan", "Infinity", "-inf", "1e309", "-1e309", "1_0", "-0"]),
+            st.floats().map("{:e}".format),
+            st.sampled_from(
+                ["nan", "-nan", "Infinity", "-inf", "1e309", "-1e309", "1_0", "-1_0", "-0", "-1e", "-e5"]
+            ),
         ),
     )
-    def test_any_angle_text_exits_0_or_usage(self, slot, text):
-        argv = list(LABEL_COMMANDS["amp"])
+    def test_any_angle_text_exits_0_or_usage(self, name_slot, text):
+        name, slot = name_slot
+        argv = list(LABEL_COMMANDS[name])
         argv[slot] = text
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -237,6 +241,27 @@ class TestLabelSubcommands:
         # 0 also covers text that argparse reads as --help
         assert code in (EXIT_OK, EXIT_USAGE)
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name_slot=st.sampled_from(ANGLE_SLOTS),
+        value=st.floats(-1e300, -0.0),
+        form=st.sampled_from(["{!r}", "{:e}", "{:E}", "{:.3e}", "{:.0E}", "{:.20g}"]),
+    )
+    def test_negative_angle_in_any_form_is_a_number(self, name_slot, value, form):
+        # ``-1e5`` is an angle, as after ``--``, not an unknown flag that
+        # shifts the positionals after it
+        name, slot = name_slot
+        text = form.format(value)
+        argv = list(LABEL_COMMANDS[name])
+        argv[slot] = text
+        outputs = []
+        for args in (argv, [argv[0], "--", *argv[1:]]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run(args) == EXIT_OK
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +360,23 @@ class TestSimulate:
         _, first = run_capture(capsys, ["simulate", malus_file, "--machine"])
         _, second = run_capture(capsys, ["simulate", malus_file, "--machine"])
         assert first == second
+
+    def test_sum_warning_keeps_the_sign_of_the_deviation(self, capsys, tmp_path):
+        # these probabilities sum to 1 - 3.3e-16: a deficit prints as one
+        document = {
+            "initial": {"theta_deg": 0, "branch": "+"},
+            "stages": [{"theta_deg": 7, "alpha_deg": 30}, {"theta_deg": 22, "alpha_deg": 70}],
+        }
+        path = tmp_path / "deficit.json"
+        path.write_text(json.dumps({**document, "tolerance": 1e-300}))
+        deviation = exact_distribution(load_scenario_file(path).scenario).total() - 1.0
+        assert deviation < 0
+        assert run(["simulate", str(path), "--exact"]) == EXIT_OK
+        warned = capsys.readouterr()
+        assert warned.err == f"warning: distribution sums to 1 {deviation:+.3e}\n"
+        assert run(["simulate", str(path), "--exact", "--tolerance", "1e-12"]) == EXIT_OK
+        quiet = capsys.readouterr()
+        assert quiet.err == "" and quiet.out == warned.out
 
     def test_missing_file(self, capsys, tmp_path):
         code = run(["simulate", str(tmp_path / "absent.json")])
@@ -515,6 +557,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert any(l.startswith("PASS") for l in lines)
         assert "all invariant suites pass" in lines[-1]
+
+    def test_human_lines_compare_the_residual_the_right_way(self, capsys):
+        code, lines = run_capture(capsys, ["verify", "--draws", "100", "--tolerance", "1e-300"])
+        assert code == EXIT_VERIFY
+        suites = [l.split() for l in lines if l.startswith(("PASS", "FAIL"))]
+        assert any(words[0] == "FAIL" for words in suites)
+        for words in suites:
+            # FLAG name max residual R relation TOL (N draws); a suite may
+            # keep a tolerance of its own
+            flag, residual, relation, tolerance = words[0], float(words[4]), words[5], float(words[6])
+            assert relation == ("<" if flag == "PASS" else ">="), words
+            assert (residual < tolerance) == (flag == "PASS"), words
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ class TestStandardStates:
             sp, sm = standard_states(Direction(theta, alpha))
             assert sp.norm == pytest.approx(1.0, abs=TOL)
             assert sm.norm == pytest.approx(1.0, abs=TOL)
-            assert abs(sp.inner(sm)) < TOL
+            assert abs(np.vdot(sp.as_array(), sm.as_array())) < TOL
 
 
 class TestStandardOperator:

@@ -1,5 +1,6 @@
 """Analyzer-chain simulation: exact distributions and seeded sampling."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -20,15 +21,7 @@ from polamp import (
     sample,
 )
 from polamp.directions import BranchLabel
-from polamp.simulate import (
-    DEFAULT_BLOCK_SIZE,
-    OutcomeDistribution,
-    index_to_sequence,
-    sequence_labels,
-    sequence_to_index,
-    sequence_to_str,
-    str_to_sequence,
-)
+from polamp.simulate import DEFAULT_BLOCK_SIZE, OutcomeDistribution, sequence_labels
 
 TOL = 1e-12
 
@@ -82,20 +75,28 @@ def per_trial_counts(dist, uniforms):
 class TestSequenceIndexing:
 
     def test_round_trip(self):
-        for i in range(8):
-            assert sequence_to_index(index_to_sequence(i, 3)) == i
+        # index <-> sequence is a bijection: every +/- string of n stages once
+        for n in range(1, 7):
+            every = {"".join(s) for s in itertools.product("+-", repeat=n)}
+            labels = sequence_labels(n)
+            assert len(labels) == 2**n and set(labels) == every
 
     def test_first_stage_is_most_significant(self):
-        assert sequence_to_index((M, P, P)) == 4
-        assert index_to_sequence(1, 3) == (P, P, M)
+        labels = sequence_labels(3)
+        assert labels[4] == "-++"
+        assert labels[1] == "++-"
 
     def test_string_round_trip(self):
-        assert sequence_to_str((P, M, P)) == "+-+"
-        assert str_to_sequence("+-+") == (P, M, P)
+        for n in range(1, 6):
+            for i, label in enumerate(sequence_labels(n)):
+                assert int(label.translate(str.maketrans("+-", "01")), 2) == i
 
     def test_labels_in_index_order(self):
         for n in range(1, 11):
-            expected = [sequence_to_str(index_to_sequence(i, n)) for i in range(2**n)]
+            expected = [
+                "".join("-" if (i >> (n - 1 - k)) & 1 else "+" for k in range(n))
+                for i in range(2**n)
+            ]
             assert sequence_labels(n) == expected
 
 
@@ -104,32 +105,32 @@ class TestExactDistribution:
     def test_repeated_direction_is_certain(self):
         d = Direction(0.4, 1.7)
         dist = exact_distribution(MeasurementScenario(initial=BranchLabel(d, P), stages=(d,)))
-        assert dist[(P,)] == pytest.approx(1.0, abs=TOL)
-        assert dist[(M,)] == pytest.approx(0.0, abs=TOL)
+        assert dist.probs[0] == pytest.approx(1.0, abs=TOL)
+        assert dist.probs[1] == pytest.approx(0.0, abs=TOL)
 
     def test_single_stage_matches_probability(self):
         initial = plus(0.3, 0.8)
         stage = Direction(1.4, 2.1)
         dist = exact_distribution(MeasurementScenario(initial=initial, stages=(stage,)))
-        assert dist[(P,)] == pytest.approx(probability(initial, BranchLabel(stage, P)), abs=TOL)
-        assert dist[(M,)] == pytest.approx(probability(initial, BranchLabel(stage, M)), abs=TOL)
+        assert dist.probs[0] == pytest.approx(probability(initial, BranchLabel(stage, P)), abs=TOL)
+        assert dist.probs[1] == pytest.approx(probability(initial, BranchLabel(stage, M)), abs=TOL)
 
     def test_malus_chain(self):
         dist = exact_distribution(malus_chain())
-        assert abs(dist[(P, P)] - 0.25) < 1e-15
+        assert abs(dist.probs[0] - 0.25) < 1e-15
 
     def test_repeated_stage_never_flips(self):
         d1 = Direction(0.9, 0.3)
         scenario = MeasurementScenario(initial=plus(0.2, 1.1), stages=(d1, d1))
         dist = exact_distribution(scenario)
-        assert dist[(P, M)] == pytest.approx(0.0, abs=TOL)
-        assert dist[(M, P)] == pytest.approx(0.0, abs=TOL)
+        assert dist.probs[1] == pytest.approx(0.0, abs=TOL)  # +-
+        assert dist.probs[2] == pytest.approx(0.0, abs=TOL)  # -+
 
     def test_normalization_and_size(self):
         rng = np.random.default_rng(5)
         stages = tuple(Direction(t, a) for t, a in rng.uniform(-3, 3, (6, 2)))
         dist = exact_distribution(MeasurementScenario(initial=plus(0.5, 0.5), stages=stages))
-        assert len(dist) == 2 ** 6
+        assert len(dist.probs) == 2 ** 6
         assert dist.total() == pytest.approx(1.0, abs=TOL)
 
     def test_marginalizing_last_stage(self):
@@ -140,9 +141,7 @@ class TestExactDistribution:
         shorter = exact_distribution(
             MeasurementScenario(initial=scenario.initial, stages=stages[:-1])
         )
-        np.testing.assert_allclose(
-            full.marginal_dropping_last().probs, shorter.probs, atol=TOL
-        )
+        np.testing.assert_allclose(full.probs.reshape(-1, 2).sum(axis=1), shorter.probs, atol=TOL)
 
     def test_stage_cap(self):
         stages = tuple(Direction(0.1 * k) for k in range(5))
@@ -155,6 +154,26 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="stage"):
             MeasurementScenario(initial=plus(0.0), stages=())
 
+    @given(
+        thetas=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=11),
+        initial_branch=st.sampled_from([P, M]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chained_malus_law(self, thetas, initial_branch):
+        # at alpha = 0 each stage keeps the sign with probability q and flips
+        # it with f, q - f = cos 2(theta_k - theta_{k-1}), so the last stage's
+        # sign has E[s_n] = s_0 prod_k cos 2(theta_k - theta_{k-1}); summing out
+        # the last stage gives the same law for every shorter chain
+        initial = BranchLabel(Direction(thetas[0]), initial_branch)
+        stages = tuple(Direction(t) for t in thetas[1:])
+        probs = exact_distribution(MeasurementScenario(initial=initial, stages=stages)).probs
+        steps = [math.cos(2 * (b - a)) for a, b in zip(thetas, thetas[1:])]
+        s_0 = 1.0 if initial_branch is P else -1.0
+        for n in range(len(stages), 0, -1):
+            signs = [1.0 if label[-1] == "+" else -1.0 for label in sequence_labels(n)]
+            assert float(probs @ signs) == pytest.approx(s_0 * math.prod(steps[:n]), abs=TOL)
+            probs = probs.reshape(-1, 2).sum(axis=1)
+
 
 class TestSample:
 
@@ -162,8 +181,7 @@ class TestSample:
         d = Direction(0.7, 0.1)
         scenario = MeasurementScenario(initial=BranchLabel(d, P), stages=(d,))
         report = sample(exact_distribution(scenario), seed=3, trials=5000)
-        assert report[(P,)] == 5000
-        assert report[(M,)] == 0
+        assert report.counts.tolist() == [5000, 0]
         assert report.max_abs_deviation_sigma == 0.0
 
     def test_determinism(self):
