@@ -1,0 +1,40 @@
+"""One thread per available CPU for independent blocks of numpy work.
+
+``verify`` maps its suites over lane blocks and ``simulate`` maps ``sample``
+over trial blocks through :func:`map_in_order`. numpy releases the GIL in
+its ufunc loops, in ``eigh``, in Philox ``random``, in ``sort`` and in
+``searchsorted``, so the blocks run in parallel; the results come back in
+block order, so a caller's reduction does not depend on the thread count.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import deque
+from itertools import islice
+
+
+def map_in_order(fn, *sequences):
+    """Yield ``fn(*items)`` for each ``items`` of ``zip(*sequences)``, in order.
+
+    The calls run on ``min(available CPUs, len(sequences[0]))`` threads. At
+    most two calls per thread are submitted ahead of the result being
+    yielded, so the results held at once are bounded by the thread count,
+    not by the number of items.
+    """
+    n = len(sequences[0])
+    if not n:
+        return
+    # imported here, so that ``import polamp`` and the commands without blocks start no slower
+    from concurrent.futures import ThreadPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, n)
+    items = zip(*sequences)
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(fn, *args) for args in islice(items, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            # refill the window with the next item, if any
+            pending.extend(pool.submit(fn, *args) for args in islice(items, 1))
+            yield result

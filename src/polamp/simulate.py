@@ -20,8 +20,10 @@ deterministic in (scenario, seed, trials). Stream-split rule for parallel
 or blocked execution: partition the trial index space into contiguous
 ranges whose boundaries are multiples of 4 (the Philox output block is
 four 64-bit words); a worker owning [lo, hi) reconstructs its uniforms by
-advancing the counter ``lo / 4`` blocks. Each block is sorted and counted
-per sequence; the sums are bit-identical for every partition, including none.
+advancing the counter ``lo / 4`` blocks. :func:`sample` applies the rule
+across threads: its blocks run on one thread per available CPU, each block
+draws, sorts and counts its own doubles, and the per-sequence sums are
+bit-identical for every partition and every thread count.
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import map_in_order
 from .amplitudes import _probability_of, _row, amp_matrix
 from .directions import BranchLabel, Direction
 
 #: Default maximum number of stages (2^n outcome sequences bound memory).
 DEFAULT_STAGE_CAP = 20
 
-#: Trials per sampling block by default (a multiple of 4): bounds the
-#: uniforms held at once to 2 MB (8 B per trial) for any trial count.
+#: Trials per sampling block by default (a multiple of 4). A block is drawn
+#: inside the thread that counts it, so the uniforms held at once are 2 MB
+#: (8 B per trial) per thread, one thread per available CPU, for any trial count.
 DEFAULT_BLOCK_SIZE = 1 << 18
 
 
@@ -153,9 +157,10 @@ def sample(
 
     Trial ``i`` draws sequence ``j`` iff ``cum[j-1] <= u < cum[j]``, with
     ``u`` its stream double (module docstring) and ``cum`` the cumulative
-    probabilities. Trials run in blocks of ``block_size`` (a multiple of 4);
-    sorted, a block gives the number of its doubles below each ``cum[j]``,
-    whose differences are its counts (bit-identical for any block size). A
+    probabilities. Trials run in blocks of ``block_size`` (a multiple of 4),
+    on one thread per available CPU; sorted, a block gives the number of its
+    doubles below each ``cum[j]``, whose differences are its counts
+    (bit-identical for any block size and thread count). A
     double in the rounding tail, at or above ``cum[-1]``, maps to the last
     sequence with nonzero probability, so p = 0 is never drawn.
 
@@ -170,14 +175,18 @@ def sample(
         raise ValueError("block_size must be a positive multiple of 4")
 
     probs = distribution.probs
+    nonzero = np.flatnonzero(probs)
+    if not nonzero.size:
+        raise ValueError("every outcome has probability 0: there is nothing to sample")
     cum = np.cumsum(probs)
-    last_possible = int(np.flatnonzero(probs)[-1])
+    last_possible = int(nonzero[-1])
 
-    below = np.zeros(len(cum), dtype=np.int64)
-    for lo in range(0, trials, block_size):
+    def below_cum(lo):
         u = _uniform_block(int(seed), lo, min(block_size, trials - lo))
         u.sort()
-        below += np.searchsorted(u, cum, side="left")
+        return np.searchsorted(u, cum, side="left")
+
+    below = sum(map_in_order(below_cum, range(0, trials, block_size)))
     counts = np.diff(below, prepend=0)
     counts[last_possible] += trials - below[-1]
 

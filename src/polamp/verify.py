@@ -25,12 +25,12 @@ Eq72, none for Eq53-Eq56.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closedforms
+from ._pool import map_in_order
 from .amplitudes import amp_matrix
 from .directions import DEFAULT_TOLERANCE
 from .operators import observable_elements_product
@@ -94,15 +94,8 @@ def _draw_angles(rng: np.random.Generator, n: int, count: int = 1):
 
 def _map_blocks(fn, arrays) -> list:
     """``fn`` of each ``LANE_BLOCK``-lane slice of ``arrays``, in block order."""
-    from concurrent.futures import ThreadPoolExecutor
-
     starts = range(0, len(arrays[0]), LANE_BLOCK)
-    if not starts:
-        return []
-    # one thread per available CPU: numpy releases the GIL in its ufunc loops and in eigh
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(min(cpus or 1, len(starts))) as pool:
-        return list(pool.map(fn, *([a[i : i + LANE_BLOCK] for i in starts] for a in arrays)))
+    return list(map_in_order(fn, *([a[i : i + LANE_BLOCK] for i in starts] for a in arrays)))
 
 
 def _result(name: str, tol: float, residuals, *arrays) -> SuiteResult:

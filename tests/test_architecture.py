@@ -142,8 +142,9 @@ def test_chain_steps_take_one_route():
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # verify imports concurrent.futures inside its block helper, so that
-    # ``import polamp`` and every non-verify command start no slower
+    # the block pool that verify and sample share (``polamp._pool``) imports
+    # concurrent.futures on its first call, so that ``import polamp`` and the
+    # commands that run no blocks start no slower
     code = "import sys, polamp, polamp.cli; print('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

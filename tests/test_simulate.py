@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polamp import simulate
+from polamp import _pool, simulate
 from polamp import (
     Branch,
     Direction,
@@ -228,6 +229,10 @@ class TestSample:
         with pytest.raises(ValueError, match="seed"):
             sample(exact_distribution(malus_chain()), seed=-1, trials=10)
 
+    def test_distribution_without_a_possible_outcome_rejected(self):
+        with pytest.raises(ValueError, match="every outcome has probability 0"):
+            sample(OutcomeDistribution(1, np.zeros(2)), 0, 10)
+
 
 class TestSampleTail:
 
@@ -303,3 +308,36 @@ class TestSampleCounting:
             with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
                 report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
             assert np.array_equal(report.counts, per_trial_counts(dist, np.array(uniforms)))
+
+
+#: CPU sets for the thread pool: one worker, the machine's own, more than it has.
+WORKERS = {"one_worker": {0}, "default_workers": None, "eight_workers": set(range(8))}
+
+
+class TestSampleThreads:
+    """Blocks run on one thread per available CPU; counts do not depend on it."""
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("block_size", [4, 64, DEFAULT_BLOCK_SIZE])
+    def test_counts_match_per_trial_reference(self, monkeypatch, block_size, workers):
+        cpus = WORKERS[workers]
+        if cpus is not None:
+            monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        dist = exact_distribution(tail_chain())
+        trials = 9 * block_size + 3  # ten blocks, the last one partial
+        report = sample(dist, seed=77, trials=trials, block_size=block_size)
+        reference = per_trial_counts(dist, simulate._uniform_block(77, 0, trials))
+        assert np.array_equal(report.counts, reference)
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        # 1001 blocks of 4 trials, a thread switch every microsecond (about 0.1 s)
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        dist = exact_distribution(tail_chain())
+        reference = per_trial_counts(dist, simulate._uniform_block(5, 0, 4003))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = sample(dist, seed=5, trials=4003, block_size=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(report.counts, reference)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from polamp import verify
+from polamp import _pool, verify
 from polamp.amplitudes import amp_matrix
 from polamp.verify import (
     DEFAULT_DRAWS,
@@ -113,7 +113,7 @@ def test_results_do_not_depend_on_blocks_or_workers(
 ):
     monkeypatch.setattr(verify, "LANE_BLOCK", lane_block)
     if one_worker:
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run_all(draws=draws, seed=21) == unblocked_reports[draws]
 
 
@@ -121,7 +121,7 @@ def test_more_workers_than_cores_under_fast_thread_switching(monkeypatch, unbloc
     # blocks share only read-only inputs; switching threads every microsecond
     # must still give the serial result
     monkeypatch.setattr(verify, "LANE_BLOCK", 16)
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
