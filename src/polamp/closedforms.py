@@ -127,7 +127,6 @@ def standard_eigvec_components(theta_b, alpha_b):
     sets to zero; they are transcribed with that phase already zeroed,
     leaving ``e^{i alpha_b}``.
     """
+    c, s = np.cos(theta_b), np.sin(theta_b)
     phase = np.exp(1j * np.asarray(alpha_b))
-    plus = (np.cos(theta_b) + 0j, np.sin(theta_b) * phase)
-    minus = (-np.sin(theta_b) + 0j, np.cos(theta_b) * phase)
-    return plus, minus
+    return (c + 0j, s * phase), (-s + 0j, c * phase)

@@ -21,6 +21,13 @@ The adjudication half compares the verbatim transcriptions in
 :class:`ErrataRecord` wherever a stated form disagrees with the derived
 value beyond tolerance. The expected outcome: records for Eq58, Eq59 and
 Eq72, none for Eq53-Eq56.
+
+Each suite and errata table stands for its input arrays of ``draws``
+doubles from the run's PCG64 stream, drawn one after the other, but no
+such array exists: every block of ``LANE_BLOCK`` lanes draws its own lanes
+of them inside its worker thread, by counter advance (:func:`_draws`). The
+output is the same as drawing the arrays in full, and memory does not grow
+with the draw count.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ from .operators import observable_elements_product
 
 DEFAULT_DRAWS = 100_000
 
-#: Lanes per block. Every suite and errata table evaluates its residuals over
-#: blocks of this many lanes, one thread per available CPU, and reduces them in
-#: block order: results do not depend on the block size or the thread count,
-#: and a block's temporaries stay cache-sized.
+#: Lanes per block. Every suite and errata table draws its inputs and evaluates
+#: its residuals over blocks of this many lanes, one thread per available CPU,
+#: and reduces them in block order: results do not depend on the block size or
+#: the thread count, and a block's draws and temporaries stay cache-sized.
 LANE_BLOCK = 8192
 
 #: Wider tolerance for the legs involving the generic eigensolver.
@@ -83,40 +90,70 @@ class VerifyReport:
         return all(s.passed for s in self.suites)
 
 
-def _draw_angles(rng: np.random.Generator, n: int, count: int = 1):
-    """Independent (theta, alpha) pairs, broad enough to exercise periodicity."""
-    out = []
-    for _ in range(count):
-        out.append(rng.uniform(-2 * np.pi, 2 * np.pi, n))
-        out.append(rng.uniform(-2 * np.pi, 2 * np.pi, n))
-    return out
+#: The (low, high) of an angle draw, broad enough to exercise periodicity.
+_ANGLE = (-2 * np.pi, 2 * np.pi)
+#: The draws behind one eigenvalue pair (see :func:`_eigenvalues`): r_plus, the
+#: gap to r_minus, and the gap's sign coin (``None``: ``random()``).
+_EIGENVALUES = ((-3.0, 3.0), (0.5, 3.0), None)
 
 
-def _map_blocks(fn, arrays) -> list:
-    """``fn`` of each ``LANE_BLOCK``-lane slice of ``arrays``, in block order."""
-    starts = range(0, len(arrays[0]), LANE_BLOCK)
-    return list(map_in_order(fn, *([a[i : i + LANE_BLOCK] for i in starts] for a in arrays)))
+def _draws(rng: np.random.Generator, n: int, *ranges):
+    """Stand in for ``len(ranges)`` arrays of ``n`` draws from ``rng``, one after the other.
+
+    Array ``k`` is ``rng.uniform(*ranges[k], n)``, or ``rng.random(n)`` where
+    ``ranges[k]`` is None. ``rng`` is advanced past them all, as if they had
+    been drawn. The returned ``lanes(lo, hi)`` draws lanes ``lo .. hi`` of
+    each array from a PCG64 rebuilt at the recorded state and moved by
+    counter advance, so a block draws only its own lanes, in its own thread.
+    ``uniform`` and ``random`` both take one 64-bit output per double, so the
+    lanes equal the slices of the full arrays: the stream-split rule of
+    ``sample`` (Philox), here for PCG64, the generator of ``run_all``.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise TypeError(f"verify draws need a PCG64 generator, not {type(bitgen).__name__}")
+    state = bitgen.state
+    bitgen.advance(n * len(ranges))
+    # advance drops a buffered 32-bit half that drawing doubles would have kept
+    buffered = {key: state[key] for key in ("has_uint32", "uinteger")}
+    bitgen.state = {**bitgen.state, **buffered}
+
+    def lanes(lo: int, hi: int) -> list:
+        block = np.random.PCG64()
+        block.state = state
+        block.advance(lo)
+        gen, out = np.random.Generator(block), []
+        for bounds in ranges:
+            out.append(gen.random(hi - lo) if bounds is None else gen.uniform(*bounds, hi - lo))
+            block.advance(n - (hi - lo))  # to the same lanes of the next array
+        return out
+
+    return lanes
 
 
-def _result(name: str, tol: float, residuals, *arrays) -> SuiteResult:
-    """The largest of the lane arrays ``residuals(*block)`` over every block of ``arrays``."""
-    maxima = _map_blocks(lambda *block: max(np.max(r) for r in residuals(*block)), arrays)
-    n, max_res = len(arrays[0]), float(max(maxima, default=0.0))
+def _map_blocks(fn, n: int, lanes) -> list:
+    """``fn(*lanes(lo, hi))`` for each ``LANE_BLOCK``-lane block of ``n`` lanes, in block order."""
+    starts = range(0, n, LANE_BLOCK)
+    return list(map_in_order(lambda lo: fn(*lanes(lo, min(lo + LANE_BLOCK, n))), starts))
+
+
+def _result(name: str, tol: float, residuals, n: int, lanes) -> SuiteResult:
+    """The largest of the lane arrays ``residuals(*block)`` over every block of ``n`` lanes."""
+    maxima = _map_blocks(lambda *block: max(np.max(r) for r in residuals(*block)), n, lanes)
+    max_res = float(max(maxima, default=0.0))
     return SuiteResult(name=name, draws=n, max_residual=max_res, tolerance=tol, passed=max_res < tol)
 
 
-def _reference_state(theta, alpha, plus: bool):
-    """Components of the textbook states the amplitude oracle is built from."""
+def _reference_state(theta, alpha):
+    """Components of the textbook (plus, minus) states the amplitude oracle is built from."""
+    c, s = np.cos(theta), np.sin(theta)
     phase = np.exp(1j * np.asarray(alpha))
-    if plus:
-        return np.cos(theta) + 0j, np.sin(theta) * phase
-    return -np.sin(theta) + 0j, np.cos(theta) * phase
+    return (c + 0j, s * phase), (-s + 0j, c * phase)
 
 
-def _oracle_amplitude(ta, aa, plus_a: bool, tb, ab, plus_b: bool):
-    """Inner product conj(state at final) . state at initial."""
-    a1, a2 = _reference_state(ta, aa, plus_a)
-    b1, b2 = _reference_state(tb, ab, plus_b)
+def _oracle_amplitude(initial, final):
+    """Inner product conj(final state) . initial state."""
+    (a1, a2), (b1, b2) = initial, final
     return np.conj(b1) * a1 + np.conj(b2) * a2
 
 
@@ -125,31 +162,31 @@ _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def suite_amplitude_oracle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
 
     def residuals(ta, aa, tb, ab):
         block = amp_matrix(ta, aa, tb, ab)
+        states_a, states_b = _reference_state(ta, aa), _reference_state(tb, ab)
         return [
-            np.abs(block[s][t] - _oracle_amplitude(ta, aa, s == 0, tb, ab, t == 0))
-            for s, t in _PAIRS
+            np.abs(block[s][t] - _oracle_amplitude(states_a[s], states_b[t])) for s, t in _PAIRS
         ]
 
-    return _result("amplitude_oracle", tol, residuals, ta, aa, tb, ab)
+    return _result("amplitude_oracle", tol, residuals, n, lanes)
 
 
 def suite_hermiticity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
 
     def residuals(ta, aa, tb, ab):
         forward = amp_matrix(ta, aa, tb, ab)
         reverse = amp_matrix(tb, ab, ta, aa)
         return [np.abs(forward[s][t] - np.conj(reverse[t][s])) for s, t in _PAIRS]
 
-    return _result("hermiticity", tol, residuals, ta, aa, tb, ab)
+    return _result("hermiticity", tol, residuals, n, lanes)
 
 
 def suite_orthonormality(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
 
     def residuals(ta, aa, tb, ab):
         (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
@@ -159,11 +196,11 @@ def suite_orthonormality(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
             np.abs(pp * np.conj(mp) + pm * np.conj(mm)),
         ]
 
-    return _result("orthonormality", tol, residuals, ta, aa, tb, ab)
+    return _result("orthonormality", tol, residuals, n, lanes)
 
 
 def suite_chaining(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab, tc, ac = _draw_angles(rng, n, 3)
+    lanes = _draws(rng, n, *[_ANGLE] * 6)
 
     def residuals(ta, aa, tb, ab, tc, ac):
         direct = amp_matrix(ta, aa, tb, ab)
@@ -174,11 +211,11 @@ def suite_chaining(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
             for s, t in _PAIRS
         ]
 
-    return _result("chaining", tol, residuals, ta, aa, tb, ab, tc, ac)
+    return _result("chaining", tol, residuals, n, lanes)
 
 
 def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
 
     def residuals(ta, aa, tb, ab):
         (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
@@ -194,11 +231,11 @@ def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
             np.abs(np.abs(mp) ** 2 - np.abs(pm) ** 2),
         ]
 
-    return _result("probability_forms", tol, residuals, ta, aa, tb, ab)
+    return _result("probability_forms", tol, residuals, n, lanes)
 
 
 def suite_periodicity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab = _draw_angles(rng, n, 2)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
     two_pi = 2 * np.pi
 
     def residuals(ta, aa, tb, ab):
@@ -217,26 +254,24 @@ def suite_periodicity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
             for s, t in _PAIRS
         )
 
-    return _result("periodicity", tol, residuals, ta, aa, tb, ab)
+    return _result("periodicity", tol, residuals, n, lanes)
 
 
-def _draw_eigenvalues(rng: np.random.Generator, n: int):
+def _eigenvalues(r_plus, gap, coin):
     """Well-separated eigenvalue pairs (separation >= 0.5 keeps eigenvectors stable)."""
-    r_plus = rng.uniform(-3.0, 3.0, n)
-    r_minus = r_plus - rng.uniform(0.5, 3.0, n) * np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return r_plus, r_minus
+    return r_plus, r_plus - gap * np.where(coin < 0.5, 1.0, -1.0)
 
 
 def suite_observable_closed_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    tc, ac, tb, ab = _draw_angles(rng, n, 2)
-    r_plus, r_minus = _draw_eigenvalues(rng, n)
+    lanes = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
 
-    def residuals(tc, ac, tb, ab, r_plus, r_minus):
+    def residuals(tc, ac, tb, ab, *eigenvalue_draws):
+        r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
         derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
         stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
         return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
 
-    return _result("observable_closed_forms", tol, residuals, tc, ac, tb, ab, r_plus, r_minus)
+    return _result("observable_closed_forms", tol, residuals, n, lanes)
 
 
 def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
@@ -246,10 +281,10 @@ def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult
     eigensolver.
     """
     tol = max(tol, EIGENSOLVER_TOLERANCE)
-    tc, ac, tb, ab = _draw_angles(rng, n, 2)
-    r_plus, r_minus = _draw_eigenvalues(rng, n)
+    lanes = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
 
-    def residuals(tc, ac, tb, ab, r_plus, r_minus):
+    def residuals(tc, ac, tb, ab, *eigenvalue_draws):
+        r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
         m = len(r_plus)
         product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
 
@@ -286,11 +321,11 @@ def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult
         out.append(np.abs(proj_solver - proj_product).reshape(m, -1).max(axis=1))
         return out
 
-    return _result("operator_oracle_triangle", tol, residuals, tc, ac, tb, ab, r_plus, r_minus)
+    return _result("operator_oracle_triangle", tol, residuals, n, lanes)
 
 
 def suite_eigen_residual(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    tc, ac, tb, ab = _draw_angles(rng, n, 2)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
 
     def residuals(tc, ac, tb, ab):
         ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
@@ -307,11 +342,11 @@ def suite_eigen_residual(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
             np.abs(p21 * p12 + p22 * p22 - 1.0),
         ]
 
-    return _result("eigen_residual", tol, residuals, tc, ac, tb, ab)
+    return _result("eigen_residual", tol, residuals, n, lanes)
 
 
 def suite_expectation_consistency(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    ta, aa, tb, ab, tc, ac = _draw_angles(rng, n, 3)
+    lanes = _draws(rng, n, *[_ANGLE] * 6)
 
     def residuals(ta, aa, tb, ab, tc, ac):
         ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
@@ -339,19 +374,17 @@ def suite_expectation_consistency(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
             np.abs(matrix_minus.real + closed),
         ]
 
-    return _result("expectation_consistency", tol, residuals, ta, aa, tb, ab, tc, ac)
+    return _result("expectation_consistency", tol, residuals, n, lanes)
 
 
 def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
     """Generalized formulas at the (0, 0) boundary match the textbook forms."""
-    ta, aa = _draw_angles(rng, n, 1)
-    tb, ab = _draw_angles(rng, n, 1)
+    lanes = _draws(rng, n, *[_ANGLE] * 4)
 
     def residuals(ta, aa, tb, ab):
-        zero = np.zeros_like(np.asarray(ta))
         phase = np.exp(1j * np.asarray(aa))
-        (pp, pm), (mp, mm) = amp_matrix(ta, aa, zero, zero)
-        (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, zero, zero)
+        (pp, pm), (mp, mm) = amp_matrix(ta, aa, 0.0, 0.0)
+        (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, 0.0, 0.0)
         out = [
             np.abs(pp - np.cos(ta)),
             np.abs(pm - np.sin(ta) * phase),
@@ -363,8 +396,7 @@ def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
         ]
 
         # standard operator: basis fixed at (0, 0), measured direction random
-        zero_b = np.zeros_like(np.asarray(tb))
-        ((p11, p12), (p21, p22)) = observable_elements_product(zero_b, zero_b, tb, ab, 1.0, -1.0)
+        ((p11, p12), (p21, p22)) = observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0)
         out += [
             np.abs(p11 - np.cos(2 * tb)),
             np.abs(p12 - np.sin(2 * tb) * np.exp(-1j * np.asarray(ab))),
@@ -373,7 +405,7 @@ def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
         ]
 
         # eigenvectors reduce to the stated standard pair
-        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, zero_b, zero_b)
+        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, 0.0, 0.0)
         (e_p1, e_p2), (e_m1, e_m2) = closedforms.standard_eigvec_components(tb, ab)
         out += [
             np.abs(xp1 - e_p1),
@@ -383,7 +415,7 @@ def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
         ]
         return out
 
-    return _result("standard_limits", tol, residuals, ta, aa, tb, ab)
+    return _result("standard_limits", tol, residuals, n, lanes)
 
 
 ALL_SUITES = (
@@ -401,7 +433,7 @@ ALL_SUITES = (
 )
 
 
-def _errata_for(equation_ids, tol, forms, *arrays) -> list[ErrataRecord]:
+def _errata_for(equation_ids, tol, forms, n, lanes) -> list[ErrataRecord]:
     """A record per element where ``forms(*block) = (stated, derived)`` differ beyond tol."""
 
     def worst(*block):
@@ -415,7 +447,7 @@ def _errata_for(equation_ids, tol, forms, *arrays) -> list[ErrataRecord]:
         return out
 
     records = []
-    for (i, j), candidates in zip(_PAIRS, zip(*_map_blocks(worst, arrays))):
+    for (i, j), candidates in zip(_PAIRS, zip(*_map_blocks(worst, n, lanes))):
         # max keeps the first of equal maxima, so the record holds the values
         # at the first lane of the largest diff, as np.argmax over all lanes
         diff, stated, derived = max(candidates, key=lambda c: c[0])
@@ -436,37 +468,37 @@ def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
     """Adjudicate every verbatim transcription against the derived values."""
     records: list[ErrataRecord] = []
 
-    tc, ac, tb, ab = _draw_angles(rng, n, 2)
-    r_plus, r_minus = _draw_eigenvalues(rng, n)
-    records += _errata_for(
-        closedforms.OBSERVABLE_ELEMENT_IDS,
-        tol,
-        lambda tc, ac, tb, ab, r_plus, r_minus: (
+    def observable(tc, ac, tb, ab, *eigenvalue_draws):
+        r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
+        return (
             closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus),
             observable_elements_product(tc, ac, tb, ab, r_plus, r_minus),
-        ),
-        tc, ac, tb, ab, r_plus, r_minus,
-    )
+        )
+
+    lanes = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
+    records += _errata_for(closedforms.OBSERVABLE_ELEMENT_IDS, tol, observable, n, lanes)
+    # the polarization operator over the same angle draws; it has fixed eigenvalues
     records += _errata_for(
         closedforms.POLARIZATION_ELEMENT_IDS,
         tol,
-        lambda tc, ac, tb, ab: (
+        lambda tc, ac, tb, ab, *_: (
             closedforms.polarization_elements_literal(tc, ac, tb, ab),
             observable_elements_product(tc, ac, tb, ab, 1.0, -1.0),
         ),
-        tc, ac, tb, ab,
+        n,
+        lanes,
     )
 
     # standard-limit operator: the stated form drags in an initial-state phase
-    tb, ab, aa = rng.uniform(-2 * np.pi, 2 * np.pi, (3, n))
     records += _errata_for(
         ((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2,
         tol,
-        lambda tb, ab, aa, zero: (
+        lambda tb, ab, aa: (
             closedforms.standard_operator_literal(tb, ab, aa),
-            observable_elements_product(zero, zero, tb, ab, 1.0, -1.0),
+            observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0),
         ),
-        tb, ab, aa, np.zeros(n),
+        n,
+        _draws(rng, n, *[_ANGLE] * 3),
     )
     return records
 

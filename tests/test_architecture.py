@@ -134,6 +134,24 @@ def test_scenario_converts_degrees_only_in_its_direction_parser():
     assert inside and len(radians_calls(tree)) == len(inside)
 
 
+def draw_calls(tree: ast.AST) -> list[ast.Call]:
+    """Every call of a ``uniform`` or ``random`` method under ``tree``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("uniform", "random")
+    ]
+
+
+def test_verify_draws_only_in_its_block_draw_helper():
+    # a suite that drew its own arrays would hold all of its draws at once
+    tree = parse("verify")
+    inside = draw_calls(top_level_function(tree, "_draws"))
+    assert len(inside) == 2 and len(draw_calls(tree)) == len(inside)
+
+
 def test_chain_steps_take_one_route():
     # every stage, the first included, is a row of the stage-transition matrix
     imported = imported_modules(parse("simulate"))

@@ -1,6 +1,7 @@
 """The verification layer itself: suites, determinism, discrimination."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,11 +142,82 @@ def test_errata_take_the_first_lane_of_equal_maxima(monkeypatch):
     def forms(zero, tie, later):
         return ((zero, zero), (zero, zero)), ((tie, later), (zero, zero))
 
-    records = verify._errata_for(ids, 0.5, forms, zero, tie, later)
+    def lanes(lo, hi):
+        return zero[lo:hi], tie[lo:hi], later[lo:hi]
+
+    records = verify._errata_for(ids, 0.5, forms, 4, lanes)
     assert [(r.equation, r.element) for r in records] == [("Eq11", "m11"), ("Eq12", "m12")]
     first, larger = records
     assert (first.paper_value, first.derived_value, first.max_abs_diff) == (0j, 1 + 0j, 1.0)
     assert (larger.paper_value, larger.derived_value, larger.max_abs_diff) == (0j, -2j, 2.0)
     # the same records as np.argmax over all lanes, in one block
     monkeypatch.setattr(verify, "LANE_BLOCK", 4)
-    assert verify._errata_for(ids, 0.5, forms, zero, tie, later) == records
+    assert verify._errata_for(ids, 0.5, forms, 4, lanes) == records
+
+
+# ---------------------------------------------------------------------------
+# per-block draws: each block draws its own lanes, by PCG64 counter advance
+# ---------------------------------------------------------------------------
+
+
+def full_draws(rng, n):
+    """The arrays of an eigenvalue suite, drawn in full as one thread would."""
+    angles = [rng.uniform(-2 * np.pi, 2 * np.pi, n) for _ in range(4)]
+    r_plus = rng.uniform(-3.0, 3.0, n)
+    r_minus = r_plus - rng.uniform(0.5, 3.0, n) * np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return [*angles, r_plus, r_minus]
+
+
+@pytest.mark.parametrize("lane_block", [1, 64, 8192])
+@pytest.mark.parametrize("n", [0, 1, 5, 8193])
+def test_block_draws_are_slices_of_the_full_arrays(monkeypatch, n, lane_block):
+    monkeypatch.setattr(verify, "LANE_BLOCK", lane_block)
+    expected_rng = np.random.default_rng(31)
+    expected = full_draws(expected_rng, n)
+    rng = np.random.default_rng(31)
+    lanes = verify._draws(rng, n, *[verify._ANGLE] * 4, *verify._EIGENVALUES)
+
+    def block(*draws):
+        return (*draws[:4], *verify._eigenvalues(*draws[4:]))
+
+    blocks = verify._map_blocks(block, n, lanes)
+    assert len(blocks) == -(-n // lane_block)
+    for k, arrays in enumerate(blocks):
+        lo = k * lane_block
+        for got, full in zip(arrays, expected, strict=True):
+            assert np.array_equal(got, full[lo : lo + lane_block])
+    # the caller's generator continues where the full draws left off
+    assert rng.random() == expected_rng.random()
+
+
+def test_draws_advance_the_caller_as_drawing_would():
+    # a buffered 32-bit half survives, as it does when doubles are drawn
+    rng, expected = np.random.default_rng(9), np.random.default_rng(9)
+    for g in (rng, expected):
+        g.integers(0, 2**31, dtype=np.int32)
+    verify._draws(rng, 1000, verify._ANGLE, None)
+    expected.uniform(*verify._ANGLE, 1000), expected.random(1000)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_draws_need_pcg64():
+    with pytest.raises(TypeError, match="PCG64"):
+        verify._draws(np.random.Generator(np.random.Philox(0)), 10, verify._ANGLE)
+
+
+def test_memory_does_not_grow_with_draws(monkeypatch):
+    monkeypatch.setattr(verify, "LANE_BLOCK", 1024)
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def peak(draws):
+        tracemalloc.start()
+        try:
+            run_all(draws=draws, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20_000)  # warm up: imports and caches
+    growth = peak(80_000) - peak(20_000)
+    # one full-size array of the 60,000 extra draws would be 480,000 B
+    assert growth < 60_000 * 8
