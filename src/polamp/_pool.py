@@ -5,6 +5,8 @@ over trial blocks through :func:`map_in_order`. numpy releases the GIL in
 its ufunc loops, in ``eigh``, in Philox ``random``, in ``sort`` and in
 ``searchsorted``, so the blocks run in parallel; the results come back in
 block order, so a caller's reduction does not depend on the thread count.
+When there is one thread's worth of work (one item, or one available CPU),
+the calls run on the caller's thread and no pool is started.
 """
 
 from __future__ import annotations
@@ -17,19 +19,23 @@ from itertools import islice
 def map_in_order(fn, *sequences):
     """Yield ``fn(*items)`` for each ``items`` of ``zip(*sequences)``, in order.
 
-    The calls run on ``min(available CPUs, len(sequences[0]))`` threads. At
-    most two calls per thread are submitted ahead of the result being
+    The calls run on ``min(available CPUs, len(sequences[0]))`` threads; one
+    thread means the caller's, which makes each call as its result is taken.
+    At most two calls per thread are submitted ahead of the result being
     yielded, so the results held at once are bounded by the thread count,
     not by the number of items.
     """
     n = len(sequences[0])
     if not n:
         return
-    # imported here, so that ``import polamp`` and the commands without blocks start no slower
-    from concurrent.futures import ThreadPoolExecutor
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, n)
+    if workers == 1:
+        yield from map(fn, *sequences)
+        return
+    # imported here, so that ``import polamp`` and one-block runs start no slower
+    from concurrent.futures import ThreadPoolExecutor
+
     items = zip(*sequences)
     with ThreadPoolExecutor(workers) as pool:
         pending = deque(pool.submit(fn, *args) for args in islice(items, 2 * workers))

@@ -22,8 +22,12 @@ ranges whose boundaries are multiples of 4 (the Philox output block is
 four 64-bit words); a worker owning [lo, hi) reconstructs its uniforms by
 advancing the counter ``lo / 4`` blocks. :func:`sample` applies the rule
 across threads: its blocks run on one thread per available CPU, each block
-draws, sorts and counts its own doubles, and the per-sequence sums are
-bit-identical for every partition and every thread count.
+draws its own doubles and counts those below each cumulative probability,
+and the per-sequence sums are bit-identical for every partition and every
+thread count. A block of n doubles counts a table of at most
+``n.bit_length()`` entries by one comparison pass per entry, and a longer
+table by sorting (about log2 n passes) and ``searchsorted``; both give the
+same exact counts.
 """
 
 from __future__ import annotations
@@ -158,11 +162,13 @@ def sample(
     Trial ``i`` draws sequence ``j`` iff ``cum[j-1] <= u < cum[j]``, with
     ``u`` its stream double (module docstring) and ``cum`` the cumulative
     probabilities. Trials run in blocks of ``block_size`` (a multiple of 4),
-    on one thread per available CPU; sorted, a block gives the number of its
-    doubles below each ``cum[j]``, whose differences are its counts
-    (bit-identical for any block size and thread count). A
-    double in the rounding tail, at or above ``cum[-1]``, maps to the last
-    sequence with nonzero probability, so p = 0 is never drawn.
+    on one thread per available CPU. A block of n doubles counts those below
+    each ``cum[j]`` by comparison when ``cum`` has at most ``n.bit_length()``
+    entries, else by sorting them and ``searchsorted``; the differences of
+    these numbers are its counts (bit-identical for any block size and
+    thread count). A double in the rounding tail, at or above ``cum[-1]``,
+    maps to the last sequence with nonzero probability, so p = 0 is never
+    drawn. Probabilities must be finite and non-negative.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
@@ -175,6 +181,8 @@ def sample(
         raise ValueError("block_size must be a positive multiple of 4")
 
     probs = distribution.probs
+    if not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise ValueError("probabilities must be finite and non-negative")
     nonzero = np.flatnonzero(probs)
     if not nonzero.size:
         raise ValueError("every outcome has probability 0: there is nothing to sample")
@@ -183,6 +191,9 @@ def sample(
 
     def below_cum(lo):
         u = _uniform_block(int(seed), lo, min(block_size, trials - lo))
+        # one pass per entry against the sort's ~log2(n) passes
+        if cum.size <= u.size.bit_length():
+            return np.array([np.count_nonzero(u < c) for c in cum])
         u.sort()
         return np.searchsorted(u, cum, side="left")
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -233,6 +235,12 @@ class TestSample:
         with pytest.raises(ValueError, match="every outcome has probability 0"):
             sample(OutcomeDistribution(1, np.zeros(2)), 0, 10)
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_probability_not_finite_and_non_negative_rejected(self, bad):
+        dist = OutcomeDistribution(2, np.array([0.5, bad, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample(dist, 0, 1000)
+
 
 class TestSampleTail:
 
@@ -268,7 +276,9 @@ class TestSampleTail:
 
 
 class TestSampleCounting:
-    """Counting sorted blocks gives exactly the per-trial inverse-CDF counts."""
+    """Counting blocks, by comparison or by sorting, gives exactly the
+    per-trial inverse-CDF counts. A block of n doubles compares a table of at
+    most n.bit_length() entries and sorts against a longer one."""
 
     @given(
         angles=st.lists(st.floats(-4.0, 4.0), min_size=18, max_size=18),
@@ -294,6 +304,8 @@ class TestSampleCounting:
         under_quarter, under_three_quarters = np.nextafter([0.25, 0.75], 0.0)
         uniforms = [0.0, 0.25, 0.25, under_quarter, 0.75, 0.75, under_three_quarters, 0.5]
         uniforms.append(LAST_UNIFORM)
+        # 4 entries: blocks of 4 (4, 4, 1) sort; of 8, 8 compares and the last 1 sorts;
+        # of 12, one block of 9 compares
         for block_size in (4, 8, 12):
             with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
                 report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
@@ -303,11 +315,38 @@ class TestSampleCounting:
         dist = exact_distribution(tail_chain())
         cum = np.cumsum(dist.probs)
         edges = [np.nextafter(c, d) for c in cum for d in (0.0, 1.0)]
-        uniforms = [0.0, *cum, *cum, *edges, *cum[::-1], LAST_UNIFORM, LAST_UNIFORM, 0.0]
-        for block_size in (4, 12, 64):
+        uniforms = [0.0, *cum, *cum, *edges, *cum[::-1], LAST_UNIFORM, LAST_UNIFORM, 0.0] * 4
+        # 8 entries against 176 doubles: blocks of 4, 12 and 64 sort; 128 compares
+        # and its last 48 sort; 256 (one block of 176) compares
+        for block_size in (4, 12, 64, 128, 256):
             with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
                 report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
             assert np.array_equal(report.counts, per_trial_counts(dist, np.array(uniforms)))
+
+    @pytest.mark.parametrize(
+        "n_stages, block_size, trials",
+        [
+            (3, 124, 1000),  # 8 entries: 124 doubles sort (bit length 7)
+            (3, 128, 1000),  # 128 compare (bit length 8), the last 104 sort
+            (3, 256, 1000),  # every block compares, the last 232 too
+            (4, 32764, 70000),  # 16 entries: 32764 doubles sort (bit length 15)
+            (4, 32768, 70000),  # 32768 compare (bit length 16), the last 4464 sort
+            (5, 4100, 10003),  # 32 entries sort below 2^31 doubles: every block sorts
+        ],
+    )
+    @given(
+        angles=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
+        first_is_initial=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_both_routes_match_per_trial_reference(
+        self, n_stages, block_size, trials, angles, first_is_initial, seed
+    ):
+        dist = exact_distribution(random_chain(angles, n_stages, first_is_initial))
+        report = sample(dist, seed=seed, trials=trials, block_size=block_size)
+        reference = per_trial_counts(dist, simulate._uniform_block(seed, 0, trials))
+        assert np.array_equal(report.counts, reference)
 
 
 #: CPU sets for the thread pool: one worker, the machine's own, more than it has.
@@ -328,6 +367,21 @@ class TestSampleThreads:
         report = sample(dist, seed=77, trials=trials, block_size=block_size)
         reference = per_trial_counts(dist, simulate._uniform_block(77, 0, trials))
         assert np.array_equal(report.counts, reference)
+
+    def test_one_block_starts_no_pool(self):
+        # one block is one call, made on the caller's thread: the pool module is never imported
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from polamp.simulate import OutcomeDistribution, sample\n"
+            "report = sample(OutcomeDistribution(1, np.array([0.25, 0.75])), 3, 100_000)\n"
+            "assert report.counts.sum() == 100_000\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(simulate.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
         # 1001 blocks of 4 trials, a thread switch every microsecond (about 0.1 s)
