@@ -125,10 +125,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER  # no polamp flag looks like a number
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _fmt_complex(z: complex, machine: bool) -> str:
     if machine:
         return f"{z.real:.17g}{z.imag:+.17g}i"
@@ -192,7 +188,7 @@ def cmd_amp(args) -> int:
         )
     else:
         print(f"amplitude   = {_fmt_complex(z, False)}")
-        print(f"|amplitude|^2 = {_fmt_float(abs(z) ** 2)}")
+        print(f"|amplitude|^2 = {abs(z) ** 2:.12g}")
     return EXIT_OK
 
 
@@ -201,7 +197,7 @@ def cmd_prob(args) -> int:
     if args.machine:
         print(f"prob value={p:.17g}")
     else:
-        print(f"probability = {_fmt_float(p)}")
+        print(f"probability = {p:.12g}")
     return EXIT_OK
 
 
@@ -221,7 +217,7 @@ def _eigvec_lines(obs: Observable2, machine: bool) -> list[str]:
             )
         else:
             lines.append(
-                f"eigvec {sign} (eigenvalue {_fmt_float(r)}): "
+                f"eigvec {sign} (eigenvalue {r:.12g}): "
                 f"({_fmt_complex(xi.c_plus, False)}, {_fmt_complex(xi.c_minus, False)})"
                 f"  residual = {residual:.3e}"
             )
@@ -242,8 +238,8 @@ def cmd_operator(args) -> int:
         print(f"  [ {_fmt_complex(obs.m11, False)}  {_fmt_complex(obs.m12, False)} ]")
         print(f"  [ {_fmt_complex(obs.m21, False)}  {_fmt_complex(obs.m22, False)} ]")
         print(
-            f"trace = {_fmt_float(obs.trace.real)}"
-            f"  det = {_fmt_float(obs.determinant.real)}"
+            f"trace = {obs.trace.real:.12g}"
+            f"  det = {obs.determinant.real:.12g}"
         )
     for line in _eigvec_lines(obs, args.machine):
         print(line)
@@ -263,8 +259,26 @@ def cmd_expect(args) -> int:
     if args.machine:
         print(f"expect value={value:.17g}")
     else:
-        print(f"expectation = {_fmt_float(value)}")
+        print(f"expectation = {value:.12g}")
     return EXIT_OK
+
+
+#: The record of one sequence, ``(human, machine)`` so that ``args.machine``
+#: picks one: its label, then its probability, or its count, expected count
+#: and deviation in standard deviations.
+_DISTRIBUTION_ROW = ("  %s  p = %.12g\n", "distribution seq=%s p=%.17g\n")
+_SAMPLE_ROW = (
+    "  %s  count = %d  expected = %.12g  deviation = %.2f sigma\n",
+    "sample seq=%s count=%d expected=%.17g sigma=%.17g\n",
+)
+
+
+def _write_rows(template: str, n_stages: int, *columns) -> None:
+    """``template % (label, *values)`` for every sequence, formatted as it is written."""
+    # One write per line keeps each write below the pipe's atomic size, so a
+    # reader that closes the pipe raises BrokenPipeError here; a multi-line
+    # write to unbuffered stdout can instead be cut short without an error.
+    sys.stdout.writelines(map(template.__mod__, zip(sequence_labels(n_stages), *columns)))
 
 
 def cmd_simulate(args) -> int:
@@ -289,14 +303,9 @@ def cmd_simulate(args) -> int:
         print(f"warning: distribution sums to 1 {total_dev:+.3e}", file=sys.stderr)
 
     machine = args.machine
-    labels = sequence_labels(dist.n_stages)
     if not machine:
         print(f"exact distribution over {dist.n_stages} stage(s):")
-    for label, p in zip(labels, dist.probs.tolist()):
-        if machine:
-            print(f"distribution seq={label} p={p:.17g}")
-        else:
-            print(f"  {label}  p = {_fmt_float(p)}")
+    _write_rows(_DISTRIBUTION_ROW[machine], dist.n_stages, dist.probs)
 
     if args.exact:
         return EXIT_OK
@@ -306,18 +315,7 @@ def cmd_simulate(args) -> int:
     report = sample(dist, seed=seed, trials=trials)
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
-    columns = (report.counts.tolist(), report.expected.tolist(), report.sigma.tolist())
-    for label, count, expected, sigma in zip(labels, *columns):
-        if machine:
-            print(
-                f"sample seq={label} count={count}"
-                f" expected={expected:.17g} sigma={sigma:.17g}"
-            )
-        else:
-            print(
-                f"  {label}  count = {count}"
-                f"  expected = {_fmt_float(expected)}  deviation = {sigma:.2f} sigma"
-            )
+    _write_rows(_SAMPLE_ROW[machine], dist.n_stages, report.counts, report.expected, report.sigma)
     if machine:
         print(
             f"report seed={report.seed} trials={report.trials}"

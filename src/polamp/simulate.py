@@ -32,6 +32,8 @@ same exact counts.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +55,9 @@ class StageCapError(ValueError):
     """Scenario has more stages than the configured cap allows."""
 
 
-def sequence_labels(n_stages: int) -> list[str]:
-    """The label of every sequence, in index order: ``["++", "+-", "-+", "--"]`` at 2 stages."""
-    plus_minus = str.maketrans("01", "+-")
-    return [format(i, f"0{n_stages}b").translate(plus_minus) for i in range(1 << n_stages)]
+def sequence_labels(n_stages: int) -> Iterator[str]:
+    """Every sequence's label, one at a time in index order: ``++ +- -+ --`` at 2 stages."""
+    return map("".join, itertools.product("+-", repeat=n_stages))
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,27 @@ class OutcomeDistribution:
     """Probability of every outcome sequence of a scenario.
 
     ``probs[i]`` is the probability of sequence ``i`` (module docstring),
-    whose label is ``sequence_labels(n_stages)[i]``. Summing out the last
-    stage is ``probs.reshape(-1, 2).sum(axis=1)``.
+    whose label is the ``i``-th of :func:`sequence_labels`. Summing out the
+    last stage is ``probs.reshape(-1, 2).sum(axis=1)``. ``probs`` is stored as float64:
+    ``2**n_stages`` finite, non-negative entries, not all 0, summing to 1 within
+    ``8 * (n_stages + 1)`` epsilons (5x :func:`exact_distribution`'s worst rounding).
     """
 
     n_stages: int
     probs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        n, probs = self.n_stages, np.asarray(self.probs, dtype=np.float64)
+        if probs.shape != (1 << n,):
+            raise ValueError(f"{n} stages need {1 << n} probabilities, not shape {probs.shape}")
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise ValueError("probabilities must be finite and non-negative")
+        if not probs.any():
+            raise ValueError("every outcome has probability 0: there is nothing to sample")
+        deviation = float(probs.sum()) - 1.0
+        if abs(deviation) > 8 * (n + 1) * np.finfo(np.float64).eps:
+            raise ValueError(f"probabilities sum to 1 {deviation:+.3e}, beyond rounding")
+        object.__setattr__(self, "probs", probs)
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -168,7 +184,7 @@ def sample(
     these numbers are its counts (bit-identical for any block size and
     thread count). A double in the rounding tail, at or above ``cum[-1]``,
     maps to the last sequence with nonzero probability, so p = 0 is never
-    drawn. Probabilities must be finite and non-negative.
+    drawn. ``distribution`` has checked its probabilities on construction.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
@@ -181,13 +197,8 @@ def sample(
         raise ValueError("block_size must be a positive multiple of 4")
 
     probs = distribution.probs
-    if not np.all(np.isfinite(probs) & (probs >= 0)):
-        raise ValueError("probabilities must be finite and non-negative")
-    nonzero = np.flatnonzero(probs)
-    if not nonzero.size:
-        raise ValueError("every outcome has probability 0: there is nothing to sample")
     cum = np.cumsum(probs)
-    last_possible = int(nonzero[-1])
+    last_possible = int(np.flatnonzero(probs)[-1])
 
     def below_cum(lo):
         u = _uniform_block(int(seed), lo, min(block_size, trials - lo))

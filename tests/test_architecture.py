@@ -159,6 +159,24 @@ def test_chain_steps_take_one_route():
     assert "state_vector" not in referenced_names(parse("simulate"))
 
 
+def test_simulate_streams_its_rows():
+    # a loop or a ``tolist()`` column would hold or branch per sequence: the
+    # records go through ``_write_rows``, one template per mode
+    command = top_level_function(parse("cli"), "cmd_simulate")
+    loops = [n for n in ast.walk(command) if isinstance(n, (ast.For, ast.comprehension))]
+    assert not loops
+    assert "tolist" not in referenced_names(command)
+
+
+def test_sequence_labels_are_built_only_in_simulate():
+    # the label format belongs to the module that defines the index convention
+    tree = parse("cli")
+    assert "itertools" not in imported_modules(tree)
+    assert "product" not in referenced_names(tree)
+    literals = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert "+-" not in literals
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # the block pool that verify and sample share (``polamp._pool``) imports
     # concurrent.futures on its first call, so that ``import polamp`` and the

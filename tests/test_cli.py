@@ -8,16 +8,27 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polamp
 from polamp import exact_distribution, load_scenario_file, sample
-from polamp.cli import EXIT_CLOSED, EXIT_FILE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
+from polamp.cli import (
+    _DISTRIBUTION_ROW,
+    _SAMPLE_ROW,
+    EXIT_CLOSED,
+    EXIT_FILE,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    run,
+)
 
 #: ``verify --machine --seed 0 --draws 2000`` as recorded with the earlier
 #: per-element amplitude kernels: every residual, the errata set
@@ -477,6 +488,145 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert fragment in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def chain_document(n_stages, first_is_initial, seed=5):
+    """A scenario document of ``n_stages`` stages at seeded random angles; with
+    ``first_is_initial`` the first stage equals the preparation, so every
+    sequence that starts with '-' has p = 0."""
+    rng = np.random.default_rng(seed + n_stages)
+    theta, alpha = rng.uniform(-180, 180, (2, n_stages + 1)).tolist()
+    stages = [{"theta_deg": t, "alpha_deg": a} for t, a in zip(theta[1:], alpha[1:])]
+    if first_is_initial:
+        stages[0] = {"theta_deg": theta[0], "alpha_deg": alpha[0]}
+    initial = {"theta_deg": theta[0], "alpha_deg": alpha[0], "branch": "+"}
+    return {"initial": initial, "stages": stages, "seed": 11, "trials": 5000}
+
+
+def fstring_simulate_output(dist, report, machine):
+    """``simulate``'s stdout from one f-string ``print`` per record and a
+    label list: the reference for the CLI's row templates. ``report`` is
+    None for ``--exact``."""
+    plus_minus = str.maketrans("01", "+-")
+    n = dist.n_stages
+    labels = [format(i, f"0{n}b").translate(plus_minus) for i in range(1 << n)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if not machine:
+            print(f"exact distribution over {n} stage(s):")
+        for label, p in zip(labels, dist.probs.tolist()):
+            if machine:
+                print(f"distribution seq={label} p={p:.17g}")
+            else:
+                print(f"  {label}  p = {p:.12g}")
+        if report is None:
+            return out.getvalue()
+        if not machine:
+            print(f"monte carlo: seed={report.seed} trials={report.trials}")
+        columns = (report.counts.tolist(), report.expected.tolist(), report.sigma.tolist())
+        for label, count, expected, sigma in zip(labels, *columns):
+            if machine:
+                print(
+                    f"sample seq={label} count={count}"
+                    f" expected={expected:.17g} sigma={sigma:.17g}"
+                )
+            else:
+                print(
+                    f"  {label}  count = {count}"
+                    f"  expected = {expected:.12g}  deviation = {sigma:.2f} sigma"
+                )
+        if machine:
+            print(
+                f"report seed={report.seed} trials={report.trials}"
+                f" max_sigma={report.max_abs_deviation_sigma:.17g}"
+            )
+        else:
+            print(f"max deviation = {report.max_abs_deviation_sigma:.2f} sigma")
+    return out.getvalue()
+
+
+#: Every float class a record field can meet: signed zeros, subnormals, the
+#: extremes, the non-finite values, and any other double.
+RECORD_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, math.inf, -math.inf, math.nan)
+
+
+def fstring_rows(label, p, count, expected, sigma):
+    """The per-record f-strings of (distribution, sample), each (human, machine)."""
+    return (
+        (f"  {label}  p = {p:.12g}\n", f"distribution seq={label} p={p:.17g}\n"),
+        (
+            f"  {label}  count = {count}  expected = {expected:.12g}  deviation = {sigma:.2f} sigma\n",
+            f"sample seq={label} count={count} expected={expected:.17g} sigma={sigma:.17g}\n",
+        ),
+    )
+
+
+def template_rows(label, p, count, expected, sigma):
+    """The CLI's row templates fed numpy scalars, as iterating its arrays yields them."""
+    values = (np.int64(count), np.float64(expected), np.float64(sigma))
+    return (
+        tuple(template % (label, np.float64(p)) for template in _DISTRIBUTION_ROW),
+        tuple(template % (label, *values) for template in _SAMPLE_ROW),
+    )
+
+
+class TestSimulateRows:
+    """Each sequence's record comes from one ``%`` template per mode, fed the
+    numpy scalars of the library's arrays. Its bytes are those of the
+    per-record f-strings on the ``tolist()`` values."""
+
+    @pytest.mark.parametrize(
+        "mode", [["--machine"], [], ["--exact", "--machine"]], ids=["machine", "human", "exact"]
+    )
+    @pytest.mark.parametrize("first_is_initial", [False, True], ids=["random", "first_is_initial"])
+    @pytest.mark.parametrize("n_stages", [1, 2, 6, 12])
+    def test_output_equals_the_fstring_reference(
+        self, capsys, tmp_path, n_stages, first_is_initial, mode
+    ):
+        document = chain_document(n_stages, first_is_initial)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(document))
+        dist = exact_distribution(load_scenario_file(path).scenario)
+        if first_is_initial:
+            assert not dist.probs[len(dist.probs) // 2 :].any()
+        report = None if "--exact" in mode else sample(dist, seed=11, trials=5000)
+        assert run(["simulate", str(path), *mode]) == EXIT_OK
+        assert capsys.readouterr().out == fstring_simulate_output(dist, report, "--machine" in mode)
+
+    @given(
+        label=st.text("+-", min_size=1, max_size=20),
+        p=RECORD_FLOATS,
+        count=st.integers(-(2**63), 2**63 - 1),
+        expected=RECORD_FLOATS,
+        sigma=RECORD_FLOATS,
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_templates_format_like_fstrings(self, label, p, count, expected, sigma):
+        assert template_rows(label, p, count, expected, sigma) == fstring_rows(
+            label, p, count, expected, sigma
+        )
+
+    @pytest.mark.parametrize("count", [0, -(2**63), 2**63 - 1])
+    @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+    def test_templates_format_edge_values_like_fstrings(self, x, count):
+        assert template_rows("+-", x, count, x, x) == fstring_rows("+-", x, count, x, x)
+
+    def test_memory_is_bounded_by_the_distribution(self, tmp_path):
+        # 2^16 records written from the probability array: no per-row list or
+        # label list may exist, so the peak stays within a few copies of it
+        path = tmp_path / "chain16.json"
+        path.write_text(json.dumps(chain_document(16, False)))
+        probs_nbytes = 8 << 16
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = run(["simulate", str(path), "--exact", "--machine"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 4 * probs_nbytes, f"peak {peak} B"
 
 
 # ---------------------------------------------------------------------------

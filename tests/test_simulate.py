@@ -81,11 +81,11 @@ class TestSequenceIndexing:
         # index <-> sequence is a bijection: every +/- string of n stages once
         for n in range(1, 7):
             every = {"".join(s) for s in itertools.product("+-", repeat=n)}
-            labels = sequence_labels(n)
+            labels = list(sequence_labels(n))
             assert len(labels) == 2**n and set(labels) == every
 
     def test_first_stage_is_most_significant(self):
-        labels = sequence_labels(3)
+        labels = list(sequence_labels(3))
         assert labels[4] == "-++"
         assert labels[1] == "++-"
 
@@ -100,7 +100,7 @@ class TestSequenceIndexing:
                 "".join("-" if (i >> (n - 1 - k)) & 1 else "+" for k in range(n))
                 for i in range(2**n)
             ]
-            assert sequence_labels(n) == expected
+            assert list(sequence_labels(n)) == expected
 
 
 class TestExactDistribution:
@@ -237,9 +237,56 @@ class TestSample:
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_probability_not_finite_and_non_negative_rejected(self, bad):
-        dist = OutcomeDistribution(2, np.array([0.5, bad, 0.5, 0.0]))
         with pytest.raises(ValueError, match="finite and non-negative"):
+            dist = OutcomeDistribution(2, np.array([0.5, bad, 0.5, 0.0]))
             sample(dist, 0, 1000)
+
+
+class TestOutcomeDistribution:
+    """A distribution checks its table on construction, so ``sample`` can trust it."""
+
+    @pytest.mark.parametrize(
+        "n_stages, probs",
+        [(2, [0.1] * 4), (1, [0.9, 0.9])],
+        ids=["sum_0.4", "sum_1.8"],
+    )
+    def test_table_that_does_not_sum_to_one_rejected(self, n_stages, probs):
+        with pytest.raises(ValueError, match="sum to 1"):
+            OutcomeDistribution(n_stages, probs)
+
+    @pytest.mark.parametrize(
+        "n_stages, probs",
+        [(3, np.full(4, 0.25)), (1, np.full(4, 0.25)), (2, np.full((2, 2), 0.25))],
+        ids=["too_short", "too_long", "two_dimensional"],
+    )
+    def test_table_of_the_wrong_shape_rejected(self, n_stages, probs):
+        with pytest.raises(ValueError, match=f"{n_stages} stages need {2**n_stages} probabilities"):
+            OutcomeDistribution(n_stages, probs)
+
+    def test_list_is_stored_as_a_float64_array(self):
+        dist = OutcomeDistribution(2, [0.25, 0, 0.5, 0.25])
+        assert isinstance(dist.probs, np.ndarray) and dist.probs.dtype == np.float64
+        assert dist.probs.tolist() == [0.25, 0.0, 0.5, 0.25]
+        report = sample(dist, seed=3, trials=1000)
+        assert report.counts.sum() == 1000 and report.counts[1] == 0
+
+    def test_rounding_bound_is_linear_in_the_stage_count(self):
+        eps = np.finfo(np.float64).eps
+        # 8 * (n_stages + 1) eps: 32 eps at 3 stages, 24 eps at 2
+        OutcomeDistribution(3, [0.125 + 30 * eps] + [0.125] * 7)
+        with pytest.raises(ValueError, match="sum to 1"):
+            OutcomeDistribution(2, [0.25 + 30 * eps] + [0.25] * 3)
+
+    @given(
+        angles=st.lists(st.floats(-1e8, 1e8), min_size=26, max_size=26),
+        n_stages=st.integers(1, 12),
+        first_is_initial=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_distribution_passes_its_own_check(self, angles, n_stages, first_is_initial):
+        # the check runs on construction: an exact table never trips the rounding bound
+        dist = exact_distribution(random_chain(angles, n_stages, first_is_initial))
+        assert dist.probs.shape == (2**n_stages,)
 
 
 class TestSampleTail:
