@@ -8,8 +8,12 @@ converted to radians at exactly one point, so ``--deg X`` and
 ``--rad <X*pi/180>`` agree bit-for-bit.
 
 Output modes: a human-readable table (default) and ``--machine``:
-one record per line of space-separated ``key=value`` fields, floats with
-17 significant digits (round-trip safe), complex values as ``re+imi``.
+one record per line, its kind followed by space-separated ``key=value``
+fields. :func:`_record` writes every record but ``simulate``'s
+per-sequence rows, whose ``%`` templates give the same bytes. A field is
+formatted by its type: a float with 17 significant digits (``.17g``,
+round-trip safe), a complex value as ``re+imi`` with both parts at
+``.17g``, an integer in decimal, a bool as ``0``/``1`` and a string as is.
 
 Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
 3 unreadable or invalid scenario file (including the stage cap),
@@ -31,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .amplitudes import amplitude, probability
+from .amplitudes import _probability_of, amplitude, probability
 from .directions import DEFAULT_TOLERANCE, Branch, BranchLabel, Direction
 from .operators import (
     Observable2,
@@ -70,39 +74,24 @@ def _number(convert, text: str):
         raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
 
 
-def _seed_u64(text: str) -> int:
-    value = _number(int, text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+def _checked(convert, accept, what: str):
+    """An argument type: ``convert(text)`` if ``accept`` takes it, else "must be ``what``"."""
+
+    def validate(text: str):
+        value = _number(convert, text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}")
+        return value
+
+    return validate
 
 
-def _positive_int(text: str) -> int:
-    value = _number(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = _number(int, text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = _number(float, text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _number(float, text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be a finite positive number")
-    return value
+# seeds are uint64, trial and draw counts int64
+_seed_u64 = _checked(int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
+_positive_int = _checked(int, lambda v: 1 <= v < 2**63, "a positive integer below 2**63")
+_non_negative_int = _checked(int, lambda v: 0 <= v < 2**63, "a non-negative integer below 2**63")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
 
 
 def _branch(text: str) -> Branch:
@@ -125,10 +114,28 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER  # no polamp flag looks like a number
 
 
-def _fmt_complex(z: complex, machine: bool) -> str:
-    if machine:
-        return f"{z.real:.17g}{z.imag:+.17g}i"
+def _fmt_complex(z: complex) -> str:
+    """``z`` for a human record: ``re+imi`` at 10 significant digits."""
     return f"{z.real:.10g}{z.imag:+.10g}i"
+
+
+def _field(value) -> str:
+    """One ``--machine`` field value, formatted by its type (module docstring)."""
+    if isinstance(value, bool):  # str(True) is "True"
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, complex):
+        return f"{value.real:.17g}{value.imag:+.17g}i"
+    return str(value)
+
+
+def _record(args, kind: str, human: str, **fields) -> None:
+    """Print one record: ``human``, or under ``--machine`` ``kind`` and its ``key=value`` fields."""
+    if args.machine:
+        print(" ".join([kind, *(f"{key}={_field(value)}" for key, value in fields.items())]))
+    else:
+        print(human)
 
 
 def _env_value(name: str, validate):
@@ -182,90 +189,66 @@ def _label(args, prefix: str) -> BranchLabel:
 
 def cmd_amp(args) -> int:
     z = amplitude(_label(args, "a"), _label(args, "b"))
-    if args.machine:
-        print(
-            f"amp re={z.real:.17g} im={z.imag:.17g} modulus2={abs(z) ** 2:.17g}"
-        )
-    else:
-        print(f"amplitude   = {_fmt_complex(z, False)}")
-        print(f"|amplitude|^2 = {abs(z) ** 2:.12g}")
+    p = _probability_of(z)  # the rule of ``probability``, so amp and prob agree
+    human = f"amplitude   = {_fmt_complex(z)}\n|amplitude|^2 = {p:.12g}"
+    _record(args, "amp", human, re=z.real, im=z.imag, modulus2=p)
     return EXIT_OK
 
 
 def cmd_prob(args) -> int:
     p = probability(_label(args, "a"), _label(args, "b"))
-    if args.machine:
-        print(f"prob value={p:.17g}")
-    else:
-        print(f"probability = {p:.12g}")
+    _record(args, "prob", f"probability = {p:.12g}", value=p)
     return EXIT_OK
 
 
-def _eigvec_lines(obs: Observable2, machine: bool) -> list[str]:
+def _eigvec_records(args, obs: Observable2) -> None:
     xi_plus, xi_minus = eigenvector_states(obs.measure_dir, obs.basis_dir)
     m = obs.as_array()
-    lines = []
     for sign, xi, r in (("+", xi_plus, obs.r_plus), ("-", xi_minus, obs.r_minus)):
         v = xi.as_array()
         residual = float(np.max(np.abs(m @ v - r * v)))
-        if machine:
-            lines.append(
-                f"eigvec branch={sign} eigenvalue={r:.17g}"
-                f" c_plus={_fmt_complex(xi.c_plus, True)}"
-                f" c_minus={_fmt_complex(xi.c_minus, True)}"
-                f" residual={residual:.17g}"
-            )
-        else:
-            lines.append(
-                f"eigvec {sign} (eigenvalue {r:.12g}): "
-                f"({_fmt_complex(xi.c_plus, False)}, {_fmt_complex(xi.c_minus, False)})"
-                f"  residual = {residual:.3e}"
-            )
-    return lines
+        human = (
+            f"eigvec {sign} (eigenvalue {r:.12g}): "
+            f"({_fmt_complex(xi.c_plus)}, {_fmt_complex(xi.c_minus)})  residual = {residual:.3e}"
+        )
+        _record(
+            args, "eigvec", human,
+            branch=sign, eigenvalue=r, c_plus=xi.c_plus, c_minus=xi.c_minus, residual=residual,
+        )
 
 
 def cmd_operator(args) -> int:
     obs = observable_matrix(_direction(args, "b"), _direction(args, "c"), args.r_plus, args.r_minus)
-    if args.machine:
-        print(
-            "matrix"
-            f" m11={_fmt_complex(obs.m11, True)} m12={_fmt_complex(obs.m12, True)}"
-            f" m21={_fmt_complex(obs.m21, True)} m22={_fmt_complex(obs.m22, True)}"
-            f" r_plus={obs.r_plus:.17g} r_minus={obs.r_minus:.17g}"
-        )
-    else:
-        print("observable matrix:")
-        print(f"  [ {_fmt_complex(obs.m11, False)}  {_fmt_complex(obs.m12, False)} ]")
-        print(f"  [ {_fmt_complex(obs.m21, False)}  {_fmt_complex(obs.m22, False)} ]")
-        print(
-            f"trace = {obs.trace.real:.12g}"
-            f"  det = {obs.determinant.real:.12g}"
-        )
-    for line in _eigvec_lines(obs, args.machine):
-        print(line)
+    human = (
+        "observable matrix:\n"
+        f"  [ {_fmt_complex(obs.m11)}  {_fmt_complex(obs.m12)} ]\n"
+        f"  [ {_fmt_complex(obs.m21)}  {_fmt_complex(obs.m22)} ]\n"
+        f"trace = {obs.trace.real:.12g}  det = {obs.determinant.real:.12g}"
+    )
+    _record(
+        args, "matrix", human,
+        m11=obs.m11, m12=obs.m12, m21=obs.m21, m22=obs.m22, r_plus=obs.r_plus, r_minus=obs.r_minus,
+    )
+    _eigvec_records(args, obs)
     return EXIT_OK
 
 
 def cmd_eigvec(args) -> int:
     obs = observable_matrix(_direction(args, "b"), _direction(args, "c"), 1.0, -1.0)
-    for line in _eigvec_lines(obs, args.machine):
-        print(line)
+    _eigvec_records(args, obs)
     return EXIT_OK
 
 
 def cmd_expect(args) -> int:
-    initial = _label(args, "a")
-    value = expectation_closed(initial, _direction(args, "b"))
-    if args.machine:
-        print(f"expect value={value:.17g}")
-    else:
-        print(f"expectation = {value:.12g}")
+    value = expectation_closed(_label(args, "a"), _direction(args, "b"))
+    _record(args, "expect", f"expectation = {value:.12g}", value=value)
     return EXIT_OK
 
 
 #: The record of one sequence, ``(human, machine)`` so that ``args.machine``
 #: picks one: its label, then its probability, or its count, expected count
-#: and deviation in standard deviations.
+#: and deviation in standard deviations. The machine templates give the
+#: bytes of :func:`_record` for the same fields, one ``%`` pass per row.
 _DISTRIBUTION_ROW = ("  %s  p = %.12g\n", "distribution seq=%s p=%.17g\n")
 _SAMPLE_ROW = (
     "  %s  count = %d  expected = %.12g  deviation = %.2f sigma\n",
@@ -316,58 +299,42 @@ def cmd_simulate(args) -> int:
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
     _write_rows(_SAMPLE_ROW[machine], dist.n_stages, report.counts, report.expected, report.sigma)
-    if machine:
-        print(
-            f"report seed={report.seed} trials={report.trials}"
-            f" max_sigma={report.max_abs_deviation_sigma:.17g}"
-        )
-    else:
-        print(f"max deviation = {report.max_abs_deviation_sigma:.2f} sigma")
+    max_sigma = report.max_abs_deviation_sigma
+    human = f"max deviation = {max_sigma:.2f} sigma"
+    _record(args, "report", human, seed=report.seed, trials=report.trials, max_sigma=max_sigma)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, DEFAULT_TOLERANCE)
     report = run_all(draws=args.draws, seed=args.seed, tolerance=tolerance)
-    machine = args.machine
     for s in report.suites:
-        if machine:
-            print(
-                f"suite name={s.name} draws={s.draws} max_residual={s.max_residual:.17g}"
-                f" tolerance={s.tolerance:.17g} pass={int(s.passed)}"
-            )
-        else:
-            flag, relation = ("PASS", "<") if s.passed else ("FAIL", ">=")
-            print(
-                f"{flag} {s.name:<26} max residual {s.max_residual:.3e}"
-                f" {relation} {s.tolerance:.0e} ({s.draws} draws)"
-            )
+        flag, relation = ("PASS", "<") if s.passed else ("FAIL", ">=")
+        human = (
+            f"{flag} {s.name:<26} max residual {s.max_residual:.3e}"
+            f" {relation} {s.tolerance:.0e} ({s.draws} draws)"
+        )
+        _record(
+            args, "suite", human, name=s.name, draws=s.draws, max_residual=s.max_residual,
+            tolerance=s.tolerance, **{"pass": s.passed},
+        )
     for e in report.errata:
-        if machine:
-            print(
-                f"erratum equation={e.equation} element={e.element}"
-                f" paper={_fmt_complex(e.paper_value, True)}"
-                f" derived={_fmt_complex(e.derived_value, True)}"
-                f" max_abs_diff={e.max_abs_diff:.17g}"
-            )
-        else:
-            print(
-                f"ERRATUM {e.equation} {e.element}: stated {_fmt_complex(e.paper_value, False)}"
-                f" vs derived {_fmt_complex(e.derived_value, False)}"
-                f" (max |diff| {e.max_abs_diff:.3e})"
-            )
+        human = (
+            f"ERRATUM {e.equation} {e.element}: stated {_fmt_complex(e.paper_value)}"
+            f" vs derived {_fmt_complex(e.derived_value)} (max |diff| {e.max_abs_diff:.3e})"
+        )
+        _record(
+            args, "erratum", human, equation=e.equation, element=e.element,
+            paper=e.paper_value, derived=e.derived_value, max_abs_diff=e.max_abs_diff,
+        )
+    n_suites, n_errata = len(report.suites), len(report.errata)
     n_pass = sum(s.passed for s in report.suites)
-    if machine:
-        print(
-            f"verify pass={int(report.passed)} suites={len(report.suites)}"
-            f" failed={len(report.suites) - n_pass} errata={len(report.errata)}"
-        )
-    else:
-        verdict = "all invariant suites pass" if report.passed else "INVARIANT FAILURE"
-        print(
-            f"{verdict} ({n_pass}/{len(report.suites)});"
-            f" {len(report.errata)} errata recorded"
-        )
+    verdict = "all invariant suites pass" if report.passed else "INVARIANT FAILURE"
+    human = f"{verdict} ({n_pass}/{n_suites}); {n_errata} errata recorded"
+    _record(
+        args, "verify", human,
+        **{"pass": report.passed}, suites=n_suites, failed=n_suites - n_pass, errata=n_errata,
+    )
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

@@ -122,8 +122,10 @@ def parse_scenario(document: dict) -> ScenarioFile:
     trials = None
     if "trials" in document:
         value = document["trials"]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ScenarioError(f"{where}.trials: expected a positive integer, got {_shown(value)}")
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
+            raise ScenarioError(
+                f"{where}.trials: expected a positive integer below 2**63, got {_shown(value)}"
+            )
         trials = value
 
     tolerance = None

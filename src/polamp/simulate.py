@@ -84,7 +84,8 @@ class OutcomeDistribution:
 
     ``probs[i]`` is the probability of sequence ``i`` (module docstring),
     whose label is the ``i``-th of :func:`sequence_labels`. Summing out the
-    last stage is ``probs.reshape(-1, 2).sum(axis=1)``. ``probs`` is stored as float64:
+    last stage is ``probs.reshape(-1, 2).sum(axis=1)``. ``probs`` is stored as a
+    read-only float64 copy, so the checks hold for its life:
     ``2**n_stages`` finite, non-negative entries, not all 0, summing to 1 within
     ``8 * (n_stages + 1)`` epsilons (5x :func:`exact_distribution`'s worst rounding).
     """
@@ -93,7 +94,8 @@ class OutcomeDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n, probs = self.n_stages, np.asarray(self.probs, dtype=np.float64)
+        n, probs = self.n_stages, np.array(self.probs, dtype=np.float64)
+        probs.flags.writeable = False
         if probs.shape != (1 << n,):
             raise ValueError(f"{n} stages need {1 << n} probabilities, not shape {probs.shape}")
         if not np.all(np.isfinite(probs) & (probs >= 0)):
@@ -189,8 +191,8 @@ def sample(
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials < 2**63:
+        raise ValueError("trials must be from 1 to 2**63 - 1 (counts are int64)")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if block_size < 1 or block_size % 4 != 0:

@@ -177,6 +177,56 @@ def test_sequence_labels_are_built_only_in_simulate():
     assert "+-" not in literals
 
 
+def cli_functions() -> dict[str, ast.FunctionDef]:
+    return {n.name: n for n in parse("cli").body if isinstance(n, ast.FunctionDef)}
+
+
+def machine_reads(node: ast.AST) -> list[ast.Attribute]:
+    """Every ``<x>.machine`` under ``node``."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "machine"]
+
+
+def is_print(statement: ast.stmt) -> bool:
+    call = getattr(statement, "value", None)
+    return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print"
+
+
+def test_machine_mode_is_read_by_the_record_writer_and_simulate_rows_only():
+    # the --machine layout has one definition, ``_record``; simulate reads
+    # the mode once, to pick its row templates and to skip its human headers
+    functions = cli_functions()
+    readers = {name for name, node in functions.items() if machine_reads(node)}
+    assert readers == {"_record", "cmd_simulate"}
+    assert len(machine_reads(parse("cli"))) == 2
+    command = functions["cmd_simulate"]
+    uses = [
+        n for n in ast.walk(command)
+        if isinstance(n, ast.Name) and n.id == "machine" and isinstance(n.ctx, ast.Load)
+    ]
+    templates = ("_DISTRIBUTION_ROW", "_SAMPLE_ROW")
+    picks = [
+        n.slice for n in ast.walk(command)
+        if isinstance(n, ast.Subscript) and getattr(n.value, "id", None) in templates
+    ]
+    headers = [
+        n.test.operand for n in ast.walk(command)
+        if isinstance(n, ast.If) and isinstance(n.test, ast.UnaryOp)
+        and isinstance(n.test.op, ast.Not) and not n.orelse and all(map(is_print, n.body))
+    ]
+    assert len(picks) == 2 and len(headers) == 2
+    assert sorted(map(id, uses)) == sorted(map(id, picks + headers))
+
+
+def test_machine_number_format_is_written_once():
+    # a handler that formats its own ``.17g`` field forks the --machine layout
+    functions = cli_functions()
+    formats = {
+        name for name, node in functions.items()
+        if any(isinstance(c, ast.Constant) and ".17g" in str(c.value) for c in ast.walk(node))
+    }
+    assert formats == {"_field"}
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # the block pool that verify and sample share (``polamp._pool``) imports
     # concurrent.futures on its first call, so that ``import polamp`` and the

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flags, output formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -27,6 +28,8 @@ from polamp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _record,
+    build_parser,
     run,
 )
 
@@ -39,6 +42,17 @@ GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed0_draws2000.txt"
 #: ran over lane blocks. Its draws span blocks of 8192, 8192 and 3617 lanes,
 #: so every suite maximum and every erratum crosses two block boundaries.
 GOLDEN_VERIFY_BLOCKS = Path(__file__).parent / "data" / "verify_seed7_draws20001.txt"
+
+#: Human ``verify`` output, as recorded before every record went through one
+#: writer: ``argv`` and exit code per file. The second fails ten suites, so it
+#: holds the FAIL lines, all twelve ERRATUM lines and the failure summary.
+GOLDEN_VERIFY_HUMAN = {
+    "verify_human_seed0_draws2000.txt": (["verify", "--draws", "2000"], EXIT_OK),
+    "verify_human_seed0_draws100_tol1e-300.txt": (
+        ["verify", "--draws", "100", "--tolerance", "1e-300"],
+        EXIT_VERIFY,
+    ),
+}
 
 #: ``simulate --machine`` on ``data/simulate_<name>.json`` as recorded when
 #: every trial was classified on its own: the counts of a seeded run are a
@@ -98,6 +112,21 @@ def cplx(text):
 def run_capture(capsys, argv):
     code = run(argv)
     return code, capsys.readouterr().out.strip().splitlines()
+
+
+def machine_record(argv):
+    """The fields of the one ``--machine`` record ``argv`` prints (no capsys, for hypothesis)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run([*argv, "--machine"]) == EXIT_OK
+    (line,) = out.getvalue().splitlines()
+    return fields(line)
+
+
+#: A branch label as CLI arguments: angles in degrees, as ``repr`` writes them.
+CLI_LABELS = st.tuples(
+    st.floats(-720, 720).map(repr), st.floats(-720, 720).map(repr), st.sampled_from("+-")
+)
 
 
 def golden_label_records():
@@ -193,6 +222,20 @@ class TestAmp:
     def test_prob(self, capsys):
         code, lines = run_capture(capsys, ["prob", "30", "0", "+", "0", "0", "+", "--machine"])
         assert float(fields(lines[0])["value"]) == pytest.approx(0.75, abs=1e-12)
+
+    def test_identical_labels_give_modulus_one_like_prob(self):
+        # |z|^2 of this pair rounds to 1.0000000000000004; prob clamps it to 1
+        label = ["8", "0", "+"]
+        assert machine_record(["amp", *label, *label])["modulus2"] == "1"
+        assert machine_record(["prob", *label, *label])["value"] == "1"
+
+    @given(a=CLI_LABELS, b=st.none() | CLI_LABELS)
+    @settings(max_examples=200, deadline=None)
+    def test_modulus_is_prob_value(self, a, b):
+        # b None: identical labels, where |z|^2 of some angles rounds above 1
+        labels = [*a, *(b or a)]
+        amp = machine_record(["amp", *labels])
+        assert amp["modulus2"] == machine_record(["prob", *labels])["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +505,14 @@ class TestSimulate:
         assert code == EXIT_OK
         assert counted.call_count == 1
 
+    def test_trials_beyond_int64_in_the_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**MALUS, "trials": 10**25}))
+        assert run(["simulate", str(path)]) == EXIT_FILE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: scenario.trials: ")
+        assert "2**63" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("name", GOLDEN_SIMULATE)
     def test_machine_output_matches_golden_record(self, capsys, name):
         data = Path(__file__).parent / "data"
@@ -571,6 +622,29 @@ def template_rows(label, p, count, expected, sigma):
     )
 
 
+def record_line(kind, **values):
+    """``_record``'s ``--machine`` line for the fields ``values``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _record(argparse.Namespace(machine=True), kind, "unused", **values)
+    return out.getvalue()
+
+
+def machine_rows_and_records(label, p, count, expected, sigma):
+    """(the machine row templates' lines, ``_record``'s lines), fed the same numpy scalars."""
+    p, expected, sigma = np.float64(p), np.float64(expected), np.float64(sigma)
+    count = np.int64(count)
+    rows = (
+        _DISTRIBUTION_ROW[True] % (label, p),
+        _SAMPLE_ROW[True] % (label, count, expected, sigma),
+    )
+    records = (
+        record_line("distribution", seq=label, p=p),
+        record_line("sample", seq=label, count=count, expected=expected, sigma=sigma),
+    )
+    return rows, records
+
+
 class TestSimulateRows:
     """Each sequence's record comes from one ``%`` template per mode, fed the
     numpy scalars of the library's arrays. Its bytes are those of the
@@ -611,6 +685,25 @@ class TestSimulateRows:
     @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
     def test_templates_format_edge_values_like_fstrings(self, x, count):
         assert template_rows("+-", x, count, x, x) == fstring_rows("+-", x, count, x, x)
+
+    @given(
+        label=st.text("+-", min_size=1, max_size=20),
+        p=RECORD_FLOATS,
+        count=st.integers(-(2**63), 2**63 - 1),
+        expected=RECORD_FLOATS,
+        sigma=RECORD_FLOATS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_machine_templates_write_record_lines(self, label, p, count, expected, sigma):
+        # the --machine layout has one definition; the row templates restate it
+        rows, records = machine_rows_and_records(label, p, count, expected, sigma)
+        assert rows == records
+
+    @pytest.mark.parametrize("count", [0, -(2**63), 2**63 - 1])
+    @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+    def test_machine_templates_write_record_lines_at_edge_values(self, x, count):
+        rows, records = machine_rows_and_records("+-", x, count, x, x)
+        assert rows == records
 
     def test_memory_is_bounded_by_the_distribution(self, tmp_path):
         # 2^16 records written from the probability array: no per-row list or
@@ -691,6 +784,12 @@ class TestVerify:
         assert code == EXIT_OK
         assert capsys.readouterr().out == GOLDEN_VERIFY_BLOCKS.read_text()
 
+    @pytest.mark.parametrize("name", GOLDEN_VERIFY_HUMAN)
+    def test_human_output_matches_golden_record(self, capsys, name):
+        argv, expected_code = GOLDEN_VERIFY_HUMAN[name]
+        assert run(argv) == expected_code
+        assert capsys.readouterr().out == (Path(__file__).parent / "data" / name).read_text()
+
     def test_flag_overrides_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("POLAMP_TOLERANCE", "1e-30")
         code, _ = run_capture(capsys, ["verify", "--draws", "200", "--tolerance", "1e-9"])
@@ -745,6 +844,30 @@ def test_usage_error_is_in_plain_words(capsys, name):
     assert f"argument {name}: " in err and "'abc'" in err
     # no private function name, such as that of an argparse type function
     assert not re.search(r"(?<!\w)_[a-z]", err), err
+
+
+#: Each count flag and a value one past the int64 counts it feeds.
+COUNT_FLAGS = {
+    "--trials": ["simulate", "chain.json", "--trials"],
+    "--draws": ["verify", "--draws"],
+}
+
+
+@pytest.mark.parametrize("value", [2**63, 10**25])
+@pytest.mark.parametrize("name", COUNT_FLAGS)
+def test_count_beyond_int64_is_a_usage_error(capsys, name, value):
+    # parsed only: were the count accepted, the command would run for ever
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*COUNT_FLAGS[name], str(value)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {name}: must be a " in err and "below 2**63" in err
+
+
+@pytest.mark.parametrize("name", COUNT_FLAGS)
+def test_count_of_int64_max_is_accepted(name):
+    args = build_parser().parse_args([*COUNT_FLAGS[name], str(2**63 - 1)])
+    assert getattr(args, name.removeprefix("--")) == 2**63 - 1
 
 
 def polamp_process(*argv: str, buffered: bool = False) -> subprocess.Popen:

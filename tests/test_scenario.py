@@ -53,6 +53,7 @@ def test_optional_keys_absent():
         (lambda d: d["initial"].update(theta_deg="ten"), "initial.theta_deg"),
         (lambda d: d.update(seed=-3), "seed"),
         (lambda d: d.update(trials=0), "trials"),
+        (lambda d: d.update(trials=2**63), "trials"),
         (lambda d: d.update(tolerance=0.0), "tolerance"),
     ],
 )
@@ -61,6 +62,10 @@ def test_rejections_name_the_key(mutate, fragment):
     mutate(doc)
     with pytest.raises(ScenarioError, match=fragment.replace("[", r"\[").replace("]", r"\]")):
         parse_scenario(doc)
+
+
+def test_trials_up_to_int64_max_accepted():
+    assert parse_scenario({**VALID, "trials": 2**63 - 1}).trials == 2**63 - 1
 
 
 def test_load_from_file(tmp_path):

@@ -227,6 +227,14 @@ class TestSample:
         with pytest.raises(ValueError, match="trials"):
             sample(exact_distribution(malus_chain()), seed=0, trials=0)
 
+    @pytest.mark.parametrize("trials", [2**63, 10**25])
+    def test_trials_beyond_int64_rejected(self, trials):
+        # counts are int64; rejected before a block is drawn
+        dist = exact_distribution(malus_chain())
+        with mock.patch.object(simulate, "map_in_order", side_effect=AssertionError("sampled")):
+            with pytest.raises(ValueError, match="trials"):
+                sample(dist, seed=0, trials=trials)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             sample(exact_distribution(malus_chain()), seed=-1, trials=10)
@@ -269,6 +277,17 @@ class TestOutcomeDistribution:
         assert dist.probs.tolist() == [0.25, 0.0, 0.5, 0.25]
         report = sample(dist, seed=3, trials=1000)
         assert report.counts.sum() == 1000 and report.counts[1] == 0
+
+    def test_table_is_a_read_only_copy(self):
+        source = np.array([0.5, 0.5])
+        dist = OutcomeDistribution(1, source)
+        source[:] = [0.9, 0.9]  # would not pass the sum check
+        assert dist.probs.tolist() == [0.5, 0.5]
+        fair = OutcomeDistribution(1, [0.5, 0.5])
+        counts = sample(dist, seed=4, trials=10_000).counts
+        assert counts.tolist() == sample(fair, seed=4, trials=10_000).counts.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs[0] = 0.9
 
     def test_rounding_bound_is_linear_in_the_stage_count(self):
         eps = np.finfo(np.float64).eps
