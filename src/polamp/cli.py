@@ -138,36 +138,28 @@ def _record(args, kind: str, human: str, **fields) -> None:
         print(human)
 
 
-def _env_value(name: str, validate):
-    """The override ``$name`` passed through the validator of its flag, or None.
-
-    An invalid value is a usage error, reported the way argparse reports a
-    bad flag: a message on stderr and ``SystemExit(EXIT_USAGE)``.
-    """
-    text = os.environ.get(name)
-    if text is None:
-        return None
-    try:
-        return validate(text)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {name}={text!r}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
-
-
 def _first(*values):
     """The first of ``values`` that is not None."""
     return next(v for v in values if v is not None)
 
 
-def _resolve(flag, env_name: str, validate, *fallbacks):
-    """A setting: its flag if given, else ``$env_name``, else the first fallback.
+def _resolve(flag, env_name: str, validate, default):
+    """A setting: its flag if given, else ``$env_name`` through ``validate``, else ``default``.
 
     The variable is read only when the flag is absent, so a flag overrides
-    even an invalid value in the environment.
+    even an invalid value in the environment. An invalid value is a usage
+    error, reported the way argparse reports a bad flag.
     """
     if flag is not None:
         return flag
-    return _first(_env_value(env_name, validate), *fallbacks)
+    text = os.environ.get(env_name)
+    if text is None:
+        return default
+    try:
+        return validate(text)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {env_name}={text!r}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def _direction(args, prefix: str) -> Direction:
@@ -271,9 +263,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
 
-    tolerance = _resolve(
-        args.tolerance, ENV_TOLERANCE, _positive_float, loaded.tolerance, DEFAULT_TOLERANCE
-    )
+    default_tolerance = _first(loaded.tolerance, DEFAULT_TOLERANCE)
+    tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, default_tolerance)
     stage_cap = _resolve(args.stage_cap, ENV_STAGE_CAP, _positive_int, DEFAULT_STAGE_CAP)
     try:
         dist = exact_distribution(loaded.scenario, stage_cap=stage_cap)

@@ -22,12 +22,13 @@ The adjudication half compares the verbatim transcriptions in
 value beyond tolerance. The expected outcome: records for Eq58, Eq59 and
 Eq72, none for Eq53-Eq56.
 
-Each suite and errata table stands for its input arrays of ``draws``
-doubles from the run's PCG64 stream, drawn one after the other, but no
-such array exists: every block of ``LANE_BLOCK`` lanes draws its own lanes
-of them inside its worker thread, by counter advance (:func:`_draws`). The
-output is the same as drawing the arrays in full, and memory does not grow
-with the draw count.
+A suite is its residual function (:func:`_suite`) over arrays of ``draws``
+doubles from the run's PCG64 stream, but no such array exists: each block
+of ``LANE_BLOCK`` lanes draws its own slice of them in its worker thread by
+counter advance (:func:`_draws`), so memory does not grow with the draw
+count. Suites and errata share one reduction (:func:`_worst`): each
+residual's largest value and the first lane holding it. An erratum reads
+its stated and derived values by drawing that lane again.
 """
 
 from __future__ import annotations
@@ -137,11 +138,42 @@ def _map_blocks(fn, n: int, lanes) -> list:
     return list(map_in_order(lambda lo: fn(*lanes(lo, min(lo + LANE_BLOCK, n))), starts))
 
 
-def _result(name: str, tol: float, residuals, n: int, lanes) -> SuiteResult:
-    """The largest of the lane arrays ``residuals(*block)`` over every block of ``n`` lanes."""
-    maxima = _map_blocks(lambda *block: max(np.max(r) for r in residuals(*block)), n, lanes)
-    max_res = float(max(maxima, default=0.0))
-    return SuiteResult(name=name, draws=n, max_residual=max_res, tolerance=tol, passed=max_res < tol)
+def _worst(fn, n: int, lanes) -> list[tuple]:
+    """``(largest value, first lane holding it)`` of each lane array ``fn(*block)`` returns.
+
+    ``max`` over the blocks' ``argmax`` in block order keeps the first of equal maxima.
+    """
+
+    def block_worst(*block):
+        return [(a[k], int(k)) for a in fn(*block) for k in [a.argmax()]]
+
+    columns = zip(*_map_blocks(block_worst, n, lanes))
+    return [
+        max(((value, b * LANE_BLOCK + k) for b, (value, k) in enumerate(c)), key=lambda w: w[0])
+        for c in columns
+    ]
+
+
+def _suite(*ranges, floor: float = 0.0):
+    """Declare a suite ``(n, rng, tol)`` by its draw ranges and its residual function.
+
+    It passes where the largest residual over ``n`` lanes is below ``max(tol, floor)``.
+    """
+
+    def declare(residuals):
+        name = residuals.__name__.removeprefix("suite_")
+
+        def suite(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+            tol = max(tol, floor)
+            worst = _worst(residuals, n, _draws(rng, n, *ranges))
+            max_res = float(max((value for value, _ in worst), default=0.0))
+            return SuiteResult(name, n, max_res, tol, passed=max_res < tol)
+
+        suite.__name__ = suite.__qualname__ = residuals.__name__
+        suite.__doc__ = residuals.__doc__
+        return suite
+
+    return declare
 
 
 def _reference_state(theta, alpha):
@@ -161,100 +193,76 @@ def _oracle_amplitude(initial, final):
 _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def suite_amplitude_oracle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
-
-    def residuals(ta, aa, tb, ab):
-        block = amp_matrix(ta, aa, tb, ab)
-        states_a, states_b = _reference_state(ta, aa), _reference_state(tb, ab)
-        return [
-            np.abs(block[s][t] - _oracle_amplitude(states_a[s], states_b[t])) for s, t in _PAIRS
-        ]
-
-    return _result("amplitude_oracle", tol, residuals, n, lanes)
+@_suite(*[_ANGLE] * 4)
+def suite_amplitude_oracle(ta, aa, tb, ab):
+    block = amp_matrix(ta, aa, tb, ab)
+    states_a, states_b = _reference_state(ta, aa), _reference_state(tb, ab)
+    return [
+        np.abs(block[s][t] - _oracle_amplitude(states_a[s], states_b[t])) for s, t in _PAIRS
+    ]
 
 
-def suite_hermiticity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
-
-    def residuals(ta, aa, tb, ab):
-        forward = amp_matrix(ta, aa, tb, ab)
-        reverse = amp_matrix(tb, ab, ta, aa)
-        return [np.abs(forward[s][t] - np.conj(reverse[t][s])) for s, t in _PAIRS]
-
-    return _result("hermiticity", tol, residuals, n, lanes)
+@_suite(*[_ANGLE] * 4)
+def suite_hermiticity(ta, aa, tb, ab):
+    forward = amp_matrix(ta, aa, tb, ab)
+    reverse = amp_matrix(tb, ab, ta, aa)
+    return [np.abs(forward[s][t] - np.conj(reverse[t][s])) for s, t in _PAIRS]
 
 
-def suite_orthonormality(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
-
-    def residuals(ta, aa, tb, ab):
-        (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-        return [
-            np.abs(np.abs(pp) ** 2 + np.abs(pm) ** 2 - 1.0),
-            np.abs(np.abs(mp) ** 2 + np.abs(mm) ** 2 - 1.0),
-            np.abs(pp * np.conj(mp) + pm * np.conj(mm)),
-        ]
-
-    return _result("orthonormality", tol, residuals, n, lanes)
+@_suite(*[_ANGLE] * 4)
+def suite_orthonormality(ta, aa, tb, ab):
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+    return [
+        np.abs(np.abs(pp) ** 2 + np.abs(pm) ** 2 - 1.0),
+        np.abs(np.abs(mp) ** 2 + np.abs(mm) ** 2 - 1.0),
+        np.abs(pp * np.conj(mp) + pm * np.conj(mm)),
+    ]
 
 
-def suite_chaining(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 6)
-
-    def residuals(ta, aa, tb, ab, tc, ac):
-        direct = amp_matrix(ta, aa, tb, ab)
-        to_c = amp_matrix(ta, aa, tc, ac)
-        from_c = amp_matrix(tc, ac, tb, ab)
-        return [
-            np.abs(to_c[s][0] * from_c[0][t] + to_c[s][1] * from_c[1][t] - direct[s][t])
-            for s, t in _PAIRS
-        ]
-
-    return _result("chaining", tol, residuals, n, lanes)
+@_suite(*[_ANGLE] * 6)
+def suite_chaining(ta, aa, tb, ab, tc, ac):
+    direct = amp_matrix(ta, aa, tb, ab)
+    to_c = amp_matrix(ta, aa, tc, ac)
+    from_c = amp_matrix(tc, ac, tb, ab)
+    return [
+        np.abs(to_c[s][0] * from_c[0][t] + to_c[s][1] * from_c[1][t] - direct[s][t])
+        for s, t in _PAIRS
+    ]
 
 
-def suite_probability_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
-
-    def residuals(ta, aa, tb, ab):
-        (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-        equal = closedforms.prob_equal_closed(ta, aa, tb, ab)
-        mixed = closedforms.prob_mixed_closed(ta, aa, tb, ab)
-        return [
-            np.abs(np.abs(pp) ** 2 - equal),
-            np.abs(np.abs(mm) ** 2 - equal),
-            np.abs(np.abs(pm) ** 2 - mixed),
-            np.abs(np.abs(mp) ** 2 - mixed),
-            # stated symmetries, via the squared-modulus route
-            np.abs(np.abs(mm) ** 2 - np.abs(pp) ** 2),
-            np.abs(np.abs(mp) ** 2 - np.abs(pm) ** 2),
-        ]
-
-    return _result("probability_forms", tol, residuals, n, lanes)
+@_suite(*[_ANGLE] * 4)
+def suite_probability_forms(ta, aa, tb, ab):
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+    equal = closedforms.prob_equal_closed(ta, aa, tb, ab)
+    mixed = closedforms.prob_mixed_closed(ta, aa, tb, ab)
+    return [
+        np.abs(np.abs(pp) ** 2 - equal),
+        np.abs(np.abs(mm) ** 2 - equal),
+        np.abs(np.abs(pm) ** 2 - mixed),
+        np.abs(np.abs(mp) ** 2 - mixed),
+        # stated symmetries, via the squared-modulus route
+        np.abs(np.abs(mm) ** 2 - np.abs(pp) ** 2),
+        np.abs(np.abs(mp) ** 2 - np.abs(pm) ** 2),
+    ]
 
 
-def suite_periodicity(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
+@_suite(*[_ANGLE] * 4)
+def suite_periodicity(ta, aa, tb, ab):
     two_pi = 2 * np.pi
-
-    def residuals(ta, aa, tb, ab):
-        base = amp_matrix(ta, aa, tb, ab)
-        shifted = (
-            (ta + two_pi, aa, tb, ab),
-            (ta, aa + two_pi, tb, ab),
-            (ta, aa, tb - two_pi, ab),
-            (ta, aa, tb, ab - two_pi),
-            (ta + two_pi, aa - two_pi, tb, ab),
-        )
-        # lazy, so that one shifted block and one residual are held at a time
-        return (
-            np.abs(block[s][t] - base[s][t])
-            for block in (amp_matrix(*angles) for angles in shifted)
-            for s, t in _PAIRS
-        )
-
-    return _result("periodicity", tol, residuals, n, lanes)
+    base = amp_matrix(ta, aa, tb, ab)
+    shifted = (
+        (ta + two_pi, aa, tb, ab),
+        (ta, aa + two_pi, tb, ab),
+        (ta, aa, tb - two_pi, ab),
+        (ta, aa, tb, ab - two_pi),
+        (ta + two_pi, aa - two_pi, tb, ab),
+    )
+    # lazy, so that one shifted block and one residual are held at a time
+    return (
+        np.abs(block[s][t] - base[s][t])
+        for block in (amp_matrix(*angles) for angles in shifted)
+        for s, t in _PAIRS
+    )
 
 
 def _eigenvalues(r_plus, gap, coin):
@@ -262,160 +270,139 @@ def _eigenvalues(r_plus, gap, coin):
     return r_plus, r_plus - gap * np.where(coin < 0.5, 1.0, -1.0)
 
 
-def suite_observable_closed_forms(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
-
-    def residuals(tc, ac, tb, ab, *eigenvalue_draws):
-        r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
-        derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
-        stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
-        return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
-
-    return _result("observable_closed_forms", tol, residuals, n, lanes)
+@_suite(*[_ANGLE] * 4, *_EIGENVALUES)
+def suite_observable_closed_forms(tc, ac, tb, ab, *eigenvalue_draws):
+    r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
+    derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
+    stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
+    return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
 
 
-def suite_operator_oracle_triangle(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+@_suite(*[_ANGLE] * 4, *_EIGENVALUES, floor=EIGENSOLVER_TOLERANCE)
+def suite_operator_oracle_triangle(tc, ac, tb, ab, *eigenvalue_draws):
     """Amplitude products vs spectral form vs numpy.linalg.eigh.
 
     Runs at no less than EIGENSOLVER_TOLERANCE, since one leg is a generic
     eigensolver.
     """
-    tol = max(tol, EIGENSOLVER_TOLERANCE)
-    lanes = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
+    r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
+    m = len(r_plus)
+    product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
 
-    def residuals(tc, ac, tb, ab, *eigenvalue_draws):
-        r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
-        m = len(r_plus)
-        product = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
+    # eigenvector components chi(b^s, c^i)
+    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
+    spectral = (
+        (
+            r_plus * np.abs(xp1) ** 2 + r_minus * np.abs(xm1) ** 2,
+            r_plus * xp1 * np.conj(xp2) + r_minus * xm1 * np.conj(xm2),
+        ),
+        (
+            r_plus * xp2 * np.conj(xp1) + r_minus * xm2 * np.conj(xm1),
+            r_plus * np.abs(xp2) ** 2 + r_minus * np.abs(xm2) ** 2,
+        ),
+    )
 
-        # eigenvector components chi(b^s, c^i)
-        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
-        spectral = (
-            (
-                r_plus * np.abs(xp1) ** 2 + r_minus * np.abs(xm1) ** 2,
-                r_plus * xp1 * np.conj(xp2) + r_minus * xm1 * np.conj(xm2),
-            ),
-            (
-                r_plus * xp2 * np.conj(xp1) + r_minus * xm2 * np.conj(xm1),
-                r_plus * np.abs(xp2) ** 2 + r_minus * np.abs(xm2) ** 2,
-            ),
+    out = [np.abs(product[i][j] - spectral[i][j]) for i, j in _PAIRS]
+
+    matrices = np.empty((m, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            matrices[:, i, j] = product[i][j]
+    eigvals, eigvecs = np.linalg.eigh(matrices)
+    lo = np.minimum(r_plus, r_minus)
+    hi = np.maximum(r_plus, r_minus)
+    out.append(np.abs(eigvals[:, 0] - lo))
+    out.append(np.abs(eigvals[:, 1] - hi))
+    # eigenvector comparison is phase-free: match projectors v v^dag
+    plus_col = np.where(r_plus > r_minus, 1, 0)
+    v = eigvecs[np.arange(m), :, plus_col]
+    proj_solver = v[:, :, None] * np.conj(v[:, None, :])
+    xi = np.stack([xp1, xp2], axis=1)
+    proj_product = xi[:, :, None] * np.conj(xi[:, None, :])
+    out.append(np.abs(proj_solver - proj_product).reshape(m, -1).max(axis=1))
+    return out
+
+
+@_suite(*[_ANGLE] * 4)
+def suite_eigen_residual(tc, ac, tb, ab):
+    ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
+    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
+    return [
+        np.abs(p11 * xp1 + p12 * xp2 - xp1),
+        np.abs(p21 * xp1 + p22 * xp2 - xp2),
+        np.abs(p11 * xm1 + p12 * xm2 + xm1),
+        np.abs(p21 * xm1 + p22 * xm2 + xm2),
+        # involution p @ p = identity
+        np.abs(p11 * p11 + p12 * p21 - 1.0),
+        np.abs(p11 * p12 + p12 * p22),
+        np.abs(p21 * p11 + p22 * p21),
+        np.abs(p21 * p12 + p22 * p22 - 1.0),
+    ]
+
+
+@_suite(*[_ANGLE] * 6)
+def suite_expectation_consistency(ta, aa, tb, ab, tc, ac):
+    ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
+    # initial states over the same basis, both branches
+    v_plus, v_minus = amp_matrix(ta, aa, tc, ac)
+
+    def quad_form(v):
+        v1, v2 = v
+        return (
+            np.conj(v1) * (p11 * v1 + p12 * v2) + np.conj(v2) * (p21 * v1 + p22 * v2)
         )
 
-        out = [np.abs(product[i][j] - spectral[i][j]) for i, j in _PAIRS]
-
-        matrices = np.empty((m, 2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                matrices[:, i, j] = product[i][j]
-        eigvals, eigvecs = np.linalg.eigh(matrices)
-        lo = np.minimum(r_plus, r_minus)
-        hi = np.maximum(r_plus, r_minus)
-        out.append(np.abs(eigvals[:, 0] - lo))
-        out.append(np.abs(eigvals[:, 1] - hi))
-        # eigenvector comparison is phase-free: match projectors v v^dag
-        plus_col = np.where(r_plus > r_minus, 1, 0)
-        v = eigvecs[np.arange(m), :, plus_col]
-        proj_solver = v[:, :, None] * np.conj(v[:, None, :])
-        xi = np.stack([xp1, xp2], axis=1)
-        proj_product = xi[:, :, None] * np.conj(xi[:, None, :])
-        out.append(np.abs(proj_solver - proj_product).reshape(m, -1).max(axis=1))
-        return out
-
-    return _result("operator_oracle_triangle", tol, residuals, n, lanes)
+    matrix_plus = quad_form(v_plus)
+    matrix_minus = quad_form(v_minus)
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
+    prob_plus = np.abs(pp) ** 2 - np.abs(pm) ** 2
+    prob_minus = np.abs(mp) ** 2 - np.abs(mm) ** 2
+    closed = np.cos(2 * ta) * np.cos(2 * tb) + np.sin(2 * ta) * np.sin(2 * tb) * np.cos(aa - ab)
+    return [
+        np.abs(matrix_plus.imag),
+        np.abs(matrix_minus.imag),
+        np.abs(matrix_plus.real - prob_plus),
+        np.abs(matrix_minus.real - prob_minus),
+        np.abs(matrix_plus.real - closed),
+        np.abs(matrix_minus.real + closed),
+    ]
 
 
-def suite_eigen_residual(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
-
-    def residuals(tc, ac, tb, ab):
-        ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
-        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
-        return [
-            np.abs(p11 * xp1 + p12 * xp2 - xp1),
-            np.abs(p21 * xp1 + p22 * xp2 - xp2),
-            np.abs(p11 * xm1 + p12 * xm2 + xm1),
-            np.abs(p21 * xm1 + p22 * xm2 + xm2),
-            # involution p @ p = identity
-            np.abs(p11 * p11 + p12 * p21 - 1.0),
-            np.abs(p11 * p12 + p12 * p22),
-            np.abs(p21 * p11 + p22 * p21),
-            np.abs(p21 * p12 + p22 * p22 - 1.0),
-        ]
-
-    return _result("eigen_residual", tol, residuals, n, lanes)
-
-
-def suite_expectation_consistency(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-    lanes = _draws(rng, n, *[_ANGLE] * 6)
-
-    def residuals(ta, aa, tb, ab, tc, ac):
-        ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
-        # initial states over the same basis, both branches
-        v_plus, v_minus = amp_matrix(ta, aa, tc, ac)
-
-        def quad_form(v):
-            v1, v2 = v
-            return (
-                np.conj(v1) * (p11 * v1 + p12 * v2) + np.conj(v2) * (p21 * v1 + p22 * v2)
-            )
-
-        matrix_plus = quad_form(v_plus)
-        matrix_minus = quad_form(v_minus)
-        (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
-        prob_plus = np.abs(pp) ** 2 - np.abs(pm) ** 2
-        prob_minus = np.abs(mp) ** 2 - np.abs(mm) ** 2
-        closed = np.cos(2 * ta) * np.cos(2 * tb) + np.sin(2 * ta) * np.sin(2 * tb) * np.cos(aa - ab)
-        return [
-            np.abs(matrix_plus.imag),
-            np.abs(matrix_minus.imag),
-            np.abs(matrix_plus.real - prob_plus),
-            np.abs(matrix_minus.real - prob_minus),
-            np.abs(matrix_plus.real - closed),
-            np.abs(matrix_minus.real + closed),
-        ]
-
-    return _result("expectation_consistency", tol, residuals, n, lanes)
-
-
-def suite_standard_limits(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+@_suite(*[_ANGLE] * 4)
+def suite_standard_limits(ta, aa, tb, ab):
     """Generalized formulas at the (0, 0) boundary match the textbook forms."""
-    lanes = _draws(rng, n, *[_ANGLE] * 4)
+    phase = np.exp(1j * np.asarray(aa))
+    (pp, pm), (mp, mm) = amp_matrix(ta, aa, 0.0, 0.0)
+    (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, 0.0, 0.0)
+    out = [
+        np.abs(pp - np.cos(ta)),
+        np.abs(pm - np.sin(ta) * phase),
+        np.abs(mp + np.sin(ta)),
+        np.abs(mm - np.cos(ta) * phase),
+        # perpendicular forms are the parallel ones at theta + pi/2
+        np.abs(mp - pp_turned),
+        np.abs(mm - pm_turned),
+    ]
 
-    def residuals(ta, aa, tb, ab):
-        phase = np.exp(1j * np.asarray(aa))
-        (pp, pm), (mp, mm) = amp_matrix(ta, aa, 0.0, 0.0)
-        (pp_turned, pm_turned), _ = amp_matrix(ta + np.pi / 2, aa, 0.0, 0.0)
-        out = [
-            np.abs(pp - np.cos(ta)),
-            np.abs(pm - np.sin(ta) * phase),
-            np.abs(mp + np.sin(ta)),
-            np.abs(mm - np.cos(ta) * phase),
-            # perpendicular forms are the parallel ones at theta + pi/2
-            np.abs(mp - pp_turned),
-            np.abs(mm - pm_turned),
-        ]
+    # standard operator: basis fixed at (0, 0), measured direction random
+    ((p11, p12), (p21, p22)) = observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0)
+    out += [
+        np.abs(p11 - np.cos(2 * tb)),
+        np.abs(p12 - np.sin(2 * tb) * np.exp(-1j * np.asarray(ab))),
+        np.abs(p11 + p22),  # traceless
+        np.abs(p11 * p11 + p12 * p21 - 1.0),  # involutory
+    ]
 
-        # standard operator: basis fixed at (0, 0), measured direction random
-        ((p11, p12), (p21, p22)) = observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0)
-        out += [
-            np.abs(p11 - np.cos(2 * tb)),
-            np.abs(p12 - np.sin(2 * tb) * np.exp(-1j * np.asarray(ab))),
-            np.abs(p11 + p22),  # traceless
-            np.abs(p11 * p11 + p12 * p21 - 1.0),  # involutory
-        ]
-
-        # eigenvectors reduce to the stated standard pair
-        (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, 0.0, 0.0)
-        (e_p1, e_p2), (e_m1, e_m2) = closedforms.standard_eigvec_components(tb, ab)
-        out += [
-            np.abs(xp1 - e_p1),
-            np.abs(xp2 - e_p2),
-            np.abs(xm1 - e_m1),
-            np.abs(xm2 - e_m2),
-        ]
-        return out
-
-    return _result("standard_limits", tol, residuals, n, lanes)
+    # eigenvectors reduce to the stated standard pair
+    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, 0.0, 0.0)
+    (e_p1, e_p2), (e_m1, e_m2) = closedforms.standard_eigvec_components(tb, ab)
+    out += [
+        np.abs(xp1 - e_p1),
+        np.abs(xp2 - e_p2),
+        np.abs(xm1 - e_m1),
+        np.abs(xm2 - e_m2),
+    ]
+    return out
 
 
 ALL_SUITES = (
@@ -434,31 +421,27 @@ ALL_SUITES = (
 
 
 def _errata_for(equation_ids, tol, forms, n, lanes) -> list[ErrataRecord]:
-    """A record per element where ``forms(*block) = (stated, derived)`` differ beyond tol."""
+    """A record per element where ``forms(*block) = (stated, derived)`` differ beyond tol.
 
-    def worst(*block):
+    The record holds the values at the first lane of the largest difference,
+    evaluated again on that lane alone.
+    """
+
+    def diffs(*block):
         stated, derived = forms(*block)
-        out = []
-        for i, j in _PAIRS:
-            s, d = stated[i][j], derived[i][j]
-            diff = np.abs(s - d)
-            k = int(np.argmax(diff))
-            out.append((float(diff[k]), complex(s[k]), complex(d[k])))
-        return out
+        return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
 
     records = []
-    for (i, j), candidates in zip(_PAIRS, zip(*_map_blocks(worst, n, lanes))):
-        # max keeps the first of equal maxima, so the record holds the values
-        # at the first lane of the largest diff, as np.argmax over all lanes
-        diff, stated, derived = max(candidates, key=lambda c: c[0])
+    for (i, j), (diff, k) in zip(_PAIRS, _worst(diffs, n, lanes)):
         if diff > tol:
+            stated, derived = forms(*lanes(k, k + 1))
             records.append(
                 ErrataRecord(
                     equation=equation_ids[i][j],
                     element=closedforms.ELEMENT_NAMES[i][j],
-                    paper_value=stated,
-                    derived_value=derived,
-                    max_abs_diff=diff,
+                    paper_value=complex(stated[i][j][0]),
+                    derived_value=complex(derived[i][j][0]),
+                    max_abs_diff=float(diff),
                 )
             )
     return records
@@ -466,7 +449,6 @@ def _errata_for(equation_ids, tol, forms, n, lanes) -> list[ErrataRecord]:
 
 def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
     """Adjudicate every verbatim transcription against the derived values."""
-    records: list[ErrataRecord] = []
 
     def observable(tc, ac, tb, ab, *eigenvalue_draws):
         r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
@@ -475,38 +457,37 @@ def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
             observable_elements_product(tc, ac, tb, ab, r_plus, r_minus),
         )
 
-    lanes = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
-    records += _errata_for(closedforms.OBSERVABLE_ELEMENT_IDS, tol, observable, n, lanes)
     # the polarization operator over the same angle draws; it has fixed eigenvalues
-    records += _errata_for(
-        closedforms.POLARIZATION_ELEMENT_IDS,
-        tol,
-        lambda tc, ac, tb, ab, *_: (
+    def polarization(tc, ac, tb, ab, *_):
+        return (
             closedforms.polarization_elements_literal(tc, ac, tb, ab),
             observable_elements_product(tc, ac, tb, ab, 1.0, -1.0),
-        ),
-        n,
-        lanes,
-    )
+        )
 
     # standard-limit operator: the stated form drags in an initial-state phase
-    records += _errata_for(
-        ((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2,
-        tol,
-        lambda tb, ab, aa: (
+    def standard(tb, ab, aa):
+        return (
             closedforms.standard_operator_literal(tb, ab, aa),
             observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0),
-        ),
-        n,
-        _draws(rng, n, *[_ANGLE] * 3),
+        )
+
+    shared = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
+    tables = (
+        (closedforms.OBSERVABLE_ELEMENT_IDS, observable, shared),
+        (closedforms.POLARIZATION_ELEMENT_IDS, polarization, shared),
+        (((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2, standard, _draws(rng, n, *[_ANGLE] * 3)),
     )
-    return records
+    return [r for ids, forms, lanes in tables for r in _errata_for(ids, tol, forms, n, lanes)]
 
 
 def run_all(
     draws: int = DEFAULT_DRAWS, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
     """Run every suite plus the errata adjudication, deterministically."""
+    if not 0 <= draws < 2**63:
+        raise ValueError("draws must be from 0 to 2**63 - 1")
+    if not 0 < tolerance < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     rng = np.random.default_rng(seed)
     suites = tuple(suite(draws, rng, tolerance) for suite in ALL_SUITES)
     errata = collect_errata(draws, rng, tolerance)

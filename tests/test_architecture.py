@@ -11,15 +11,19 @@ an allow-list that says why it is public.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polamp
+from polamp import verify
+from polamp.directions import DEFAULT_TOLERANCE
 
 SRC = Path(polamp.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,6 +154,62 @@ def test_verify_draws_only_in_its_block_draw_helper():
     tree = parse("verify")
     inside = draw_calls(top_level_function(tree, "_draws"))
     assert len(inside) == 2 and len(draw_calls(tree)) == len(inside)
+
+
+#: The verify suites, in report order.
+SUITE_NAMES = (
+    "amplitude_oracle",
+    "hermiticity",
+    "orthonormality",
+    "chaining",
+    "probability_forms",
+    "periodicity",
+    "observable_closed_forms",
+    "operator_oracle_triangle",
+    "eigen_residual",
+    "expectation_consistency",
+    "standard_limits",
+)
+
+
+def bare_names(nodes: list[ast.stmt]) -> set[str]:
+    """Every bare name used in ``nodes`` (attribute names excluded)."""
+    return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_verify_suites_are_their_residual_functions():
+    # drawing, reducing and reporting live in the block runner (``_suite``);
+    # a suite body that did any of it would fork verify's plumbing again
+    tree = parse("verify")
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    suites = [n for n in functions if n.name.startswith("suite_")]
+    assert [n.name for n in suites] == [f"suite_{name}" for name in SUITE_NAMES]
+    plumbing = {"_draws", "_map_blocks", "_worst", "SuiteResult", "max"}
+    for node in suites:
+        assert not bare_names(node.body) & plumbing, node.name
+        assert "argmax" not in referenced_names(ast.Module(node.body, [])), node.name
+
+
+def test_verify_reduces_blocks_in_one_function():
+    # suites and errata share ``_worst``: no other function maps blocks or
+    # takes an argmax of its own, ``_errata_for`` included
+    tree = parse("verify")
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for name in ("_map_blocks", "argmax"):
+        users = {f.name for f in functions if name in referenced_names(ast.Module(f.body, []))}
+        assert users == {"_worst"}, name
+
+
+def test_verify_suites_keep_their_signature():
+    # the block runner must not leak the residual function's lane parameters
+    expected = [("n", inspect.Parameter.empty), ("rng", inspect.Parameter.empty)]
+    expected.append(("tol", DEFAULT_TOLERANCE))
+    assert [s.__name__ for s in verify.ALL_SUITES] == [f"suite_{n}" for n in SUITE_NAMES]
+    for suite, name in zip(verify.ALL_SUITES, SUITE_NAMES):
+        assert getattr(verify, suite.__name__) is suite
+        params = inspect.signature(suite).parameters.values()
+        assert [(p.name, p.default) for p in params] == expected
+        assert suite(0, np.random.default_rng(0)).name == name
 
 
 def test_chain_steps_take_one_route():

@@ -540,6 +540,33 @@ class TestSimulate:
         assert fragment in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "value, literal",
+        [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")],
+        ids=["NaN", "Infinity", "-Infinity"],
+    )
+    @pytest.mark.parametrize(
+        "place, fragment",
+        [
+            (lambda doc, x: doc["initial"].update(theta_deg=x), "initial.theta_deg"),
+            (lambda doc, x: doc["stages"][0].update(alpha_deg=x), "stages[0].alpha_deg"),
+            (lambda doc, x: doc.update(tolerance=x), "scenario.tolerance"),
+        ],
+        ids=["initial_theta", "stage_alpha", "tolerance"],
+    )
+    def test_non_finite_json_literals_exit_3(
+        self, capsys, tmp_path, value, literal, place, fragment
+    ):
+        # Python's JSON reader accepts NaN, Infinity and -Infinity as numbers
+        document = json.loads(json.dumps(MALUS))
+        place(document, value)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(document))
+        assert f": {literal}" in path.read_text()
+        assert run(["simulate", str(path)]) == EXIT_FILE
+        captured = capsys.readouterr()
+        assert f"{fragment}: must be finite" in captured.err and captured.out == ""
+
 
 def chain_document(n_stages, first_is_initial, seed=5):
     """A scenario document of ``n_stages`` stages at seeded random angles; with

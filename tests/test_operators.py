@@ -11,6 +11,7 @@ from polamp import (
     Branch,
     BranchLabel,
     Direction,
+    Observable2,
     eigenvector_states,
     expectation,
     expectation_closed,
@@ -200,6 +201,13 @@ class TestExpectation:
         obs = polarization_operator(Direction(0.4), Direction(0.0))
         with pytest.raises(ValueError, match="normalized"):
             expectation(StateVector2(0.5 + 0j, 0.5 + 0j), obs)
+
+    def test_rejects_non_hermitian_matrix(self):
+        d = Direction(0.0)
+        obs = Observable2(1, 1j, 1j, -1, 1.0, -1.0, d, d)  # m21 is not conj(m12)
+        state = StateVector2(math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            expectation(state, obs)
 
 
 class TestExpectationClosed:

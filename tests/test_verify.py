@@ -38,6 +38,25 @@ def test_zero_draws_trivial():
     assert all(s.draws == 0 and s.max_residual == 0.0 for s in report.suites)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("draws", -5),
+        ("draws", 2**63),
+        ("draws", 10**26),
+        ("tolerance", 0.0),
+        ("tolerance", -1e-12),
+        ("tolerance", float("inf")),
+        ("tolerance", float("nan")),
+    ],
+)
+def test_run_all_rejects_out_of_range_inputs(key, value):
+    # negative draws would pass vacuously, and an infinite tolerance would
+    # pass every suite and hide every erratum
+    with pytest.raises(ValueError, match=key):
+        run_all(**{key: value})
+
+
 def test_errata_discriminate():
     rng = np.random.default_rng(12)
     records = collect_errata(2000, rng)
