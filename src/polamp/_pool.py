@@ -1,12 +1,12 @@
 """One thread per available CPU for independent blocks of numpy work.
 
-``verify`` maps its suites over lane blocks and ``simulate`` maps ``sample``
-over trial blocks through :func:`map_in_order`. numpy releases the GIL in
-its ufunc loops, in ``eigh``, in Philox ``random``, in ``sort`` and in
-``searchsorted``, so the blocks run in parallel; the results come back in
-block order, so a caller's reduction does not depend on the thread count.
-When there is one thread's worth of work (one item, or one available CPU),
-the calls run on the caller's thread and no pool is started.
+``verify`` maps the lane blocks of all its suites and errata tables as one
+stream per run, and ``simulate`` maps ``sample`` over trial blocks, through
+:func:`map_in_order`. numpy releases the GIL in its ufunc loops, in ``eigh``,
+in Philox ``random``, in ``sort`` and in ``searchsorted``, so the blocks run
+in parallel; the results come back in order, so a caller's reduction does
+not depend on the thread count. With one thread's worth of work (one item,
+or one available CPU), the calls run on the caller's thread and no pool starts.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ error naming the variable.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import re
@@ -296,8 +297,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _keep_heap_resident() -> None:
+    """Keep freed verify blocks in glibc's heap, not given back and faulted in again (README)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt: macOS, Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD at the cap of glibc's dynamic threshold
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD at twice that, as glibc's dynamic rule sets it
+
+
 def cmd_verify(args) -> int:
     tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, DEFAULT_TOLERANCE)
+    _keep_heap_resident()
     report = run_all(draws=args.draws, seed=args.seed, tolerance=tolerance)
     for s in report.suites:
         flag, relation = ("PASS", "<") if s.passed else ("FAIL", ">=")

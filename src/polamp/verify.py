@@ -26,9 +26,12 @@ A suite is its residual function (:func:`_suite`) over arrays of ``draws``
 doubles from the run's PCG64 stream, but no such array exists: each block
 of ``LANE_BLOCK`` lanes draws its own slice of them in its worker thread by
 counter advance (:func:`_draws`), so memory does not grow with the draw
-count. Suites and errata share one reduction (:func:`_worst`): each
-residual's largest value and the first lane holding it. An erratum reads
-its stated and derived values by drawing that lane again.
+count. A run draws the lanes of every suite and errata table first, then
+maps all their blocks as one stream (no barrier between suites) through
+one reduction (:func:`_worst`): each residual's largest value and the
+first lane holding it. An erratum reads its stated and derived values by
+drawing that lane again. ``polamp verify`` keeps freed blocks in glibc's
+heap (:func:`polamp.cli._keep_heap_resident`).
 """
 
 from __future__ import annotations
@@ -132,45 +135,59 @@ def _draws(rng: np.random.Generator, n: int, *ranges):
     return lanes
 
 
-def _map_blocks(fn, n: int, lanes) -> list:
-    """``fn(*lanes(lo, hi))`` for each ``LANE_BLOCK``-lane block of ``n`` lanes, in block order."""
-    starts = range(0, n, LANE_BLOCK)
-    return list(map_in_order(lambda lo: fn(*lanes(lo, min(lo + LANE_BLOCK, n))), starts))
+def _map_blocks(jobs, n: int):
+    """Yield ``fn(*lanes(lo, hi))`` per ``(fn, lanes)`` job and ``LANE_BLOCK``-lane block."""
+    blocks = -(-n // LANE_BLOCK)
+
+    def block(i):
+        (fn, lanes), lo = jobs[i // blocks], i % blocks * LANE_BLOCK
+        return fn(*lanes(lo, min(lo + LANE_BLOCK, n)))
+
+    return map_in_order(block, range(len(jobs) * blocks))
 
 
-def _worst(fn, n: int, lanes) -> list[tuple]:
-    """``(largest value, first lane holding it)`` of each lane array ``fn(*block)`` returns.
+def _worst(jobs, n: int) -> list:
+    """``finish(worst)`` per ``(fn, lanes, finish)`` job, all blocks mapped as one stream.
 
-    ``max`` over the blocks' ``argmax`` in block order keeps the first of equal maxima.
+    ``worst`` holds the largest value of each lane array ``fn(*block)`` returns and its first
+    lane: ``max`` over the blocks' ``argmax`` in block order keeps the first of equal maxima.
     """
 
-    def block_worst(*block):
-        return [(a[k], int(k)) for a in fn(*block) for k in [a.argmax()]]
+    def block_worst(fn):
+        return lambda *block: [(a[k], int(k)) for a in fn(*block) for k in [a.argmax()]]
 
-    columns = zip(*_map_blocks(block_worst, n, lanes))
-    return [
-        max(((value, b * LANE_BLOCK + k) for b, (value, k) in enumerate(c)), key=lambda w: w[0])
-        for c in columns
-    ]
+    worst = [[] for _ in jobs]
+    for i, block in enumerate(_map_blocks([(block_worst(fn), lanes) for fn, lanes, _ in jobs], n)):
+        job, b = divmod(i, -(-n // LANE_BLOCK))
+        block = [(value, b * LANE_BLOCK + k) for value, k in block]
+        worst[job] = [max(p, key=lambda w: w[0]) for p in zip(worst[job], block)] if b else block
+    return [finish(w) for (*_, finish), w in zip(jobs, worst)]
 
 
 def _suite(*ranges, floor: float = 0.0):
     """Declare a suite ``(n, rng, tol)`` by its draw ranges and its residual function.
 
-    It passes where the largest residual over ``n`` lanes is below ``max(tol, floor)``.
+    It passes below ``max(tol, floor)``; ``suite.job(n, rng, tol)`` draws lanes for :func:`_worst`.
     """
 
     def declare(residuals):
         name = residuals.__name__.removeprefix("suite_")
 
-        def suite(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+        def job(n, rng, tol):
             tol = max(tol, floor)
-            worst = _worst(residuals, n, _draws(rng, n, *ranges))
-            max_res = float(max((value for value, _ in worst), default=0.0))
-            return SuiteResult(name, n, max_res, tol, passed=max_res < tol)
+
+            def finish(worst) -> SuiteResult:
+                max_res = float(max((value for value, _ in worst), default=0.0))
+                return SuiteResult(name, n, max_res, tol, passed=max_res < tol)
+
+            return residuals, _draws(rng, n, *ranges), finish
+
+        def suite(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+            return _worst([job(n, rng, tol)], n)[0]
 
         suite.__name__ = suite.__qualname__ = residuals.__name__
         suite.__doc__ = residuals.__doc__
+        suite.job = job
         return suite
 
     return declare
@@ -420,35 +437,34 @@ ALL_SUITES = (
 )
 
 
-def _errata_for(equation_ids, tol, forms, n, lanes) -> list[ErrataRecord]:
-    """A record per element where ``forms(*block) = (stated, derived)`` differ beyond tol.
-
-    The record holds the values at the first lane of the largest difference,
-    evaluated again on that lane alone.
+def _errata_for(equation_ids, tol, forms, lanes):
+    """The job of a table: a record per element where ``forms(*block) = (stated, derived)``
+    differ beyond tol, with their values at the first lane of the largest difference.
     """
 
     def diffs(*block):
         stated, derived = forms(*block)
         return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
 
-    records = []
-    for (i, j), (diff, k) in zip(_PAIRS, _worst(diffs, n, lanes)):
-        if diff > tol:
-            stated, derived = forms(*lanes(k, k + 1))
-            records.append(
-                ErrataRecord(
-                    equation=equation_ids[i][j],
-                    element=closedforms.ELEMENT_NAMES[i][j],
-                    paper_value=complex(stated[i][j][0]),
-                    derived_value=complex(derived[i][j][0]),
-                    max_abs_diff=float(diff),
-                )
+    def finish(worst) -> list[ErrataRecord]:
+        return [
+            ErrataRecord(
+                equation=equation_ids[i][j],
+                element=closedforms.ELEMENT_NAMES[i][j],
+                paper_value=complex(stated[i][j][0]),
+                derived_value=complex(derived[i][j][0]),
+                max_abs_diff=float(diff),
             )
-    return records
+            for (i, j), (diff, k) in zip(_PAIRS, worst)
+            if diff > tol
+            for stated, derived in [forms(*lanes(k, k + 1))]
+        ]
+
+    return diffs, lanes, finish
 
 
-def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
-    """Adjudicate every verbatim transcription against the derived values."""
+def _errata_jobs(n, rng, tol) -> list:
+    """The jobs of the three errata tables, their lanes drawn in table order."""
 
     def observable(tc, ac, tb, ab, *eigenvalue_draws):
         r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
@@ -477,18 +493,23 @@ def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
         (closedforms.POLARIZATION_ELEMENT_IDS, polarization, shared),
         (((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2, standard, _draws(rng, n, *[_ANGLE] * 3)),
     )
-    return [r for ids, forms, lanes in tables for r in _errata_for(ids, tol, forms, n, lanes)]
+    return [_errata_for(ids, tol, forms, lanes) for ids, forms, lanes in tables]
+
+
+def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
+    """Adjudicate every verbatim transcription against the derived values."""
+    return [r for records in _worst(_errata_jobs(n, rng, tol), n) for r in records]
 
 
 def run_all(
     draws: int = DEFAULT_DRAWS, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
-    """Run every suite plus the errata adjudication, deterministically."""
-    if not 0 <= draws < 2**63:
-        raise ValueError("draws must be from 0 to 2**63 - 1")
+    """Run every suite plus the errata adjudication, deterministically, as one block stream."""
+    if not isinstance(draws, (int, np.integer)) or not 0 <= draws < 2**63:
+        raise ValueError("draws must be an integer from 0 to 2**63 - 1")
     if not 0 < tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    rng = np.random.default_rng(seed)
-    suites = tuple(suite(draws, rng, tolerance) for suite in ALL_SUITES)
-    errata = collect_errata(draws, rng, tolerance)
-    return VerifyReport(suites=suites, errata=tuple(errata))
+    draws, rng = int(draws), np.random.default_rng(seed)
+    jobs = [s.job(draws, rng, tolerance) for s in ALL_SUITES] + _errata_jobs(draws, rng, tolerance)
+    *suites, observable, polarization, standard = _worst(jobs, draws)
+    return VerifyReport(tuple(suites), tuple(observable + polarization + standard))

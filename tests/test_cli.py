@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -897,9 +899,78 @@ def test_count_of_int64_max_is_accepted(name):
     assert getattr(args, name.removeprefix("--")) == 2**63 - 1
 
 
+@pytest.mark.parametrize(
+    "libc", [{"side_effect": OSError("no libc")}, {"return_value": object()}],
+    ids=["no_libc", "no_mallopt"],
+)
+def test_verify_runs_where_there_is_no_mallopt(capsys, libc):
+    argv = ["verify", "--draws", "100", "--machine"]
+    expected = run_capture(capsys, argv)
+    assert expected[0] == EXIT_OK
+    with mock.patch.object(ctypes, "CDLL", **libc) as cdll:
+        assert run_capture(capsys, argv) == expected
+    assert cdll.called
+
+
+#: Records every ``mallopt`` call polamp makes; prints them before and after ``verify``.
+MALLOPT_PROBE = """
+import ctypes, sys, types
+calls = []
+ctypes.CDLL = lambda *args, **kwargs: types.SimpleNamespace(mallopt=lambda *a: calls.append(a))
+import polamp, polamp.cli
+from polamp.verify import run_all
+run_all(draws=10)
+polamp.cli.run(["simulate", sys.argv[1], "--machine", "--trials", "1000"])
+before = list(calls)
+polamp.cli.run(["verify", "--draws", "0", "--machine"])
+print(before, calls, file=sys.stderr)
+"""
+
+
+def test_only_the_verify_command_sets_allocator_thresholds(malus_file):
+    # a library caller keeps its process's allocator policy
+    proc = polamp_python(MALLOPT_PROBE, malus_file)
+    assert proc.stderr == "[] [(-3, 33554432), (-1, 67108864)]\n"
+
+
+#: Minor page faults of a second, warm ``polamp verify`` at the default draws.
+FAULT_PROBE = """
+import contextlib, io, resource
+import polamp.cli
+
+def verify():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert polamp.cli.run(["verify", "--machine"]) == 0
+
+verify()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+verify()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_warm_verify_keeps_its_heap_resident():
+    # at glibc's default thresholds each block's temporaries are returned to the
+    # kernel and faulted in again: about 63,000 minor faults per run
+    assert int(polamp_python(FAULT_PROBE).stdout) < 5000
+
+
+def polamp_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(polamp.__file__).parent.parent)}
+
+
+def polamp_python(source: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c source argv`` in a fresh interpreter that imports this polamp."""
+    return subprocess.run(
+        [sys.executable, "-c", source, *argv],
+        capture_output=True, text=True, env=polamp_env(), timeout=120, check=True,
+    )
+
+
 def polamp_process(*argv: str, buffered: bool = False) -> subprocess.Popen:
     """``polamp argv`` in a fresh interpreter, stdout and stderr piped."""
-    env = {**os.environ, "PYTHONPATH": str(Path(polamp.__file__).parent.parent)}
+    env = polamp_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"

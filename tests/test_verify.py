@@ -57,6 +57,19 @@ def test_run_all_rejects_out_of_range_inputs(key, value):
         run_all(**{key: value})
 
 
+@pytest.mark.parametrize("draws", [1.5, 2.0])
+def test_run_all_rejects_a_float_draw_count(draws):
+    # a float count would pass the range check and fail deep in PCG64 advance
+    with pytest.raises(ValueError, match="draws must be an integer"):
+        run_all(draws=draws)
+
+
+def test_run_all_accepts_a_numpy_integer_draw_count():
+    report = run_all(draws=np.int64(5), seed=3)
+    assert report == run_all(draws=5, seed=3)
+    assert all(type(s.draws) is int for s in report.suites)
+
+
 def test_errata_discriminate():
     rng = np.random.default_rng(12)
     records = collect_errata(2000, rng)
@@ -137,6 +150,29 @@ def test_results_do_not_depend_on_blocks_or_workers(
     assert run_all(draws=draws, seed=21) == unblocked_reports[draws]
 
 
+@pytest.mark.parametrize("draws", [*BLOCK_DRAWS, 20001])
+def test_run_all_is_the_public_suites_then_the_errata(draws):
+    # one block stream for the whole run draws every lane as the entry points do
+    rng = np.random.default_rng(21)
+    suites = tuple(suite(draws, rng) for suite in verify.ALL_SUITES)
+    expected = verify.VerifyReport(suites, tuple(collect_errata(draws, rng)))
+    assert run_all(draws=draws, seed=21) == expected
+
+
+def test_run_all_maps_every_block_in_one_stream(monkeypatch):
+    # one pool per run: no thread waits at a barrier between suites
+    calls = []
+
+    def counted(fn, *sequences):
+        calls.append(len(sequences[0]))
+        return _pool.map_in_order(fn, *sequences)
+
+    monkeypatch.setattr(verify, "LANE_BLOCK", 512)
+    monkeypatch.setattr(verify, "map_in_order", counted)
+    run_all(draws=1001, seed=21)
+    assert calls == [2 * (len(verify.ALL_SUITES) + 3)]
+
+
 def test_more_workers_than_cores_under_fast_thread_switching(monkeypatch, unblocked_reports):
     # blocks share only read-only inputs; switching threads every microsecond
     # must still give the serial result
@@ -164,14 +200,17 @@ def test_errata_take_the_first_lane_of_equal_maxima(monkeypatch):
     def lanes(lo, hi):
         return zero[lo:hi], tie[lo:hi], later[lo:hi]
 
-    records = verify._errata_for(ids, 0.5, forms, 4, lanes)
+    def errata():
+        return verify._worst([verify._errata_for(ids, 0.5, forms, lanes)], 4)[0]
+
+    records = errata()
     assert [(r.equation, r.element) for r in records] == [("Eq11", "m11"), ("Eq12", "m12")]
     first, larger = records
     assert (first.paper_value, first.derived_value, first.max_abs_diff) == (0j, 1 + 0j, 1.0)
     assert (larger.paper_value, larger.derived_value, larger.max_abs_diff) == (0j, -2j, 2.0)
     # the same records as np.argmax over all lanes, in one block
     monkeypatch.setattr(verify, "LANE_BLOCK", 4)
-    assert verify._errata_for(ids, 0.5, forms, 4, lanes) == records
+    assert errata() == records
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +238,7 @@ def test_block_draws_are_slices_of_the_full_arrays(monkeypatch, n, lane_block):
     def block(*draws):
         return (*draws[:4], *verify._eigenvalues(*draws[4:]))
 
-    blocks = verify._map_blocks(block, n, lanes)
+    blocks = list(verify._map_blocks([(block, lanes)], n))
     assert len(blocks) == -(-n // lane_block)
     for k, arrays in enumerate(blocks):
         lo = k * lane_block
