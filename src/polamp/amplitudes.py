@@ -17,18 +17,28 @@ measured one. These forms satisfy, and the verification suite checks:
 * orthonormality         sum_t chi(a^s, b^t) conj(chi(a^r, b^t)) = delta_sr
 * chaining               chi(x, y) = sum_s chi(x, c^s) chi(c^s, y) for any c
 
-:func:`amp_matrix` evaluates all four forms as one 2x2 block, sharing the
-cos/sin factors and the phase; it accepts scalars or numpy arrays
-(broadcasting). The label-based functions below it are the scalar
-convenience API and evaluate one block per pair of directions. This is
-the one route to amplitudes, probabilities (squared moduli) and states;
-the reversed amplitude is ``amplitude(final, initial)``, and the closed
-trig forms of the probabilities live in :mod:`polamp.closedforms`, where
-:mod:`polamp.verify` checks them against this route.
+The four forms are written once, in :func:`_combine`, which builds the 2x2
+block from the cos/sin of both plane angles and the phase. Two trig sources
+feed it. :func:`amp_matrix`, the batched kernel, takes ``np.cos``/``np.sin``/
+``np.exp`` over scalars or numpy arrays (broadcasting). The label-based
+functions below it are the scalar API: they evaluate one block per pair of
+directions through :func:`_block`, which takes ``math.cos``/``math.sin``/
+``cmath.exp`` on the labels' Python floats and so skips numpy's per-call
+cost. Where numpy's float64 trig is the C library's, both sources round
+alike: a label's block equals the kernel's on the same Python floats bit
+for bit, and on one-lane arrays up to the sign of a zero part (properties
+in the tests). That is how :mod:`polamp.verify`'s checks of the kernel
+carry over to the labels. This is the one route to amplitudes,
+probabilities (squared moduli) and states; the reversed amplitude is
+``amplitude(final, initial)``, and the closed trig forms of the
+probabilities live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
+checks them against this route.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +50,25 @@ from .directions import Branch, BranchLabel, Direction
 # vectorized closed-form kernel
 # ---------------------------------------------------------------------------
 
-def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
-    """The 2x2 block of chi(a^s, b^t) for scalar or array angles.
+def _combine(ca, sa, cb, sb, phase):
+    """The 2x2 block of chi(a^s, b^t) from cos/sin of both plane angles and e^{i d}.
 
     Returns ((chi(a+, b+), chi(a+, b-)), (chi(a-, b+), chi(a-, b-))): row
     index is the initial branch, column index the final one (0 = plus).
-    The trig factors and the phase are evaluated once for all four.
     """
-    ca, sa = np.cos(theta_a), np.sin(theta_a)
-    cb, sb = np.cos(theta_b), np.sin(theta_b)
-    phase = np.exp(1j * (alpha_a - alpha_b))
     cc, ss, cs, sc = ca * cb, sa * sb, ca * sb, sa * cb
     return ((cc + ss * phase, -cs + sc * phase), (-sc + cs * phase, ss + cc * phase))
+
+
+def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
+    """The 2x2 block of chi(a^s, b^t) for scalar or array angles (see :func:`_combine`).
+
+    The trig factors and the phase are evaluated once for all four.
+    """
+    return _combine(
+        np.cos(theta_a), np.sin(theta_a), np.cos(theta_b), np.sin(theta_b),
+        np.exp(1j * (alpha_a - alpha_b)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +81,13 @@ def _row(label: BranchLabel) -> int:
 
 
 def _block(a, b):
-    """:func:`amp_matrix` between two directions, or the directions of two labels."""
-    return amp_matrix(a.theta, a.alpha, b.theta, b.alpha)
+    """:func:`amp_matrix`'s block between two directions, or the directions of two
+    labels, from ``math``/``cmath`` on their Python floats: a block of Python complex.
+    """
+    return _combine(
+        math.cos(a.theta), math.sin(a.theta), math.cos(b.theta), math.sin(b.theta),
+        cmath.exp(1j * (a.alpha - b.alpha)),
+    )
 
 
 def _probability_of(z) -> float:
@@ -75,7 +97,7 @@ def _probability_of(z) -> float:
 
 def amplitude(initial: BranchLabel, final: BranchLabel) -> complex:
     """Transition amplitude from ``initial`` to ``final``."""
-    return complex(_block(initial, final)[_row(initial)][_row(final)])
+    return _block(initial, final)[_row(initial)][_row(final)]
 
 
 def probability(initial: BranchLabel, final: BranchLabel) -> float:
@@ -92,7 +114,7 @@ def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     first = _block(initial, via)[_row(initial)]
     second = _block(via, final)
     column = _row(final)
-    return sum(complex(first[s]) * complex(second[s][column]) for s in (0, 1))
+    return sum(first[s] * second[s][column] for s in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -121,5 +143,4 @@ def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
     Component ``s`` is amplitude(label, reference^s); the result has unit
     norm for every reference direction.
     """
-    c_plus, c_minus = _block(label, reference)[_row(label)]
-    return StateVector2(complex(c_plus), complex(c_minus))
+    return StateVector2(*_block(label, reference)[_row(label)])

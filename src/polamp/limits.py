@@ -9,7 +9,7 @@ evaluates the generalized machinery at that boundary.
 
 from __future__ import annotations
 
-from .amplitudes import StateVector2, amp_matrix
+from .amplitudes import StateVector2, _block
 from .directions import Direction
 from .operators import Observable2, eigenvector_states, polarization_operator
 
@@ -24,8 +24,8 @@ def standard_amplitudes(a: Direction) -> tuple[complex, complex, complex, comple
     cos theta_a e^{i alpha_a}): the outcomes of measuring along the x
     direction for the parallel and perpendicular preparations.
     """
-    (pp, pm), (mp, mm) = amp_matrix(a.theta, a.alpha, X_DIRECTION.theta, X_DIRECTION.alpha)
-    return complex(pp), complex(pm), complex(mp), complex(mm)
+    (pp, pm), (mp, mm) = _block(a, X_DIRECTION)
+    return pp, pm, mp, mm
 
 
 def standard_states(a: Direction) -> tuple[StateVector2, StateVector2]:

@@ -9,9 +9,14 @@ direction ``c``, its matrix element (i, j) is the amplitude product
 
 which is exactly the spectral form R+ v+ v+^dag + R- v- v-^dag with
 eigenvectors v_s given componentwise by chi(b^s, c^i). This amplitude
-product construction is the only route here; the closed trig expressions
-live in :mod:`polamp.closedforms`, where :mod:`polamp.verify` checks them
-against it.
+product construction is the only route here, written once in
+:func:`_elements`. It takes a block from either trig source of
+:mod:`polamp.amplitudes`: :func:`observable_elements_product` is the
+batched form over the kernel :func:`~polamp.amplitudes.amp_matrix`, and
+:func:`observable_matrix` the scalar form over one label block, bit for
+bit equal to the batched form on Python floats. The closed trig
+expressions live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
+checks them against it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import StateVector2, _probability_of, amp_matrix, state_vector
+from .amplitudes import StateVector2, _block, _probability_of, amp_matrix, state_vector
 from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction
 
 
@@ -54,18 +59,30 @@ class Observable2:
         return self.m11 * self.m22 - self.m12 * self.m21
 
 
+def _elements(block, squared, r_plus, r_minus):
+    """Element (i, j) = sum_s conj(chi(c^i, b^s)) chi(c^j, b^s) R_s of one block.
+
+    ``block`` is the amplitude block between c and b, ``squared`` its squared
+    moduli in the same layout. Returns ((m11, m12), (m21, m22)).
+    """
+    (k_pp, k_pm), (k_mp, k_mm) = block
+    (a_pp, a_pm), (a_mp, a_mm) = squared
+    m11 = a_pp * r_plus + a_pm * r_minus
+    m12 = k_pp.conjugate() * k_mp * r_plus + k_pm.conjugate() * k_mm * r_minus
+    m21 = k_mp.conjugate() * k_pp * r_plus + k_mm.conjugate() * k_pm * r_minus
+    m22 = a_mp * r_plus + a_mm * r_minus
+    return ((m11 + 0j, m12), (m21, m22 + 0j))
+
+
 def observable_elements_product(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_minus):
     """Amplitude-product matrix elements, vectorized over the angle arrays.
 
     Element (i, j) is sum_s conj(chi(c^i, b^s)) chi(c^j, b^s) R_s with c the
     basis direction and b the measured one. Returns ((m11, m12), (m21, m22)).
     """
-    (k_pp, k_pm), (k_mp, k_mm) = amp_matrix(theta_c, alpha_c, theta_b, alpha_b)
-    m11 = np.abs(k_pp) ** 2 * r_plus + np.abs(k_pm) ** 2 * r_minus
-    m12 = np.conj(k_pp) * k_mp * r_plus + np.conj(k_pm) * k_mm * r_minus
-    m21 = np.conj(k_mp) * k_pp * r_plus + np.conj(k_mm) * k_pm * r_minus
-    m22 = np.abs(k_mp) ** 2 * r_plus + np.abs(k_mm) ** 2 * r_minus
-    return ((m11 + 0j, m12), (m21, m22 + 0j))
+    block = amp_matrix(theta_c, alpha_c, theta_b, alpha_b)
+    squared = [[np.abs(k) ** 2 for k in row] for row in block]
+    return _elements(block, squared, r_plus, r_minus)
 
 
 def observable_matrix(
@@ -77,16 +94,20 @@ def observable_matrix(
     Built from amplitude products; the result is Hermitian with
     trace r_plus + r_minus and determinant r_plus * r_minus.
     """
-    m = observable_elements_product(
-        basis.theta, basis.alpha, measure.theta, measure.alpha, float(r_plus), float(r_minus)
-    )
+    r_plus, r_minus = float(r_plus), float(r_minus)
+    block = _block(basis, measure)
+    # the batched form's bits on floats: moduli from numpy, whose complex abs
+    # rounds unlike Python's ``abs``, squared by ``pow`` as a numpy scalar's
+    # ``** 2`` is (``m * m`` can differ in the last bit)
+    squared = [[m ** 2 for m in row] for row in np.abs(block).tolist()]
+    (m11, m12), (m21, m22) = _elements(block, squared, r_plus, r_minus)
     return Observable2(
-        m11=complex(m[0][0]),
-        m12=complex(m[0][1]),
-        m21=complex(m[1][0]),
-        m22=complex(m[1][1]),
-        r_plus=float(r_plus),
-        r_minus=float(r_minus),
+        m11=m11,
+        m12=m12,
+        m21=m21,
+        m22=m22,
+        r_plus=r_plus,
+        r_minus=r_minus,
         measure_dir=measure,
         basis_dir=basis,
     )
@@ -110,8 +131,8 @@ def eigenvector_states(
     pair is orthonormal by construction. The global phase follows the
     component formulas exactly (no re-phasing).
     """
-    (p1, p2), (m1, m2) = amp_matrix(measure.theta, measure.alpha, basis.theta, basis.alpha)
-    return StateVector2(complex(p1), complex(p2)), StateVector2(complex(m1), complex(m2))
+    plus_row, minus_row = _block(measure, basis)
+    return StateVector2(*plus_row), StateVector2(*minus_row)
 
 
 def expectation(state: StateVector2, obs: Observable2) -> float:

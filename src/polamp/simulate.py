@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import map_in_order
-from .amplitudes import _probability_of, _row, amp_matrix
+from .amplitudes import _block, _probability_of, _row
 from .directions import BranchLabel, Direction
 
 #: Default maximum number of stages (2^n outcome sequences bound memory).
@@ -129,8 +129,7 @@ class SampleReport:
 
 def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
     """2x2 matrix T[s, t] = P(prev branch s -> stage branch t)."""
-    block = amp_matrix(prev.theta, prev.alpha, stage.theta, stage.alpha)
-    return np.array([[_probability_of(z) for z in row] for row in block])
+    return np.array([[_probability_of(z) for z in row] for row in _block(prev, stage)])
 
 
 def exact_distribution(
@@ -187,13 +186,18 @@ def sample(
     thread count). A double in the rounding tail, at or above ``cum[-1]``,
     maps to the last sequence with nonzero probability, so p = 0 is never
     drawn. ``distribution`` has checked its probabilities on construction.
+    ``seed``, ``trials`` and ``block_size`` must be Python or numpy integers.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
     """
+    for name, value in (("seed", seed), ("trials", trials), ("block_size", block_size)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    seed, trials, block_size = int(seed), int(trials), int(block_size)
     if not 1 <= trials < 2**63:
         raise ValueError("trials must be from 1 to 2**63 - 1 (counts are int64)")
-    if not 0 <= int(seed) < 2**64:
+    if not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if block_size < 1 or block_size % 4 != 0:
         raise ValueError("block_size must be a positive multiple of 4")
@@ -203,7 +207,7 @@ def sample(
     last_possible = int(np.flatnonzero(probs)[-1])
 
     def below_cum(lo):
-        u = _uniform_block(int(seed), lo, min(block_size, trials - lo))
+        u = _uniform_block(seed, lo, min(block_size, trials - lo))
         # one pass per entry against the sort's ~log2(n) passes
         if cum.size <= u.size.bit_length():
             return np.array([np.count_nonzero(u < c) for c in cum])
@@ -219,8 +223,8 @@ def sample(
         sigma = np.abs(counts - expected) / np.sqrt(trials * probs * (1.0 - probs))
     sigma[np.isnan(sigma)] = 0.0  # 0/0: p is 0 or 1 and the count matches
     return SampleReport(
-        seed=int(seed),
-        trials=int(trials),
+        seed=seed,
+        trials=trials,
         counts=counts,
         max_abs_deviation_sigma=float(sigma.max()),
         expected=expected,

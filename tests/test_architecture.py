@@ -89,10 +89,16 @@ def test_closedforms_stays_independent_of_the_kernel():
     assert "amp_matrix" not in referenced_names(tree)
 
 
+#: The two amplitude routes: the batched kernel, the scalar label block, and
+#: the combine step both feed.
+AMPLITUDE_ROUTES = {"amp_matrix", "_block", "_combine"}
+
+
 def test_amplitude_oracle_stays_independent_of_the_kernel():
     tree = parse("verify")
     normative = names_from(tree, "amplitudes", "operators")
-    assert "amp_matrix" in normative  # the suites do compare against the kernel
+    # the suites compare against the batched kernel, and only against it
+    assert names_from(tree, "amplitudes") == {"amp_matrix"}
     functions = {
         node.name: node
         for node in tree.body
@@ -100,8 +106,39 @@ def test_amplitude_oracle_stays_independent_of_the_kernel():
     }
     assert set(functions) == set(ORACLE_FUNCTIONS)
     for name, node in functions.items():
-        used = referenced_names(node) & normative
+        used = referenced_names(node) & (normative | AMPLITUDE_ROUTES)
         assert not used, f"verify.{name} uses {sorted(used)}"
+
+
+def trig_sites(tree: ast.Module) -> set[tuple[str, str]]:
+    """(``module.function`` call, enclosing top-level name) of every cos, sin and
+    exp read from ``math``, ``cmath`` or numpy under ``tree``."""
+    return {
+        (f"{node.value.id}.{node.attr}", getattr(top, "name", "<module>"))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("math", "cmath", "np", "numpy")
+        and node.attr in ("cos", "sin", "exp")
+    }
+
+
+def test_each_amplitude_route_reads_one_trig_source_at_one_site():
+    # the label block takes math/cmath on Python floats and the batched kernel
+    # numpy; a second site of either would fork what the combine step is fed
+    sites = {(module, *site) for module in NORMATIVE for site in trig_sites(parse(module))}
+    scalar = {("amplitudes", f, "_block") for f in ("math.cos", "math.sin", "cmath.exp")}
+    batched = {("amplitudes", f, "amp_matrix") for f in ("np.cos", "np.sin", "np.exp")}
+    assert sites == scalar | batched
+    for module in NORMATIVE:  # and none is imported bare, out of the guard's sight
+        bare = {
+            alias.name
+            for node in ast.walk(parse(module))
+            if isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath", "numpy")
+            for alias in node.names
+        }
+        assert not bare & {"cos", "sin", "exp"}, module
 
 
 def test_guard_sees_relative_imports():

@@ -239,6 +239,21 @@ class TestSample:
         with pytest.raises(ValueError, match="seed"):
             sample(exact_distribution(malus_chain()), seed=-1, trials=10)
 
+    @pytest.mark.parametrize("name", ["seed", "trials", "block_size"])
+    @pytest.mark.parametrize("value", [1.5, 10.5, 8.0])
+    def test_non_integer_argument_rejected_by_name(self, name, value):
+        # a float seed used to be truncated silently, and a float trial count
+        # failed with a TypeError that did not name it
+        args = {"seed": 1, "trials": 12, "block_size": 8, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample(exact_distribution(malus_chain()), **args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        dist = exact_distribution(malus_chain())
+        report = sample(dist, seed=np.int64(3), trials=np.int64(1000), block_size=np.int64(64))
+        assert type(report.seed) is int and type(report.trials) is int
+        assert np.array_equal(report.counts, sample(dist, seed=3, trials=1000).counts)
+
     def test_distribution_without_a_possible_outcome_rejected(self):
         with pytest.raises(ValueError, match="every outcome has probability 0"):
             sample(OutcomeDistribution(1, np.zeros(2)), 0, 10)
