@@ -43,6 +43,7 @@ from .operators import (
     eigenvector_states,
     expectation_closed,
     observable_matrix,
+    polarization_operator,
 )
 from .scenario import ScenarioError, load_scenario_file
 from .simulate import (
@@ -91,7 +92,9 @@ def _checked(convert, accept, what: str):
 _seed_u64 = _checked(int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
 _positive_int = _checked(int, lambda v: 1 <= v < 2**63, "a positive integer below 2**63")
 _non_negative_int = _checked(int, lambda v: 0 <= v < 2**63, "a non-negative integer below 2**63")
-_finite_float = _checked(float, math.isfinite, "a finite number")
+# below these bounds no difference of two angles overflows, nor r+ + r- or r+ * r-
+_angle = _checked(float, lambda v: abs(v) < 2.0**1023, "a finite number below 2**1023 in magnitude")
+_eigenvalue = _checked(float, lambda v: abs(v) < 2.0**511, "a finite number below 2**511 in magnitude")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
 
 
@@ -227,8 +230,7 @@ def cmd_operator(args) -> int:
 
 
 def cmd_eigvec(args) -> int:
-    obs = observable_matrix(_direction(args, "b"), _direction(args, "c"), 1.0, -1.0)
-    _eigvec_records(args, obs)
+    _eigvec_records(args, polarization_operator(_direction(args, "b"), _direction(args, "c")))
     return EXIT_OK
 
 
@@ -346,86 +348,55 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_unit_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--deg", action="store_true", default=True,
-        help="angles are degrees (default)",
-    )
-    group.add_argument(
-        "--rad", action="store_true", default=False,
-        help="angles are radians",
-    )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--machine", action="store_true", help="machine-readable output")
-
-
-def _add_tolerance_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tolerance", type=_positive_float, default=None,
-        help=f"numeric tolerance (default: ${ENV_TOLERANCE} or {DEFAULT_TOLERANCE})",
-    )
-
-
-def _add_direction_args(parser: argparse.ArgumentParser, prefix: str, what: str) -> None:
-    parser.add_argument(f"theta_{prefix}", type=_finite_float, help=f"plane angle of {what}")
-    parser.add_argument(f"alpha_{prefix}", type=_finite_float, help=f"relative phase of {what}")
-
-
-def _add_label_args(parser: argparse.ArgumentParser, prefix: str) -> None:
-    _add_direction_args(parser, prefix, f"direction {prefix}")
-    parser.add_argument(
-        f"branch_{prefix}", type=_branch, help=f"branch of direction {prefix}: + or -"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="polamp",
         description="Generalized polarization amplitudes, operators and analyzer-chain simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that several subcommands share, each declared once
+    machine, units, tolerance = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    machine.add_argument("--machine", action="store_true", help="machine-readable output")
+    group = units.add_mutually_exclusive_group()
+    group.add_argument(
+        "--deg", action="store_true", default=True, help="angles are degrees (default)"
+    )
+    group.add_argument("--rad", action="store_true", default=False, help="angles are radians")
+    tolerance.add_argument(
+        "--tolerance", type=_positive_float, default=None,
+        help=f"numeric tolerance (default: ${ENV_TOLERANCE} or {DEFAULT_TOLERANCE})",
+    )
 
-    p = sub.add_parser("amp", help="transition amplitude between two branch labels")
-    _add_label_args(p, "a")
-    _add_label_args(p, "b")
-    _add_unit_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_amp)
+    # a subcommand reads the angles of its directions in order, each given as
+    # (prefix, what); ``what`` None is branch label ``prefix``, which adds its branch
+    a, b = ("a", None), ("b", None)
+    measured, basis = ("b", "the measured direction"), ("c", "the basis direction")
+    labels, checks = [units, machine], [machine, tolerance]
+    for name, summary, handler, parents, *directions in (
+        ("amp", "transition amplitude between two branch labels", cmd_amp, labels, a, b),
+        ("prob", "transition probability between two branch labels", cmd_prob, labels, a, b),
+        ("operator", "observable matrix, eigenvectors and residuals", cmd_operator, labels,
+         measured, basis),
+        ("eigvec", "eigenvector pair of the polarization operator", cmd_eigvec, labels,
+         measured, basis),
+        ("expect", "polarization expectation value", cmd_expect, labels, a, measured),
+        ("simulate", "exact and Monte Carlo analyzer-chain statistics", cmd_simulate, checks),
+        ("verify", "run every invariant suite and report errata", cmd_verify, checks),
+    ):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(handler=handler)
+        for prefix, what in directions:
+            of = what or f"direction {prefix}"
+            p.add_argument(f"theta_{prefix}", type=_angle, help=f"plane angle of {of}")
+            p.add_argument(f"alpha_{prefix}", type=_angle, help=f"relative phase of {of}")
+            if what is None:
+                p.add_argument(f"branch_{prefix}", type=_branch, help=f"branch of {of}: + or -")
 
-    p = sub.add_parser("prob", help="transition probability between two branch labels")
-    _add_label_args(p, "a")
-    _add_label_args(p, "b")
-    _add_unit_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_prob)
+    p = sub.choices["operator"]
+    p.add_argument("--r-plus", type=_eigenvalue, default=1.0, help="value on the parallel branch")
+    p.add_argument("--r-minus", type=_eigenvalue, default=-1.0, help="value on the perpendicular branch")
 
-    p = sub.add_parser("operator", help="observable matrix, eigenvectors and residuals")
-    _add_direction_args(p, "b", "the measured direction")
-    _add_direction_args(p, "c", "the basis direction")
-    p.add_argument("--r-plus", type=_finite_float, default=1.0, help="value on the parallel branch")
-    p.add_argument("--r-minus", type=_finite_float, default=-1.0, help="value on the perpendicular branch")
-    _add_unit_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_operator)
-
-    p = sub.add_parser("eigvec", help="eigenvector pair of the polarization operator")
-    _add_direction_args(p, "b", "the measured direction")
-    _add_direction_args(p, "c", "the basis direction")
-    _add_unit_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_eigvec)
-
-    p = sub.add_parser("expect", help="polarization expectation value")
-    _add_label_args(p, "a")
-    _add_direction_args(p, "b", "the measured direction")
-    _add_unit_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_expect)
-
-    p = sub.add_parser("simulate", help="exact and Monte Carlo analyzer-chain statistics")
+    p = sub.choices["simulate"]
     p.add_argument("scenario", help="scenario file (JSON, angles in degrees)")
     p.add_argument("--seed", type=_seed_u64, default=None, help="RNG seed (overrides the file)")
     p.add_argument("--trials", type=_positive_int, default=None, help="trial count (overrides the file)")
@@ -434,17 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage-cap", type=_positive_int, default=None,
         help=f"maximum stage count (default: ${ENV_STAGE_CAP} or {DEFAULT_STAGE_CAP})",
     )
-    _add_common_flags(p)
-    _add_tolerance_flag(p)
-    p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run every invariant suite and report errata")
+    p = sub.choices["verify"]
     p.add_argument("--draws", type=_non_negative_int, default=DEFAULT_DRAWS, help="random draws per suite")
     p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed for the draws")
-    _add_common_flags(p)
-    _add_tolerance_flag(p)
-    p.set_defaults(handler=cmd_verify)
-
     return parser
 
 

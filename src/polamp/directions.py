@@ -11,7 +11,6 @@ in both angles, so no normalization is applied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,10 +38,10 @@ class Branch(Enum):
         return self.value
 
 
-def _check_finite(name: str, value: float) -> float:
+def _check_angle(name: str, value: float) -> float:
     value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not abs(value) < 2.0**1023:  # also rejects nan; a float bound is folded at compile time
+        raise ValueError(f"{name} must be finite and below 2**1023 in magnitude, got {value!r}")
     return value
 
 
@@ -50,15 +49,17 @@ def _check_finite(name: str, value: float) -> float:
 class Direction:
     """A polarization measurement context: plane angle and relative phase.
 
-    Both angles are in radians and may take any finite value.
+    Both angles are in radians, each below 2**1023 in magnitude (``ValueError``
+    otherwise): two such angles differ by at most the largest finite double, so
+    no phase difference downstream overflows to a NaN result.
     """
 
     theta: float
     alpha: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _check_finite("theta", self.theta))
-        object.__setattr__(self, "alpha", _check_finite("alpha", self.alpha))
+        object.__setattr__(self, "theta", _check_angle("theta", self.theta))
+        object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
 
 
 @dataclass(frozen=True)

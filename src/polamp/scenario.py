@@ -71,6 +71,16 @@ def _number(mapping: dict, key: str, where: str, default=None) -> float:
     return number
 
 
+def _integer(mapping: dict, key: str, where: str, low: int, high: int, what: str) -> int | None:
+    """``mapping[key]``, an integer in ``[low, high)`` described as ``what``; None if absent."""
+    if key not in mapping:  # a present null is no integer
+        return None
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise ScenarioError(f"{where}.{key}: expected {what}, got {_shown(value)}")
+    return value
+
+
 def _direction(mapping: dict, where: str, extra: frozenset = frozenset()) -> Direction:
     """The direction of ``mapping``, whose keys besides the angles are ``extra``."""
     _require_mapping(mapping, where)
@@ -110,24 +120,8 @@ def parse_scenario(document: dict) -> ScenarioFile:
         _direction(stage, f"{where}.stages[{k}]") for k, stage in enumerate(stages_raw)
     )
 
-    seed = None
-    if "seed" in document:
-        value = document["seed"]
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-            raise ScenarioError(
-                f"{where}.seed: expected an unsigned 64-bit integer, got {_shown(value)}"
-            )
-        seed = value
-
-    trials = None
-    if "trials" in document:
-        value = document["trials"]
-        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value < 2**63:
-            raise ScenarioError(
-                f"{where}.trials: expected a positive integer below 2**63, got {_shown(value)}"
-            )
-        trials = value
-
+    seed = _integer(document, "seed", where, 0, 2**64, "an unsigned 64-bit integer")
+    trials = _integer(document, "trials", where, 1, 2**63, "a positive integer below 2**63")
     tolerance = None
     if "tolerance" in document:
         tolerance = _number(document, "tolerance", where)

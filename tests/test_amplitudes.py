@@ -297,6 +297,20 @@ class TestDirections:
         with pytest.raises(ValueError, match="finite"):
             Direction(0.0, math.inf)
 
+    @pytest.mark.parametrize("value", [2.0**1023, -(2.0**1023), 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("name", ["theta", "alpha"])
+    def test_rejects_angles_from_2_to_the_1023(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and below 2\\*\\*1023"):
+            Direction(**{"theta": 0.0, name: value})
+
+    def test_largest_angles_give_finite_results(self):
+        # two angles below 2**1023 differ by a finite double, so every phase stays finite
+        top = math.nextafter(2.0**1023, 0.0)
+        a, b = plus(top, top), minus(-top, -top)
+        assert Direction(top, -top).alpha == -top
+        for z in (amplitude(a, b), amplitude(b, a), probability(a, b)):
+            assert math.isfinite(z.real) and math.isfinite(z.imag)
+
     def test_canonicalize_ranges(self):
         # no normalization: angles are kept exactly as given
         d = Direction(-0.25 + 4 * math.pi, -3.0)

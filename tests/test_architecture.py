@@ -324,6 +324,26 @@ def test_machine_number_format_is_written_once():
     assert formats == {"_field"}
 
 
+def test_only_build_parser_declares_arguments():
+    # the whole command-line interface reads top to bottom in one function;
+    # a flag that several subcommands share is declared there once
+    declaring = {"add_argument", "add_parser", "add_mutually_exclusive_group"}
+    calls = {
+        getattr(top, "name", "<module>"): [
+            node for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in declaring
+        ]
+        for top in parse("cli").body
+    }
+    assert {name for name, found in calls.items() if found} == {"build_parser"}
+    flags = [
+        call.args[0].value for call in calls["build_parser"]
+        if call.args and isinstance(call.args[0], ast.Constant)
+    ]
+    for flag in ("--machine", "--deg", "--rad", "--tolerance"):
+        assert flags.count(flag) == 1, flag
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # the block pool that verify and sample share (``polamp._pool``) imports
     # concurrent.futures on its first call, so that ``import polamp`` and the

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polamp
@@ -140,6 +140,33 @@ def golden_label_records():
         else:
             records[-1][1].append(line)
     return [pytest.param(argv, "".join(out), id=" ".join(argv)) for argv, out in records]
+
+
+def cli_run(argv):
+    """``(exit code, stdout)`` of ``polamp argv``, a usage error's too (for hypothesis)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+#: The largest angle and eigenvalue the CLI accepts.
+TOP_ANGLE, TOP_EIGENVALUE = math.nextafter(2.0**1023, 0.0), math.nextafter(2.0**511, 0.0)
+
+#: Finite numbers as text: any double, and often one near a bound.
+FINITE_TEXT = st.one_of(
+    st.sampled_from([
+        "1.7e308", "-1.7e308", repr(2.0**1023), repr(-(2.0**1023)), repr(TOP_ANGLE),
+        repr(-TOP_ANGLE), repr(2.0**511), repr(-TOP_EIGENVALUE), "0", "-0.0", "30",
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+#: Every number in a record, ``nan`` and ``inf`` included, such as both parts of ``re+imi``.
+NUMBER_TEXT = re.compile(r"nan|inf|[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?", re.I)
 
 
 def with_positionals_after(argv, value):
@@ -318,6 +345,57 @@ class TestLabelSubcommands:
                 assert run(args) == EXIT_OK
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("units", [[], ["--rad"]])
+    @pytest.mark.parametrize("name, slot", ANGLE_SLOTS)
+    def test_angle_bound_is_2_to_the_1023(self, capsys, name, slot, units):
+        # every angle text below the bound is accepted, in either unit
+        for value, code in [(TOP_ANGLE, EXIT_OK), (2.0**1023, EXIT_USAGE)]:
+            for text in (repr(value), repr(-value)):
+                argv = list(LABEL_COMMANDS[name])
+                argv[slot] = text
+                assert cli_run([*argv, *units])[0] == code
+        assert "must be a finite number below 2**1023 in magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--r-plus", "--r-minus"])
+    def test_eigenvalue_bound_is_2_to_the_511(self, capsys, flag):
+        for value, code in [(TOP_EIGENVALUE, EXIT_OK), (2.0**511, EXIT_USAGE)]:
+            for text in (repr(value), repr(-value)):
+                assert cli_run([*LABEL_COMMANDS["operator"], f"{flag}={text}"])[0] == code
+        assert "must be a finite number below 2**511 in magnitude" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(list(LABEL_COMMANDS)),
+        angles=st.lists(FINITE_TEXT, min_size=4, max_size=4),
+        branches=st.lists(st.sampled_from("+-"), min_size=2, max_size=2),
+        eigenvalues=st.lists(FINITE_TEXT, min_size=2, max_size=2),
+        units=st.sampled_from([[], ["--deg"], ["--rad"]]),
+        machine=st.booleans(),
+    )
+    @example(name="amp", angles=["0", "1.7e308", "0", "-1.7e308"], branches=["+", "+"],
+             eigenvalues=["1", "-1"], units=["--rad"], machine=True)
+    @example(name="operator", angles=["30", "0", "10", "0"], branches=["+", "+"],
+             eigenvalues=["1.7e308", "1.7e308"], units=[], machine=False)
+    def test_finite_text_exits_usage_or_prints_finite_numbers(
+        self, name, angles, branches, eigenvalues, units, machine
+    ):
+        argv = list(LABEL_COMMANDS[name])
+        values = iter([*angles, *branches])
+        angle_slots = [k for k, token in enumerate(argv) if k > 0 and token not in ("+", "-")]
+        branch_slots = [k for k, token in enumerate(argv) if token in ("+", "-")]
+        for slot in angle_slots + branch_slots:
+            argv[slot] = next(values)
+        flags = [*units, *(["--machine"] if machine else [])]
+        if name == "operator":
+            flags += [f"--r-plus={eigenvalues[0]}", f"--r-minus={eigenvalues[1]}"]
+        code, out = cli_run([argv[0], *flags, "--", *argv[1:]])
+        if code == EXIT_USAGE:
+            assert out == ""
+        else:
+            assert code == EXIT_OK
+            numbers = NUMBER_TEXT.findall(out)
+            assert numbers and all(math.isfinite(float(x)) for x in numbers), out
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +925,119 @@ class TestVerify:
             flag, residual, relation, tolerance = words[0], float(words[4]), words[5], float(words[6])
             assert relation == ("<" if flag == "PASS" else ">="), words
             assert (residual < tolerance) == (flag == "PASS"), words
+
+
+# ---------------------------------------------------------------------------
+# the parser interface
+# ---------------------------------------------------------------------------
+
+#: Argument types by their names in ``polamp.cli``: the angle and eigenvalue
+#: types bound the magnitude (2**1023 and 2**511), and are no longer one type.
+ANGLE, BRANCH, EIGENVALUE = "_angle", "_branch", "_eigenvalue"
+
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, "show this help message and exit")
+MACHINE = (("--machine",), "machine", False, None, "machine-readable output")
+UNITS = [
+    (("--deg",), "deg", True, None, "angles are degrees (default)"),
+    (("--rad",), "rad", False, None, "angles are radians"),
+]
+TOLERANCE = (
+    ("--tolerance",), "tolerance", None, "_positive_float",
+    "numeric tolerance (default: $POLAMP_TOLERANCE or 1e-12)",
+)
+MEASURED = [
+    ((), "theta_b", None, ANGLE, "plane angle of the measured direction"),
+    ((), "alpha_b", None, ANGLE, "relative phase of the measured direction"),
+]
+BASIS = [
+    ((), "theta_c", None, ANGLE, "plane angle of the basis direction"),
+    ((), "alpha_c", None, ANGLE, "relative phase of the basis direction"),
+]
+
+
+def label_positionals(prefix):
+    return [
+        ((), f"theta_{prefix}", None, ANGLE, f"plane angle of direction {prefix}"),
+        ((), f"alpha_{prefix}", None, ANGLE, f"relative phase of direction {prefix}"),
+        ((), f"branch_{prefix}", None, BRANCH, f"branch of direction {prefix}: + or -"),
+    ]
+
+
+LABEL_FLAGS = [HELP, *UNITS, MACHINE]
+
+#: Each subcommand: its help, then every argument as (option strings, dest,
+#: default, type, help), positionals in the order they are read. This is the
+#: interface as it stood while each subcommand declared its own flags, but
+#: for the two bounded types.
+INTERFACE = {
+    "amp": ("transition amplitude between two branch labels",
+            [*label_positionals("a"), *label_positionals("b"), *LABEL_FLAGS]),
+    "prob": ("transition probability between two branch labels",
+             [*label_positionals("a"), *label_positionals("b"), *LABEL_FLAGS]),
+    "operator": ("observable matrix, eigenvectors and residuals", [
+        *MEASURED, *BASIS, *LABEL_FLAGS,
+        (("--r-plus",), "r_plus", 1.0, EIGENVALUE, "value on the parallel branch"),
+        (("--r-minus",), "r_minus", -1.0, EIGENVALUE, "value on the perpendicular branch"),
+    ]),
+    "eigvec": ("eigenvector pair of the polarization operator", [*MEASURED, *BASIS, *LABEL_FLAGS]),
+    "expect": ("polarization expectation value",
+               [*label_positionals("a"), *MEASURED, *LABEL_FLAGS]),
+    "simulate": ("exact and Monte Carlo analyzer-chain statistics", [
+        ((), "scenario", None, None, "scenario file (JSON, angles in degrees)"),
+        HELP, MACHINE, TOLERANCE,
+        (("--seed",), "seed", None, "_seed_u64", "RNG seed (overrides the file)"),
+        (("--trials",), "trials", None, "_positive_int", "trial count (overrides the file)"),
+        (("--exact",), "exact", False, None, "exact distribution only, no sampling"),
+        (("--stage-cap",), "stage_cap", None, "_positive_int",
+         "maximum stage count (default: $POLAMP_STAGE_CAP or 20)"),
+    ]),
+    "verify": ("run every invariant suite and report errata", [
+        HELP, MACHINE, TOLERANCE,
+        (("--draws",), "draws", 100_000, "_non_negative_int", "random draws per suite"),
+        (("--seed",), "seed", 0, "_seed_u64", "RNG seed for the draws"),
+    ]),
+}
+
+
+def subcommands():
+    """``{name: (help, subparser)}`` of the CLI parser."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    return {name: (helps[name], parser) for name, parser in sub.choices.items()}
+
+
+def test_every_subcommand_declares_the_same_arguments():
+    type_names = {id(value): name for name, value in vars(polamp.cli).items()}
+    actual = {}
+    for name, (help_text, parser) in subcommands().items():
+        arguments = [
+            (tuple(a.option_strings), a.dest, a.default, a.type and type_names[id(a.type)], a.help)
+            for a in parser._actions
+        ]
+        positionals = [argument for argument in arguments if not argument[0]]
+        groups = [[a.dest for a in g._group_actions] for g in parser._mutually_exclusive_groups]
+        actual[name] = (help_text, positionals, set(arguments), groups)
+    expected = {
+        # --deg and --rad stay exclusive, and nothing else is
+        name: (help_text, [a for a in arguments if not a[0]], set(arguments),
+               [["deg", "rad"]] if UNITS[1] in arguments else [])
+        for name, (help_text, arguments) in INTERFACE.items()
+    }
+    assert actual == expected
+    assert list(actual) == list(INTERFACE)
+
+
+@pytest.mark.parametrize("name", INTERFACE)
+def test_help_lists_every_argument(capsys, monkeypatch, name):
+    # the order of the options may differ from the interface table, their text may not
+    monkeypatch.setenv("COLUMNS", "300")  # no help line is wrapped
+    with pytest.raises(SystemExit) as exc:
+        run([name, "--help"])
+    assert exc.value.code == EXIT_OK
+    out = " ".join(capsys.readouterr().out.split())
+    for option_strings, dest, _, _, help_text in INTERFACE[name][1]:
+        assert " ".join(help_text.split()) in out
+        assert all(option in out for option in option_strings) and (option_strings or dest in out)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,24 @@ def test_rejections_name_the_key(mutate, fragment):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("seed", None, "an unsigned 64-bit integer, got None"),
+        ("seed", 2**64, f"an unsigned 64-bit integer, got {2**64}"),
+        ("seed", True, "an unsigned 64-bit integer, got True"),
+        ("trials", None, "a positive integer below 2**63, got None"),
+        ("trials", 10.0, "a positive integer below 2**63, got 10.0"),
+        ("trials", [1], "a positive integer below 2**63, got list"),
+    ],
+)
+def test_seed_and_trials_messages(key, value, expected):
+    # a present null is rejected like any other value that is no integer
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({**VALID, key: value})
+    assert str(exc.value) == f"scenario.{key}: expected {expected}"
+
+
 def test_trials_up_to_int64_max_accepted():
     assert parse_scenario({**VALID, "trials": 2**63 - 1}).trials == 2**63 - 1
 
