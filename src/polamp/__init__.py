@@ -8,7 +8,10 @@ verification layer that checks every closed form against independent
 oracles.
 """
 
+import importlib
+
 from .directions import (
+    DEFAULT_STAGE_CAP,
     DEFAULT_TOLERANCE,
     Branch,
     BranchLabel,
@@ -32,17 +35,35 @@ from .operators import (
     polarization_operator,
 )
 from .limits import standard_amplitudes, standard_operator, standard_states
-from .simulate import (
-    DEFAULT_STAGE_CAP,
-    MeasurementScenario,
-    OutcomeDistribution,
-    SampleReport,
-    StageCapError,
-    exact_distribution,
-    sample,
-)
-from .scenario import ScenarioError, ScenarioFile, load_scenario_file, parse_scenario
-from .verify import ErrataRecord, SuiteResult, VerifyReport, run_all
+
+#: The public names of the modules whose import loads numpy, by module. Each
+#: is looked up there on every access (PEP 562) and never cached here, so
+#: ``import polamp`` loads no numpy and a function swapped in its module
+#: (as the benchmark tracer does) is what ``polamp.<name>`` returns.
+_LAZY = {
+    "MeasurementScenario": "simulate",
+    "OutcomeDistribution": "simulate",
+    "SampleReport": "simulate",
+    "StageCapError": "simulate",
+    "exact_distribution": "simulate",
+    "sample": "simulate",
+    "ScenarioError": "scenario",
+    "ScenarioFile": "scenario",
+    "load_scenario_file": "scenario",
+    "parse_scenario": "scenario",
+    "ErrataRecord": "verify",
+    "SuiteResult": "verify",
+    "VerifyReport": "verify",
+    "run_all": "verify",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,8 @@ def map_in_order(fn, *sequences):
     if workers == 1:
         yield from map(fn, *sequences)
         return
-    # imported here, so that ``import polamp`` and one-block runs start no slower
+    # imported here, so that one-block runs start no slower; ``import polamp`` loads
+    # neither this module nor numpy (see ``polamp/__init__``)
     from concurrent.futures import ThreadPoolExecutor
 
     items = zip(*sequences)

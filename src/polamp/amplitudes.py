@@ -33,6 +33,10 @@ probabilities (squared moduli) and states; the reversed amplitude is
 ``amplitude(final, initial)``, and the closed trig forms of the
 probabilities live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
 checks them against this route.
+
+numpy is imported inside :func:`amp_matrix` and :meth:`StateVector2.as_array`
+only, the two places that make arrays, so the scalar API and ``import
+polamp`` run without it.
 """
 
 from __future__ import annotations
@@ -40,10 +44,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .directions import Branch, BranchLabel, Direction
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it (module docstring)
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +71,8 @@ def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
 
     The trig factors and the phase are evaluated once for all four.
     """
+    import numpy as np
+
     return _combine(
         np.cos(theta_a), np.sin(theta_a), np.cos(theta_b), np.sin(theta_b),
         np.exp(1j * (alpha_a - alpha_b)),
@@ -130,11 +138,14 @@ class StateVector2:
     c_minus: complex
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.c_plus, self.c_minus], dtype=complex)
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2))
+        # correctly rounded, as ``np.sqrt`` is: the same bits without numpy
+        return math.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
 
 
 def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:

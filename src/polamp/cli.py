@@ -23,21 +23,32 @@ Environment overrides (flags take precedence): ``POLAMP_TOLERANCE`` for
 the numeric tolerance, ``POLAMP_STAGE_CAP`` for the simulation stage cap.
 They pass the same validators as the flags; an invalid value is a usage
 error naming the variable.
+
+The parser and the ``amp``, ``prob`` and ``expect`` handlers run without
+numpy. What the other commands need is imported by the function that uses
+it: numpy in :func:`_eigvec_records`, :mod:`polamp.simulate` and
+:mod:`polamp.scenario` in :func:`cmd_simulate` and :func:`_write_rows`,
+:mod:`polamp.verify` in :func:`cmd_verify`, and ``ctypes`` in
+:func:`_keep_heap_resident`.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
 import os
 import re
 import sys
 
-import numpy as np
-
 from .amplitudes import _probability_of, amplitude, probability
-from .directions import DEFAULT_TOLERANCE, Branch, BranchLabel, Direction
+from .directions import (
+    DEFAULT_DRAWS,
+    DEFAULT_STAGE_CAP,
+    DEFAULT_TOLERANCE,
+    Branch,
+    BranchLabel,
+    Direction,
+)
 from .operators import (
     Observable2,
     eigenvector_states,
@@ -45,15 +56,6 @@ from .operators import (
     observable_matrix,
     polarization_operator,
 )
-from .scenario import ScenarioError, load_scenario_file
-from .simulate import (
-    DEFAULT_STAGE_CAP,
-    StageCapError,
-    exact_distribution,
-    sample,
-    sequence_labels,
-)
-from .verify import DEFAULT_DRAWS, run_all
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -198,6 +200,8 @@ def cmd_prob(args) -> int:
 
 
 def _eigvec_records(args, obs: Observable2) -> None:
+    import numpy as np
+
     xi_plus, xi_minus = eigenvector_states(obs.measure_dir, obs.basis_dir)
     m = obs.as_array()
     for sign, xi, r in (("+", xi_plus, obs.r_plus), ("-", xi_minus, obs.r_minus)):
@@ -256,10 +260,15 @@ def _write_rows(template: str, n_stages: int, *columns) -> None:
     # One write per line keeps each write below the pipe's atomic size, so a
     # reader that closes the pipe raises BrokenPipeError here; a multi-line
     # write to unbuffered stdout can instead be cut short without an error.
+    from .simulate import sequence_labels
+
     sys.stdout.writelines(map(template.__mod__, zip(sequence_labels(n_stages), *columns)))
 
 
 def cmd_simulate(args) -> int:
+    from .scenario import ScenarioError, load_scenario_file
+    from .simulate import StageCapError, exact_distribution, sample
+
     try:
         loaded = load_scenario_file(args.scenario)
     except ScenarioError as exc:
@@ -301,6 +310,8 @@ def cmd_simulate(args) -> int:
 
 def _keep_heap_resident() -> None:
     """Keep freed verify blocks in glibc's heap, not given back and faulted in again (README)."""
+    import ctypes
+
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no mallopt: macOS, Windows
@@ -311,6 +322,8 @@ def _keep_heap_resident() -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, DEFAULT_TOLERANCE)
     _keep_heap_resident()
     report = run_all(draws=args.draws, seed=args.seed, tolerance=tolerance)

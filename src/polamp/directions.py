@@ -17,6 +17,13 @@ from enum import Enum
 #: Default absolute tolerance for every numeric invariant check in the package.
 DEFAULT_TOLERANCE = 1e-12
 
+#: Default maximum number of stages of a simulated chain (2^n outcome
+#: sequences bound memory); :mod:`polamp.simulate` applies it.
+DEFAULT_STAGE_CAP = 20
+
+#: Default random draws per suite of :func:`polamp.verify.run_all`.
+DEFAULT_DRAWS = 100_000
+
 
 class Branch(Enum):
     """One of the two orthogonal outcomes of a polarization measurement."""

@@ -17,16 +17,23 @@ batched form over the kernel :func:`~polamp.amplitudes.amp_matrix`, and
 bit equal to the batched form on Python floats. The closed trig
 expressions live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
 checks them against it.
+
+numpy is imported inside the functions that call it (the batched form,
+:func:`observable_matrix`'s moduli, :meth:`Observable2.as_array` and
+:func:`expectation`), so ``import polamp`` and :func:`expectation_closed`
+run without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .amplitudes import StateVector2, _block, _probability_of, amp_matrix, state_vector
 from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it (module docstring)
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,8 @@ class Observable2:
     basis_dir: Direction
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
 
     @property
@@ -80,6 +89,8 @@ def observable_elements_product(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_mi
     Element (i, j) is sum_s conj(chi(c^i, b^s)) chi(c^j, b^s) R_s with c the
     basis direction and b the measured one. Returns ((m11, m12), (m21, m22)).
     """
+    import numpy as np
+
     block = amp_matrix(theta_c, alpha_c, theta_b, alpha_b)
     squared = [[np.abs(k) ** 2 for k in row] for row in block]
     return _elements(block, squared, r_plus, r_minus)
@@ -94,6 +105,8 @@ def observable_matrix(
     Built from amplitude products; the result is Hermitian with
     trace r_plus + r_minus and determinant r_plus * r_minus.
     """
+    import numpy as np
+
     r_plus, r_minus = float(r_plus), float(r_minus)
     block = _block(basis, measure)
     # the batched form's bits on floats: moduli from numpy, whose complex abs
@@ -142,6 +155,8 @@ def expectation(state: StateVector2, obs: Observable2) -> float:
     ``DEFAULT_TOLERANCE``; the imaginary residue of the quadratic form (zero
     up to rounding for Hermitian matrices) is checked against it and discarded.
     """
+    import numpy as np
+
     tol = DEFAULT_TOLERANCE
     norm_dev = abs(state.norm - 1.0)
     if norm_dev > tol:

@@ -40,10 +40,7 @@ import numpy as np
 
 from ._pool import map_in_order
 from .amplitudes import _block, _probability_of, _row
-from .directions import BranchLabel, Direction
-
-#: Default maximum number of stages (2^n outcome sequences bound memory).
-DEFAULT_STAGE_CAP = 20
+from .directions import DEFAULT_STAGE_CAP, BranchLabel, Direction
 
 #: Trials per sampling block by default (a multiple of 4). A block is drawn
 #: inside the thread that counts it, so the uniforms held at once are 2 MB

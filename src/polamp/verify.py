@@ -43,10 +43,8 @@ import numpy as np
 from . import closedforms
 from ._pool import map_in_order
 from .amplitudes import amp_matrix
-from .directions import DEFAULT_TOLERANCE
+from .directions import DEFAULT_DRAWS, DEFAULT_TOLERANCE
 from .operators import observable_elements_product
-
-DEFAULT_DRAWS = 100_000
 
 #: Lanes per block. Every suite and errata table draws its inputs and evaluates
 #: its residuals over blocks of this many lanes, one thread per available CPU,

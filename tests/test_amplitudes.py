@@ -11,6 +11,7 @@ from polamp import (
     Branch,
     BranchLabel,
     Direction,
+    StateVector2,
     amplitude,
     chain,
     minus,
@@ -277,6 +278,14 @@ class TestStateVector:
         assert v.c_plus == pytest.approx(amplitude(label, BranchLabel(ref, Branch.PLUS)), abs=TOL)
         assert v.c_minus == pytest.approx(amplitude(label, BranchLabel(ref, Branch.MINUS)), abs=TOL)
         assert v.norm == pytest.approx(1.0, abs=TOL)
+
+    # beyond 1e150 in magnitude ``abs(c) ** 2`` raises OverflowError on either side
+    @given(*[st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)] * 2)
+    @settings(max_examples=500, deadline=None)
+    def test_norm_keeps_the_bits_of_numpy_sqrt(self, c1, c2):
+        # math.sqrt and np.sqrt are both correctly rounded
+        expected = float(np.sqrt(abs(c1) ** 2 + abs(c2) ** 2))
+        assert StateVector2(c1, c2).norm.hex() == expected.hex()
 
     def test_inner_product_against_amplitude(self):
         # <state(b)|state(a)> over any shared reference equals amplitude(a, b)

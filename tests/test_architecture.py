@@ -11,7 +11,9 @@ an allow-list that says why it is public.
 """
 
 import ast
+import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -355,6 +357,63 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
+#: What the parser and the label commands leave unloaded, so that they start
+#: without numpy's import (README, CLI).
+HEAVY_MODULES = ("numpy", "ctypes", "polamp.simulate", "polamp.scenario", "polamp.verify")
+
+#: Runs each argument list of ``sys.argv[1]`` (JSON) through ``polamp.cli.run``
+#: in order, printing one JSON line per run: its exit code and the modules of
+#: ``sys.argv[2]`` loaded after it. The first line is for the parser alone.
+START_PROBE = """
+import contextlib, io, json, sys
+import polamp, polamp.cli
+
+def loaded():
+    return [m for m in json.loads(sys.argv[2]) if m in sys.modules]
+
+polamp.cli.build_parser()
+print(json.dumps([None, 0, loaded()]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = polamp.cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([argv, code, loaded()]))
+"""
+
+
+def test_parser_and_label_commands_start_without_numpy():
+    labels = [
+        [command, *units, *machine, "--", *angles]
+        for command, angles in (
+            ("amp", ["30", "0", "+", "-20", "10", "-"]),
+            ("prob", ["45", "90", "+", "0", "0", "-"]),
+            ("expect", ["0", "0", "+", "45", "0"]),
+        )
+        for units in ([], ["--deg"], ["--rad"])
+        for machine in ([], ["--machine"])
+    ]
+    numpy_free = [["--help"], ["amp", "--help"], *labels]
+    scenario = str(ROOT / "tests" / "data" / "simulate_two_stage.json")
+    heavy = [
+        ["operator", "30", "0", "0", "0"],
+        ["eigvec", "30", "0", "0", "0", "--machine"],
+        ["simulate", scenario, "--trials", "1000"],
+        ["verify", "--draws", "200", "--machine"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = [sys.executable, "-c", START_PROBE, json.dumps(numpy_free + heavy), json.dumps(HEAVY_MODULES)]
+    out = subprocess.run(probe, capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    runs = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [run for run, _, _ in runs] == [None, *numpy_free, *heavy]
+    for run, code, loaded in runs[: 1 + len(numpy_free)]:
+        assert (code, loaded) == (0, []), run
+    assert [code for _, code, _ in runs[1 + len(numpy_free):]] == [0] * len(heavy)
+    assert runs[-1][2] == list(HEAVY_MODULES)  # the probe sees a module once it is loaded
+
+
 #: Public names that no CLI, benchmark or README code calls, and why each is public.
 PUBLIC_WITHOUT_CALLER = {
     # result types: callers read the values the public functions return
@@ -439,10 +498,31 @@ def unused_exports(exported, used, allowed) -> list[str]:
     return sorted(set(exported) - set(used) - set(allowed))
 
 
-def test_init_imports_exactly_the_public_names():
+def test_init_imports_exactly_the_public_names(monkeypatch):
+    # the numpy-free modules' names are imported; the others resolve lazily
     imported, exported = init_exports(parse("__init__"))
     assert len(exported) == len(set(exported)), "__all__ names a name twice"
-    assert sorted(imported) == sorted(exported)
+    assert sorted(imported + list(polamp._LAZY)) == sorted(exported)
+    for name, module in polamp._LAZY.items():
+        assert getattr(polamp, name) is getattr(importlib.import_module(f"polamp.{module}"), name)
+    # and are not cached: a function swapped in its module, as the benchmark
+    # tracer swaps them, is what the package returns
+    swapped = object()
+    monkeypatch.setattr(polamp.simulate, "sample", swapped)
+    assert polamp.sample is swapped
+    namespace = {}
+    exec("from polamp import *", namespace)
+    assert set(exported) <= set(namespace)
+    with pytest.raises(AttributeError, match="^module 'polamp' has no attribute 'no_such_name'$"):
+        polamp.no_such_name
+
+
+def test_defaults_keep_their_values_on_every_import_path():
+    # defined in directions, which the parser reads without numpy
+    from polamp import simulate
+
+    assert polamp.DEFAULT_STAGE_CAP == simulate.DEFAULT_STAGE_CAP == 20
+    assert verify.DEFAULT_DRAWS == 100_000
 
 
 def test_every_public_name_has_a_caller():
