@@ -26,12 +26,16 @@ A suite is its residual function (:func:`_suite`) over arrays of ``draws``
 doubles from the run's PCG64 stream, but no such array exists: each block
 of ``LANE_BLOCK`` lanes draws its own slice of them in its worker thread by
 counter advance (:func:`_draws`), so memory does not grow with the draw
-count. A run draws the lanes of every suite and errata table first, then
-maps all their blocks as one stream (no barrier between suites) through
-one reduction (:func:`_worst`): each residual's largest value and the
-first lane holding it. An erratum reads its stated and derived values by
-drawing that lane again. ``polamp verify`` keeps freed blocks in glibc's
-heap (:func:`polamp.cli._keep_heap_resident`).
+count. A run draws the lanes of every suite and errata table first; then
+one function (:func:`_worst`) maps all their blocks as one stream (no
+barrier between suites) and reduces them: each residual's largest value
+and the first lane holding it. An erratum reads its stated and derived
+values by drawing that lane again. ``polamp verify`` keeps freed blocks in
+glibc's heap (:func:`polamp.cli._keep_heap_resident`).
+
+The residuals' 2x2 algebra is :func:`_diff`, :func:`_matvec`, :func:`_matmul` and
+:func:`_vdot`, in the operand order of the sums they replaced: numpy's SIMD complex
+product may fuse a multiply into the add, so a swapped operand moves a residual's bits.
 """
 
 from __future__ import annotations
@@ -133,31 +137,22 @@ def _draws(rng: np.random.Generator, n: int, *ranges):
     return lanes
 
 
-def _map_blocks(jobs, n: int):
-    """Yield ``fn(*lanes(lo, hi))`` per ``(fn, lanes)`` job and ``LANE_BLOCK``-lane block."""
-    blocks = -(-n // LANE_BLOCK)
-
-    def block(i):
-        (fn, lanes), lo = jobs[i // blocks], i % blocks * LANE_BLOCK
-        return fn(*lanes(lo, min(lo + LANE_BLOCK, n)))
-
-    return map_in_order(block, range(len(jobs) * blocks))
-
-
 def _worst(jobs, n: int) -> list:
     """``finish(worst)`` per ``(fn, lanes, finish)`` job, all blocks mapped as one stream.
 
-    ``worst`` holds the largest value of each lane array ``fn(*block)`` returns and its first
-    lane: ``max`` over the blocks' ``argmax`` in block order keeps the first of equal maxima.
+    ``worst`` holds the largest value of each lane array ``fn(*lanes(lo, hi))`` returns and its
+    first lane: ``max`` over the blocks' ``argmax`` in block order keeps the first of equal maxima.
     """
+    blocks = -(-n // LANE_BLOCK)
 
-    def block_worst(fn):
-        return lambda *block: [(a[k], int(k)) for a in fn(*block) for k in [a.argmax()]]
+    def block_worst(i):
+        (fn, lanes, _), lo = jobs[i // blocks], i % blocks * LANE_BLOCK
+        residuals = fn(*lanes(lo, min(lo + LANE_BLOCK, n)))
+        return [(a[k], lo + int(k)) for a in residuals for k in [a.argmax()]]
 
     worst = [[] for _ in jobs]
-    for i, block in enumerate(_map_blocks([(block_worst(fn), lanes) for fn, lanes, _ in jobs], n)):
-        job, b = divmod(i, -(-n // LANE_BLOCK))
-        block = [(value, b * LANE_BLOCK + k) for value, k in block]
+    for i, block in enumerate(map_in_order(block_worst, range(len(jobs) * blocks))):
+        job, b = divmod(i, blocks)
         worst[job] = [max(p, key=lambda w: w[0]) for p in zip(worst[job], block)] if b else block
     return [finish(w) for (*_, finish), w in zip(jobs, worst)]
 
@@ -208,6 +203,30 @@ def _oracle_amplitude(initial, final):
 _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+# Products of 2x2 blocks and 2-vectors of lane arrays, in the operand order of the residuals
+# they replaced (see the module docstring). The oracle, the spectral leg and the diagonals
+# squared as ``np.abs(x) ** 2`` stay written out: the oracle shares no code with what it
+# checks, and ``np.abs(x) ** 2`` rounds unlike ``x * conj(x)``.
+
+
+def _diff(x, y) -> list:
+    """``|x - y|`` per element of two blocks, in ``_PAIRS`` order."""
+    return [np.abs(x[i][j] - y[i][j]) for i, j in _PAIRS]
+
+
+def _matvec(m, v) -> list:
+    return [row[0] * v[0] + row[1] * v[1] for row in m]
+
+
+def _matmul(x, y) -> list:
+    return [[row[0] * y[0][t] + row[1] * y[1][t] for t in (0, 1)] for row in x]
+
+
+def _vdot(u, v):
+    """``conj(u) . v``."""
+    return np.conj(u[0]) * v[0] + np.conj(u[1]) * v[1]
+
+
 @_suite(*[_ANGLE] * 4)
 def suite_amplitude_oracle(ta, aa, tb, ab):
     block = amp_matrix(ta, aa, tb, ab)
@@ -236,13 +255,8 @@ def suite_orthonormality(ta, aa, tb, ab):
 
 @_suite(*[_ANGLE] * 6)
 def suite_chaining(ta, aa, tb, ab, tc, ac):
-    direct = amp_matrix(ta, aa, tb, ab)
-    to_c = amp_matrix(ta, aa, tc, ac)
-    from_c = amp_matrix(tc, ac, tb, ab)
-    return [
-        np.abs(to_c[s][0] * from_c[0][t] + to_c[s][1] * from_c[1][t] - direct[s][t])
-        for s, t in _PAIRS
-    ]
+    chained = _matmul(amp_matrix(ta, aa, tc, ac), amp_matrix(tc, ac, tb, ab))
+    return _diff(chained, amp_matrix(ta, aa, tb, ab))
 
 
 @_suite(*[_ANGLE] * 4)
@@ -290,7 +304,7 @@ def suite_observable_closed_forms(tc, ac, tb, ab, *eigenvalue_draws):
     r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
     derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
     stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
-    return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
+    return _diff(stated, derived)
 
 
 @_suite(*[_ANGLE] * 4, *_EIGENVALUES, floor=EIGENSOLVER_TOLERANCE)
@@ -317,13 +331,8 @@ def suite_operator_oracle_triangle(tc, ac, tb, ab, *eigenvalue_draws):
         ),
     )
 
-    out = [np.abs(product[i][j] - spectral[i][j]) for i, j in _PAIRS]
-
-    matrices = np.empty((m, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            matrices[:, i, j] = product[i][j]
-    eigvals, eigvecs = np.linalg.eigh(matrices)
+    out = _diff(product, spectral)
+    eigvals, eigvecs = np.linalg.eigh(np.moveaxis(np.array(product), -1, 0))
     lo = np.minimum(r_plus, r_minus)
     hi = np.maximum(r_plus, r_minus)
     out.append(np.abs(eigvals[:, 0] - lo))
@@ -340,35 +349,21 @@ def suite_operator_oracle_triangle(tc, ac, tb, ab, *eigenvalue_draws):
 
 @_suite(*[_ANGLE] * 4)
 def suite_eigen_residual(tc, ac, tb, ab):
-    ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
-    (xp1, xp2), (xm1, xm2) = amp_matrix(tb, ab, tc, ac)
+    p = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
+    plus, minus = amp_matrix(tb, ab, tc, ac)
     return [
-        np.abs(p11 * xp1 + p12 * xp2 - xp1),
-        np.abs(p21 * xp1 + p22 * xp2 - xp2),
-        np.abs(p11 * xm1 + p12 * xm2 + xm1),
-        np.abs(p21 * xm1 + p22 * xm2 + xm2),
+        *(np.abs(y - x) for y, x in zip(_matvec(p, plus), plus)),
+        *(np.abs(y + x) for y, x in zip(_matvec(p, minus), minus)),
         # involution p @ p = identity
-        np.abs(p11 * p11 + p12 * p21 - 1.0),
-        np.abs(p11 * p12 + p12 * p22),
-        np.abs(p21 * p11 + p22 * p21),
-        np.abs(p21 * p12 + p22 * p22 - 1.0),
+        *_diff(_matmul(p, p), ((1.0, 0.0), (0.0, 1.0))),
     ]
 
 
 @_suite(*[_ANGLE] * 6)
 def suite_expectation_consistency(ta, aa, tb, ab, tc, ac):
-    ((p11, p12), (p21, p22)) = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
+    p = observable_elements_product(tc, ac, tb, ab, 1.0, -1.0)
     # initial states over the same basis, both branches
-    v_plus, v_minus = amp_matrix(ta, aa, tc, ac)
-
-    def quad_form(v):
-        v1, v2 = v
-        return (
-            np.conj(v1) * (p11 * v1 + p12 * v2) + np.conj(v2) * (p21 * v1 + p22 * v2)
-        )
-
-    matrix_plus = quad_form(v_plus)
-    matrix_minus = quad_form(v_minus)
+    matrix_plus, matrix_minus = (_vdot(v, _matvec(p, v)) for v in amp_matrix(ta, aa, tc, ac))
     (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
     prob_plus = np.abs(pp) ** 2 - np.abs(pm) ** 2
     prob_minus = np.abs(mp) ** 2 - np.abs(mm) ** 2
@@ -441,8 +436,7 @@ def _errata_for(equation_ids, tol, forms, lanes):
     """
 
     def diffs(*block):
-        stated, derived = forms(*block)
-        return [np.abs(stated[i][j] - derived[i][j]) for i, j in _PAIRS]
+        return _diff(*forms(*block))
 
     def finish(worst) -> list[ErrataRecord]:
         return [
@@ -503,8 +497,9 @@ def run_all(
     draws: int = DEFAULT_DRAWS, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
     """Run every suite plus the errata adjudication, deterministically, as one block stream."""
-    if not isinstance(draws, (int, np.integer)) or not 0 <= draws < 2**63:
-        raise ValueError("draws must be an integer from 0 to 2**63 - 1")
+    for name, value, bits in (("draws", draws, 63), ("seed", seed, 64)):
+        if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**bits:
+            raise ValueError(f"{name} must be an integer from 0 to 2**{bits} - 1")
     if not 0 < tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
     draws, rng = int(draws), np.random.default_rng(seed)

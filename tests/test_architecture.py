@@ -223,7 +223,7 @@ def test_verify_suites_are_their_residual_functions():
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     suites = [n for n in functions if n.name.startswith("suite_")]
     assert [n.name for n in suites] == [f"suite_{name}" for name in SUITE_NAMES]
-    plumbing = {"_draws", "_map_blocks", "_worst", "SuiteResult", "max"}
+    plumbing = {"_draws", "map_in_order", "_worst", "SuiteResult", "max"}
     for node in suites:
         assert not bare_names(node.body) & plumbing, node.name
         assert "argmax" not in referenced_names(ast.Module(node.body, [])), node.name
@@ -234,7 +234,7 @@ def test_verify_reduces_blocks_in_one_function():
     # takes an argmax of its own, ``_errata_for`` included
     tree = parse("verify")
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    for name in ("_map_blocks", "argmax"):
+    for name in ("map_in_order", "argmax"):
         users = {f.name for f in functions if name in referenced_names(ast.Module(f.body, []))}
         assert users == {"_worst"}, name
 

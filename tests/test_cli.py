@@ -1175,17 +1175,17 @@ def test_reader_closing_after_one_line_exits_1_without_traceback(tmp_path):
     # 2^12 distribution records overflow the pipe, so later writes meet the closed end
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({**MALUS, "stages": [{"theta_deg": 15 * k} for k in range(12)]}))
-    proc = polamp_process("simulate", str(path), "--exact", "--machine")
-    assert proc.stdout.readline().startswith(b"distribution seq=")
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == EXIT_CLOSED
-    assert proc.stderr.read() == b""
+    with polamp_process("simulate", str(path), "--exact", "--machine") as proc:
+        assert proc.stdout.readline().startswith(b"distribution seq=")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_CLOSED
+        assert proc.stderr.read() == b""
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 def test_verify_into_a_closed_pipe_exits_1_without_traceback(buffered):
     # unbuffered, print meets the closed pipe; buffered, the flush in main does
-    proc = polamp_process("verify", "--machine", "--draws", "10", buffered=buffered)
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == EXIT_CLOSED
-    assert proc.stderr.read() == b""
+    with polamp_process("verify", "--machine", "--draws", "10", buffered=buffered) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_CLOSED
+        assert proc.stderr.read() == b""

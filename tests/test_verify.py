@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polamp import _pool, verify
 from polamp.amplitudes import amp_matrix
@@ -48,13 +51,22 @@ def test_zero_draws_trivial():
         ("tolerance", -1e-12),
         ("tolerance", float("inf")),
         ("tolerance", float("nan")),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", 1.5),
+        ("seed", None),
     ],
 )
 def test_run_all_rejects_out_of_range_inputs(key, value):
-    # negative draws would pass vacuously, and an infinite tolerance would
-    # pass every suite and hide every erratum
+    # negative draws would pass vacuously, an infinite tolerance would pass
+    # every suite and hide every erratum, and a None seed would draw from OS
+    # entropy, so that no two reports agree
     with pytest.raises(ValueError, match=key):
         run_all(**{key: value})
+
+
+def test_run_all_accepts_the_largest_u64_seed():
+    assert run_all(draws=5, seed=np.uint64(2**64 - 1)) == run_all(draws=5, seed=2**64 - 1)
 
 
 @pytest.mark.parametrize("draws", [1.5, 2.0])
@@ -228,8 +240,7 @@ def full_draws(rng, n):
 
 @pytest.mark.parametrize("lane_block", [1, 64, 8192])
 @pytest.mark.parametrize("n", [0, 1, 5, 8193])
-def test_block_draws_are_slices_of_the_full_arrays(monkeypatch, n, lane_block):
-    monkeypatch.setattr(verify, "LANE_BLOCK", lane_block)
+def test_block_draws_are_slices_of_the_full_arrays(n, lane_block):
     expected_rng = np.random.default_rng(31)
     expected = full_draws(expected_rng, n)
     rng = np.random.default_rng(31)
@@ -238,7 +249,7 @@ def test_block_draws_are_slices_of_the_full_arrays(monkeypatch, n, lane_block):
     def block(*draws):
         return (*draws[:4], *verify._eigenvalues(*draws[4:]))
 
-    blocks = list(verify._map_blocks([(block, lanes)], n))
+    blocks = [block(*lanes(lo, min(lo + lane_block, n))) for lo in range(0, n, lane_block)]
     assert len(blocks) == -(-n // lane_block)
     for k, arrays in enumerate(blocks):
         lo = k * lane_block
@@ -279,3 +290,69 @@ def test_memory_does_not_grow_with_draws(monkeypatch):
     growth = peak(80_000) - peak(20_000)
     # one full-size array of the 60,000 extra draws would be 480,000 B
     assert growth < 60_000 * 8
+
+
+# ---------------------------------------------------------------------------
+# 2x2 helpers: the hand-expanded residual expressions, lane for lane
+# ---------------------------------------------------------------------------
+
+#: A lane's real or imaginary part: signed zeros, subnormals and magnitudes
+#: whose products overflow, besides any finite double.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+#: Ten lane arrays of one length: a SIMD loop's body and its tail.
+LANES = hnp.arrays(
+    np.complex128,
+    st.tuples(st.just(10), st.integers(1, 17)),
+    elements=st.builds(complex, PARTS, PARTS),
+)
+
+
+def uint64_lanes(arrays):
+    return np.array(arrays).view(np.uint64)
+
+
+@given(LANES, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_block_helpers_keep_the_bits_of_the_hand_expanded_residuals(lanes, real_diagonal):
+    # the goldens pin only each suite's largest residual; this pins every lane
+    x11, x12, x21, x22, y11, y12, y21, y22, v1, v2 = lanes
+    if real_diagonal:  # as in an operator's elements
+        x11, x22 = x11.real.copy(), x22.real.copy()
+    x, y, v = ((x11, x12), (x21, x22)), ((y11, y12), (y21, y22)), (v1, v2)
+    with np.errstate(all="ignore"):
+        pairs = [
+            (
+                verify._diff(x, y),
+                [np.abs(x11 - y11), np.abs(x12 - y12), np.abs(x21 - y21), np.abs(x22 - y22)],
+            ),
+            (verify._matvec(x, v), [x11 * v1 + x12 * v2, x21 * v1 + x22 * v2]),
+            (
+                verify._matmul(x, y),
+                [
+                    [x11 * y11 + x12 * y21, x11 * y12 + x12 * y22],
+                    [x21 * y11 + x22 * y21, x21 * y12 + x22 * y22],
+                ],
+            ),
+            (verify._vdot(y[0], v), np.conj(y11) * v1 + np.conj(y12) * v2),
+            # as suite_expectation_consistency and suite_eigen_residual compose them
+            (
+                verify._vdot(v, verify._matvec(x, v)),
+                np.conj(v1) * (x11 * v1 + x12 * v2) + np.conj(v2) * (x21 * v1 + x22 * v2),
+            ),
+            (
+                verify._diff(verify._matmul(x, x), ((1.0, 0.0), (0.0, 1.0))),
+                [
+                    np.abs(x11 * x11 + x12 * x21 - 1.0),
+                    np.abs(x11 * x12 + x12 * x22),
+                    np.abs(x21 * x11 + x22 * x21),
+                    np.abs(x21 * x12 + x22 * x22 - 1.0),
+                ],
+            ),
+        ]
+    for got, expected in pairs:
+        assert np.array_equal(uint64_lanes(got), uint64_lanes(expected))
