@@ -144,8 +144,12 @@ class StateVector2:
 
     @property
     def norm(self) -> float:
-        # correctly rounded, as ``np.sqrt`` is: the same bits without numpy
-        return math.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
+        # correctly rounded, as ``np.sqrt`` is: the same bits without numpy;
+        # inf where a squared modulus overflows (float ``**`` raises there)
+        try:
+            return math.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
+        except OverflowError:
+            return math.inf
 
 
 def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:

@@ -20,7 +20,7 @@ Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
 4 invariant-suite failure in ``verify``.
 
 Environment overrides (flags take precedence): ``POLAMP_TOLERANCE`` for
-the numeric tolerance, ``POLAMP_STAGE_CAP`` for the simulation stage cap.
+``verify``'s tolerance, ``POLAMP_STAGE_CAP`` for ``simulate``'s stage cap.
 They pass the same validators as the flags; an invalid value is a usage
 error naming the variable.
 
@@ -275,18 +275,12 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
 
-    default_tolerance = _first(loaded.tolerance, DEFAULT_TOLERANCE)
-    tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, default_tolerance)
     stage_cap = _resolve(args.stage_cap, ENV_STAGE_CAP, _positive_int, DEFAULT_STAGE_CAP)
     try:
         dist = exact_distribution(loaded.scenario, stage_cap=stage_cap)
     except StageCapError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_FILE
-
-    total_dev = dist.total() - 1.0
-    if abs(total_dev) > tolerance:
-        print(f"warning: distribution sums to 1 {total_dev:+.3e}", file=sys.stderr)
 
     machine = args.machine
     if not machine:
@@ -368,23 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # the flags that several subcommands share, each declared once
-    machine, units, tolerance = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    machine, units = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     machine.add_argument("--machine", action="store_true", help="machine-readable output")
     group = units.add_mutually_exclusive_group()
     group.add_argument(
         "--deg", action="store_true", default=True, help="angles are degrees (default)"
     )
     group.add_argument("--rad", action="store_true", default=False, help="angles are radians")
-    tolerance.add_argument(
-        "--tolerance", type=_positive_float, default=None,
-        help=f"numeric tolerance (default: ${ENV_TOLERANCE} or {DEFAULT_TOLERANCE})",
-    )
 
     # a subcommand reads the angles of its directions in order, each given as
     # (prefix, what); ``what`` None is branch label ``prefix``, which adds its branch
     a, b = ("a", None), ("b", None)
     measured, basis = ("b", "the measured direction"), ("c", "the basis direction")
-    labels, checks = [units, machine], [machine, tolerance]
+    labels = [units, machine]
     for name, summary, handler, parents, *directions in (
         ("amp", "transition amplitude between two branch labels", cmd_amp, labels, a, b),
         ("prob", "transition probability between two branch labels", cmd_prob, labels, a, b),
@@ -393,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("eigvec", "eigenvector pair of the polarization operator", cmd_eigvec, labels,
          measured, basis),
         ("expect", "polarization expectation value", cmd_expect, labels, a, measured),
-        ("simulate", "exact and Monte Carlo analyzer-chain statistics", cmd_simulate, checks),
-        ("verify", "run every invariant suite and report errata", cmd_verify, checks),
+        ("simulate", "exact and Monte Carlo analyzer-chain statistics", cmd_simulate, [machine]),
+        ("verify", "run every invariant suite and report errata", cmd_verify, [machine]),
     ):
         p = sub.add_parser(name, help=summary, parents=parents)
         p.set_defaults(handler=handler)
@@ -420,6 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.choices["verify"]
+    p.add_argument(
+        "--tolerance", type=_positive_float, default=None,
+        help=f"numeric tolerance (default: ${ENV_TOLERANCE} or {DEFAULT_TOLERANCE})",
+    )
     p.add_argument("--draws", type=_non_negative_int, default=DEFAULT_DRAWS, help="random draws per suite")
     p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed for the draws")
     return parser

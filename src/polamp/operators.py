@@ -152,18 +152,20 @@ def expectation(state: StateVector2, obs: Observable2) -> float:
     """Expectation value <state| obs |state>.
 
     ``state`` must be normalized within the package tolerance
-    ``DEFAULT_TOLERANCE``; the imaginary residue of the quadratic form (zero
-    up to rounding for Hermitian matrices) is checked against it and discarded.
+    ``DEFAULT_TOLERANCE``. The imaginary residue of the quadratic form, zero
+    up to rounding for Hermitian matrices, rounds in proportion to the
+    eigenvalues: it is checked against the tolerance times the larger of 1
+    and ``|r_plus|``, ``|r_minus|``, and discarded.
     """
     import numpy as np
 
     tol = DEFAULT_TOLERANCE
     norm_dev = abs(state.norm - 1.0)
-    if norm_dev > tol:
+    if not norm_dev <= tol:  # a NaN norm is not normalized either
         raise ValueError(f"state is not normalized: |norm - 1| = {norm_dev:.3e} > {tol:.3e}")
     v = state.as_array()
     z = np.vdot(v, obs.as_array() @ v)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > tol * max(1.0, abs(obs.r_plus), abs(obs.r_minus)):
         raise ValueError(f"non-real expectation (residue {z.imag:.3e}); matrix not Hermitian?")
     return float(z.real)
 

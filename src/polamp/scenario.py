@@ -6,12 +6,11 @@ Schema (angles in degrees, as humans write them)::
       "initial": {"theta_deg": 0, "alpha_deg": 0, "branch": "+"},
       "stages": [{"theta_deg": 45, "alpha_deg": 0}, {"theta_deg": 90}],
       "seed": 42,          // optional
-      "trials": 1000000,   // optional
-      "tolerance": 1e-12   // optional
+      "trials": 1000000    // optional
     }
 
-Unknown keys are rejected and every diagnostic names the offending key by
-path, e.g. ``stages[1].phi_deg``. ``alpha_deg`` defaults to 0.
+Unknown keys are rejected by path, e.g. ``stages[1].phi_deg``, and a
+repeated key by name at any depth. ``alpha_deg`` defaults to 0.
 """
 
 from __future__ import annotations
@@ -34,7 +33,16 @@ class ScenarioFile:
     scenario: MeasurementScenario
     seed: int | None = None
     trials: int | None = None
-    tolerance: float | None = None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; ``json`` alone would keep the last value of a repeated key."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ScenarioError(f"duplicate key {key!r}")
+        document[key] = value
+    return document
 
 
 def _shown(value) -> str:
@@ -94,7 +102,7 @@ def parse_scenario(document: dict) -> ScenarioFile:
     """Validate a decoded scenario document; diagnostics start ``scenario.``."""
     where = "scenario"
     _require_mapping(document, where)
-    _reject_unknown(document, {"initial", "stages", "seed", "trials", "tolerance"}, where)
+    _reject_unknown(document, {"initial", "stages", "seed", "trials"}, where)
 
     if "initial" not in document:
         raise ScenarioError(f"{where}.initial: missing required key")
@@ -122,18 +130,7 @@ def parse_scenario(document: dict) -> ScenarioFile:
 
     seed = _integer(document, "seed", where, 0, 2**64, "an unsigned 64-bit integer")
     trials = _integer(document, "trials", where, 1, 2**63, "a positive integer below 2**63")
-    tolerance = None
-    if "tolerance" in document:
-        tolerance = _number(document, "tolerance", where)
-        if tolerance <= 0:
-            raise ScenarioError(f"{where}.tolerance: must be positive, got {tolerance!r}")
-
-    return ScenarioFile(
-        scenario=MeasurementScenario(initial=initial, stages=stages),
-        seed=seed,
-        trials=trials,
-        tolerance=tolerance,
-    )
+    return ScenarioFile(MeasurementScenario(initial, stages), seed=seed, trials=trials)
 
 
 def load_scenario_file(path: str | Path) -> ScenarioFile:
@@ -144,12 +141,13 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
     try:
-        document = json.loads(data)
+        document = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (RecursionError, ValueError) as exc:
         # nesting deeper than the decoder's recursion limit, bytes that are
-        # not UTF-8, or an integer literal longer than Python converts
+        # not UTF-8, an integer literal longer than Python converts, or a
+        # repeated key (a ScenarioError from ``_unique_keys``)
         raise ScenarioError(f"{path}: {exc}") from None
     try:
         return parse_scenario(document)

@@ -104,9 +104,6 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to 1 {deviation:+.3e}, beyond rounding")
         object.__setattr__(self, "probs", probs)
 
-    def total(self) -> float:
-        return float(self.probs.sum())
-
 
 @dataclass(frozen=True)
 class SampleReport:

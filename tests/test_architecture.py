@@ -487,6 +487,15 @@ def readme_library_example() -> ast.Module:
     return ast.parse(re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1))
 
 
+def test_readme_examples_run():
+    # the docs as written: the library example runs, and the scenario file
+    # example is a valid scenario
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
+    section = (ROOT / "README.md").read_text().split("### Scenario files", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert polamp.parse_scenario(json.loads(example)).scenario.n_stages == 2
+
+
 def public_callers() -> set[str]:
     """Every polamp name that the CLI, a benchmark file or the README example uses."""
     trees = [parse("cli"), readme_library_example()]

@@ -240,10 +240,11 @@ class TestAmp:
             ["operator", "30", "0", "0", "0"],
             ["eigvec", "30", "0", "0", "0"],
             ["expect", "30", "0", "+", "0", "0"],
+            ["simulate", "chain.json"],
         ],
     )
     def test_tolerance_flag_only_where_it_is_read(self, capsys, argv):
-        # only simulate and verify read a tolerance
+        # only verify reads a tolerance
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--tolerance", "1e-9"])
         assert exc.value.code == EXIT_USAGE
@@ -495,22 +496,12 @@ class TestSimulate:
         _, second = run_capture(capsys, ["simulate", malus_file, "--machine"])
         assert first == second
 
-    def test_sum_warning_keeps_the_sign_of_the_deviation(self, capsys, tmp_path):
-        # these probabilities sum to 1 - 3.3e-16: a deficit prints as one
-        document = {
-            "initial": {"theta_deg": 0, "branch": "+"},
-            "stages": [{"theta_deg": 7, "alpha_deg": 30}, {"theta_deg": 22, "alpha_deg": 70}],
-        }
-        path = tmp_path / "deficit.json"
-        path.write_text(json.dumps({**document, "tolerance": 1e-300}))
-        deviation = exact_distribution(load_scenario_file(path).scenario).total() - 1.0
-        assert deviation < 0
-        assert run(["simulate", str(path), "--exact"]) == EXIT_OK
-        warned = capsys.readouterr()
-        assert warned.err == f"warning: distribution sums to 1 {deviation:+.3e}\n"
-        assert run(["simulate", str(path), "--exact", "--tolerance", "1e-12"]) == EXIT_OK
-        quiet = capsys.readouterr()
-        assert quiet.err == "" and quiet.out == warned.out
+    def test_success_writes_nothing_to_stderr(self, capsys, malus_file, monkeypatch):
+        # simulate reads no tolerance: the distribution checks its own sum
+        monkeypatch.setenv("POLAMP_TOLERANCE", "abc")
+        assert run(["simulate", malus_file]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out
 
     def test_missing_file(self, capsys, tmp_path):
         code = run(["simulate", str(tmp_path / "absent.json")])
@@ -540,10 +531,6 @@ class TestSimulate:
         # the variable is read only when the flag is absent
         monkeypatch.setenv("POLAMP_STAGE_CAP", "0")
         assert run(["simulate", malus_file, "--exact", "--stage-cap", "3"]) == EXIT_OK
-
-    def test_tolerance_flag_overrides_invalid_env(self, capsys, malus_file, monkeypatch):
-        monkeypatch.setenv("POLAMP_TOLERANCE", "abc")
-        assert run(["simulate", malus_file, "--exact", "--tolerance", "1e-9"]) == EXIT_OK
 
     def test_stage_cap_flag(self, capsys, malus_file):
         code = run(["simulate", malus_file, "--stage-cap", "1"])
@@ -606,8 +593,15 @@ class TestSimulate:
              % ("0" * 400), "initial.theta_deg"),
             # nesting deeper than the JSON decoder's recursion limit
             ("[" * 100000 + "]" * 100000, "deep.json"),
+            # a repeated key, whose last value Python's JSON reader would keep
+            ('{"initial": {"theta_deg": 0, "branch": "+"}, "stages": [{"theta_deg": 30}],'
+             ' "stages": [{"theta_deg": 60}, {"theta_deg": 90}]}',
+             "deep.json: duplicate key 'stages'"),
+            ('{"initial": {"theta_deg": 0, "branch": "+"},'
+             ' "stages": [{"theta_deg": 30, "alpha_deg": 0, "alpha_deg": 90}]}',
+             "deep.json: duplicate key 'alpha_deg'"),
         ],
-        ids=["huge_integer", "deep_nesting"],
+        ids=["huge_integer", "deep_nesting", "duplicate_key", "nested_duplicate_key"],
     )
     def test_unreadable_numbers_and_nesting_exit_3(self, capsys, tmp_path, text, fragment):
         path = tmp_path / "deep.json"
@@ -628,9 +622,8 @@ class TestSimulate:
         [
             (lambda doc, x: doc["initial"].update(theta_deg=x), "initial.theta_deg"),
             (lambda doc, x: doc["stages"][0].update(alpha_deg=x), "stages[0].alpha_deg"),
-            (lambda doc, x: doc.update(tolerance=x), "scenario.tolerance"),
         ],
-        ids=["initial_theta", "stage_alpha", "tolerance"],
+        ids=["initial_theta", "stage_alpha"],
     )
     def test_non_finite_json_literals_exit_3(
         self, capsys, tmp_path, value, literal, place, fragment
@@ -982,7 +975,7 @@ INTERFACE = {
                [*label_positionals("a"), *MEASURED, *LABEL_FLAGS]),
     "simulate": ("exact and Monte Carlo analyzer-chain statistics", [
         ((), "scenario", None, None, "scenario file (JSON, angles in degrees)"),
-        HELP, MACHINE, TOLERANCE,
+        HELP, MACHINE,
         (("--seed",), "seed", None, "_seed_u64", "RNG seed (overrides the file)"),
         (("--trials",), "trials", None, "_positive_int", "trial count (overrides the file)"),
         (("--exact",), "exact", False, None, "exact distribution only, no sampling"),

@@ -19,15 +19,19 @@ from polamp import (
     observable_matrix,
     plus,
     polarization_operator,
+    probability,
     state_vector,
 )
 from polamp.amplitudes import StateVector2
 from polamp.closedforms import observable_elements
+from polamp.directions import DEFAULT_TOLERANCE
 
 TOL = 1e-12
 
 angles = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 values = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+#: Eigenvalues as the CLI bounds them: below 2**511 in magnitude.
+eigenvalues = st.floats(-(2.0**511), 2.0**511, exclude_min=True, exclude_max=True)
 
 RNG = np.random.default_rng(20250810)
 
@@ -201,6 +205,26 @@ class TestExpectation:
         obs = polarization_operator(Direction(0.4), Direction(0.0))
         with pytest.raises(ValueError, match="normalized"):
             expectation(StateVector2(0.5 + 0j, 0.5 + 0j), obs)
+
+    @pytest.mark.parametrize("c_plus", [1e200 + 0j, math.nan + 0j], ids=["overflow", "nan"])
+    def test_rejects_states_without_a_finite_norm(self, c_plus):
+        # abs(1e200) ** 2 overflows: the norm is inf, not an OverflowError
+        obs = polarization_operator(Direction(0.4), Direction(0.0))
+        with pytest.raises(ValueError, match="normalized"):
+            expectation(StateVector2(c_plus, 0j), obs)
+
+    @given(angles, angles, st.sampled_from(Branch), angles, angles, angles, angles,
+           eigenvalues, eigenvalues)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_branch_probabilities_at_any_eigenvalues(
+        self, ta, aa, branch, tm, am, tc, ac, r_plus, r_minus
+    ):
+        # the imaginary residue and the rounding both scale with the eigenvalues
+        a, m, c = BranchLabel(Direction(ta, aa), branch), Direction(tm, am), Direction(tc, ac)
+        value = expectation(state_vector(a, c), observable_matrix(m, c, r_plus, r_minus))
+        weighted = r_plus * probability(a, plus(tm, am)) + r_minus * probability(a, minus(tm, am))
+        bound = DEFAULT_TOLERANCE * max(1.0, abs(r_plus), abs(r_minus))
+        assert abs(value - weighted) <= bound
 
     def test_rejects_non_hermitian_matrix(self):
         d = Direction(0.0)

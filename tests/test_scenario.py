@@ -14,7 +14,6 @@ VALID = {
     "stages": [{"theta_deg": 45.0, "alpha_deg": 0.0}, {"theta_deg": 90.0}],
     "seed": 7,
     "trials": 5000,
-    "tolerance": 1e-10,
 }
 
 
@@ -29,13 +28,12 @@ def test_parse_valid_document():
     assert scenario.stages[1].alpha == 0.0
     assert loaded.seed == 7
     assert loaded.trials == 5000
-    assert loaded.tolerance == 1e-10
 
 
 def test_optional_keys_absent():
     doc = {"initial": {"theta_deg": 0, "branch": "-"}, "stages": [{"theta_deg": 1}]}
     loaded = parse_scenario(doc)
-    assert loaded.seed is None and loaded.trials is None and loaded.tolerance is None
+    assert loaded.seed is None and loaded.trials is None
     assert loaded.scenario.initial.branch is Branch.MINUS
 
 
@@ -54,7 +52,7 @@ def test_optional_keys_absent():
         (lambda d: d.update(seed=-3), "seed"),
         (lambda d: d.update(trials=0), "trials"),
         (lambda d: d.update(trials=2**63), "trials"),
-        (lambda d: d.update(tolerance=0.0), "tolerance"),
+        (lambda d: d.update(tolerance=1e-12), "scenario.tolerance"),
     ],
 )
 def test_rejections_name_the_key(mutate, fragment):

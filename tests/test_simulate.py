@@ -134,7 +134,7 @@ class TestExactDistribution:
         stages = tuple(Direction(t, a) for t, a in rng.uniform(-3, 3, (6, 2)))
         dist = exact_distribution(MeasurementScenario(initial=plus(0.5, 0.5), stages=stages))
         assert len(dist.probs) == 2 ** 6
-        assert dist.total() == pytest.approx(1.0, abs=TOL)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=TOL)
 
     def test_marginalizing_last_stage(self):
         rng = np.random.default_rng(6)
