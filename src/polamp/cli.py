@@ -21,8 +21,9 @@ Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
 
 Environment overrides (flags take precedence): ``POLAMP_TOLERANCE`` for
 ``verify``'s tolerance, ``POLAMP_STAGE_CAP`` for ``simulate``'s stage cap.
-They pass the same validators as the flags; an invalid value is a usage
-error naming the variable.
+Numbers pass the library's checks (``check_seed``, ``check_count``,
+``check_angle``, ``check_eigenvalue``, ``check_tolerance`` of
+:mod:`polamp.directions`); a rejected flag or variable is a usage error.
 
 The parser and the ``amp``, ``prob`` and ``expect`` handlers run without
 numpy. What the other commands need is imported by the function that uses
@@ -48,6 +49,11 @@ from .directions import (
     Branch,
     BranchLabel,
     Direction,
+    check_angle,
+    check_count,
+    check_eigenvalue,
+    check_seed,
+    check_tolerance,
 )
 from .operators import (
     Observable2,
@@ -69,42 +75,29 @@ ENV_STAGE_CAP = "POLAMP_STAGE_CAP"
 DEFAULT_TRIALS = 100_000
 
 
-def _number(convert, text: str):
-    """``convert(text)``; text that is no number is a usage error in plain words."""
-    try:
-        return convert(text)
-    except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
-
-
-def _checked(convert, accept, what: str):
-    """An argument type: ``convert(text)`` if ``accept`` takes it, else "must be ``what``"."""
+def _checked(convert, check, *args):
+    """An argument type: ``check(convert(text), *args)``, whose ``ValueError`` is a usage error."""
 
     def validate(text: str):
-        value = _number(convert, text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {what}")
-        return value
+        try:
+            value = convert(text)
+        except ValueError:  # the check rejects the text as it is
+            value = text
+        try:
+            return check(value, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return validate
 
 
-# seeds are uint64, trial and draw counts int64
-_seed_u64 = _checked(int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
-_positive_int = _checked(int, lambda v: 1 <= v < 2**63, "a positive integer below 2**63")
-_non_negative_int = _checked(int, lambda v: 0 <= v < 2**63, "a non-negative integer below 2**63")
-# below these bounds no difference of two angles overflows, nor r+ + r- or r+ * r-
-_angle = _checked(float, lambda v: abs(v) < 2.0**1023, "a finite number below 2**1023 in magnitude")
-_eigenvalue = _checked(float, lambda v: abs(v) < 2.0**511, "a finite number below 2**511 in magnitude")
-_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
-
-
-def _branch(text: str) -> Branch:
-    try:
-        return Branch.from_token(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_seed_u64 = _checked(int, check_seed)
+_positive_int = _checked(int, check_count, "count")
+_non_negative_int = _checked(int, check_count, "count", 0)
+_angle = _checked(float, check_angle)
+_eigenvalue = _checked(float, check_eigenvalue)
+_positive_float = _checked(float, check_tolerance)
+_branch = _checked(str, Branch.from_token)
 
 
 #: A negative number in any form ``float()`` reads, except with underscores:

@@ -7,10 +7,18 @@ components. Each context has exactly two outcomes: polarization parallel
 
 Angles are used exactly as given; all formulas downstream are 2*pi-periodic
 in both angles, so no normalization is applied.
+
+Each input range is stated once, here, by :func:`check_seed`, :func:`check_count`,
+:func:`check_angle`, :func:`check_eigenvalue` or :func:`check_tolerance`. Each
+returns the value converted or raises ``ValueError`` worded ``<name>: must be
+<what>, got <value>``; a bool is no number to them. No numpy is imported here.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,28 +53,72 @@ class Branch(Enum):
         return self.value
 
 
-def _check_angle(name: str, value: float) -> float:
-    value = float(value)
-    if not abs(value) < 2.0**1023:  # also rejects nan; a float bound is folded at compile time
-        raise ValueError(f"{name} must be finite and below 2**1023 in magnitude, got {value!r}")
-    return value
+def _shown(value) -> str:
+    """``value`` for a diagnostic; a list or object is named by its type only."""
+    return "dict" if isinstance(value, dict) else "list" if isinstance(value, list) else repr(value)
+
+
+def _must_be(value, name: str, what: str) -> ValueError:
+    return ValueError(f"{name}: must be {what}, got {_shown(value)}")
+
+
+def _integer(value, name: str, low: int, bits: int) -> int:
+    number = None
+    if hasattr(value, "__index__") and not isinstance(value, bool):
+        number = operator.index(value)
+    if number is None or not low <= number < 2**bits:
+        raise _must_be(value, name, f"an integer from {low} to 2**{bits} - 1")
+    return number
+
+
+def _real(value, name: str, low: float, high: float, what: str) -> float:
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int past the largest double
+        number = math.inf
+    if not low < number < high:  # also rejects nan
+        raise _must_be(value, name, what)
+    return number
+
+
+# Seeds key 64-bit generators, and counts (trials, draws, the stage cap,
+# ``block_size``) are int64. Two angles below 2**1023 in magnitude differ by a
+# finite double, so no phase difference downstream overflows to a NaN result,
+# and two eigenvalues below 2**511 have a finite sum and product.
+def check_seed(value, name: str = "seed") -> int:
+    return _integer(value, name, 0, 64)
+
+
+def check_count(value, name: str, low: int = 1) -> int:
+    return _integer(value, name, low, 63)
+
+
+def check_angle(value, name: str = "angle") -> float:
+    return _real(value, name, -(2.0**1023), 2.0**1023, "a finite number below 2**1023 in magnitude")
+
+
+def check_eigenvalue(value, name: str = "eigenvalue") -> float:
+    return _real(value, name, -(2.0**511), 2.0**511, "a finite number below 2**511 in magnitude")
+
+
+def check_tolerance(value, name: str = "tolerance") -> float:
+    return _real(value, name, 0.0, math.inf, "a finite positive number")
 
 
 @dataclass(frozen=True)
 class Direction:
     """A polarization measurement context: plane angle and relative phase.
 
-    Both angles are in radians, each below 2**1023 in magnitude (``ValueError``
-    otherwise): two such angles differ by at most the largest finite double, so
-    no phase difference downstream overflows to a NaN result.
+    Both angles are in radians and pass :func:`check_angle`.
     """
 
     theta: float
     alpha: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _check_angle("theta", self.theta))
-        object.__setattr__(self, "alpha", _check_angle("alpha", self.alpha))
+        object.__setattr__(self, "theta", check_angle(self.theta, "theta"))
+        object.__setattr__(self, "alpha", check_angle(self.alpha, "alpha"))
 
 
 @dataclass(frozen=True)

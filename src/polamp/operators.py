@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .amplitudes import StateVector2, _block, _probability_of, amp_matrix, state_vector
-from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction
+from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction, check_eigenvalue
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it (module docstring)
     import numpy as np
@@ -102,12 +102,12 @@ def observable_matrix(
     """Observable with values (r_plus, r_minus) on the branches of ``measure``,
     as a matrix over the outcomes of ``basis``.
 
-    Built from amplitude products; the result is Hermitian with
-    trace r_plus + r_minus and determinant r_plus * r_minus.
+    Built from amplitude products; the result is Hermitian with trace r_plus + r_minus
+    and determinant r_plus * r_minus, both finite by :func:`~polamp.directions.check_eigenvalue`.
     """
     import numpy as np
 
-    r_plus, r_minus = float(r_plus), float(r_minus)
+    r_plus, r_minus = check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus")
     block = _block(basis, measure)
     # the batched form's bits on floats: moduli from numpy, whose complex abs
     # rounds unlike Python's ``abs``, squared by ``pow`` as a numpy scalar's

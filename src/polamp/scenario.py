@@ -9,8 +9,10 @@ Schema (angles in degrees, as humans write them)::
       "trials": 1000000    // optional
     }
 
-Unknown keys are rejected by path, e.g. ``stages[1].phi_deg``, and a
-repeated key by name at any depth. ``alpha_deg`` defaults to 0.
+Unknown keys are rejected by path, e.g. ``stages[1].phi_deg``, and so is
+a key repeated in one object, e.g. ``stages[1].alpha_deg``. ``alpha_deg``
+defaults to 0. ``seed`` and ``trials`` pass the checks of
+:mod:`polamp.directions`, named by their path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .directions import Branch, BranchLabel, Direction
+from .directions import Branch, BranchLabel, Direction, _shown, check_angle, check_count, check_seed
 from .simulate import MeasurementScenario
 
 
@@ -35,24 +37,27 @@ class ScenarioFile:
     trials: int | None = None
 
 
-def _unique_keys(pairs: list) -> dict:
+class _Object(dict):
     """A decoded JSON object; ``json`` alone would keep the last value of a repeated key."""
-    document = {}
+
+    duplicate = None
+
+
+def _unique_keys(pairs: list) -> _Object:
+    document = _Object()
     for key, value in pairs:
-        if key in document:
-            raise ScenarioError(f"duplicate key {key!r}")
+        if key in document and document.duplicate is None:
+            document.duplicate = key
         document[key] = value
     return document
-
-
-def _shown(value) -> str:
-    """``value`` for a diagnostic; a list or object is named by its type only."""
-    return type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
 
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
+    duplicate = getattr(value, "duplicate", None)  # a document decoded elsewhere has none
+    if duplicate is not None:
+        raise ScenarioError(f"{where}.{duplicate}: duplicate key")
     return value
 
 
@@ -62,39 +67,24 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
             raise ScenarioError(f"{where}.{key}: unknown key")
 
 
-def _number(mapping: dict, key: str, where: str, default=None) -> float:
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{where}.{key}: missing required key")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {_shown(value)}")
+def _checked(mapping: dict, key: str, where: str, check, default=None):
+    """``mapping[key]`` through ``check``, named by its path; ``default`` if absent."""
+    if key not in mapping:  # a present null is checked, and rejected
+        return default
     try:
-        number = float(value)
-    except OverflowError:
-        raise ScenarioError(f"{where}.{key}: integer too large for a float") from None
-    if not math.isfinite(number):
-        raise ScenarioError(f"{where}.{key}: must be finite, got {value!r}")
-    return number
-
-
-def _integer(mapping: dict, key: str, where: str, low: int, high: int, what: str) -> int | None:
-    """``mapping[key]``, an integer in ``[low, high)`` described as ``what``; None if absent."""
-    if key not in mapping:  # a present null is no integer
-        return None
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-        raise ScenarioError(f"{where}.{key}: expected {what}, got {_shown(value)}")
-    return value
+        return check(mapping[key], f"{where}.{key}")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _direction(mapping: dict, where: str, extra: frozenset = frozenset()) -> Direction:
     """The direction of ``mapping``, whose keys besides the angles are ``extra``."""
     _require_mapping(mapping, where)
     _reject_unknown(mapping, {"theta_deg", "alpha_deg"} | extra, where)
-    theta = _number(mapping, "theta_deg", where)
-    alpha = _number(mapping, "alpha_deg", where, default=0.0)
+    if "theta_deg" not in mapping:
+        raise ScenarioError(f"{where}.theta_deg: missing required key")
+    theta = _checked(mapping, "theta_deg", where, check_angle)  # degrees, bounded as radians are
+    alpha = _checked(mapping, "alpha_deg", where, check_angle, default=0.0)
     return Direction(math.radians(theta), math.radians(alpha))
 
 
@@ -128,8 +118,8 @@ def parse_scenario(document: dict) -> ScenarioFile:
         _direction(stage, f"{where}.stages[{k}]") for k, stage in enumerate(stages_raw)
     )
 
-    seed = _integer(document, "seed", where, 0, 2**64, "an unsigned 64-bit integer")
-    trials = _integer(document, "trials", where, 1, 2**63, "a positive integer below 2**63")
+    seed = _checked(document, "seed", where, check_seed)
+    trials = _checked(document, "trials", where, check_count)
     return ScenarioFile(MeasurementScenario(initial, stages), seed=seed, trials=trials)
 
 
@@ -146,8 +136,7 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (RecursionError, ValueError) as exc:
         # nesting deeper than the decoder's recursion limit, bytes that are
-        # not UTF-8, an integer literal longer than Python converts, or a
-        # repeated key (a ScenarioError from ``_unique_keys``)
+        # not UTF-8, or an integer literal longer than Python converts
         raise ScenarioError(f"{path}: {exc}") from None
     try:
         return parse_scenario(document)

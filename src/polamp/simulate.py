@@ -40,7 +40,7 @@ import numpy as np
 
 from ._pool import map_in_order
 from .amplitudes import _block, _probability_of, _row
-from .directions import DEFAULT_STAGE_CAP, BranchLabel, Direction
+from .directions import DEFAULT_STAGE_CAP, BranchLabel, Direction, check_count, check_seed
 
 #: Trials per sampling block by default (a multiple of 4). A block is drawn
 #: inside the thread that counts it, so the uniforms held at once are 2 MB
@@ -135,7 +135,7 @@ def exact_distribution(
     transition probabilities under the collapse convention. Refuses
     scenarios beyond ``stage_cap`` stages (2^n sequences).
     """
-    n = scenario.n_stages
+    n, stage_cap = scenario.n_stages, check_count(stage_cap, "stage_cap")
     if n > stage_cap:
         raise StageCapError(f"{n} stages exceeds the cap of {stage_cap} (2^n outcome blowup)")
 
@@ -180,21 +180,15 @@ def sample(
     thread count). A double in the rounding tail, at or above ``cum[-1]``,
     maps to the last sequence with nonzero probability, so p = 0 is never
     drawn. ``distribution`` has checked its probabilities on construction.
-    ``seed``, ``trials`` and ``block_size`` must be Python or numpy integers.
+    ``seed``, ``trials`` and ``block_size`` pass the checks of :mod:`polamp.directions`.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
     """
-    for name, value in (("seed", seed), ("trials", trials), ("block_size", block_size)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
-    seed, trials, block_size = int(seed), int(trials), int(block_size)
-    if not 1 <= trials < 2**63:
-        raise ValueError("trials must be from 1 to 2**63 - 1 (counts are int64)")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    if block_size < 1 or block_size % 4 != 0:
-        raise ValueError("block_size must be a positive multiple of 4")
+    seed, trials = check_seed(seed), check_count(trials, "trials")
+    block_size = check_count(block_size, "block_size")
+    if block_size % 4 != 0:
+        raise ValueError(f"block_size: must be a multiple of 4, got {block_size}")
 
     probs = distribution.probs
     cum = np.cumsum(probs)

@@ -47,7 +47,7 @@ import numpy as np
 from . import closedforms
 from ._pool import map_in_order
 from .amplitudes import amp_matrix
-from .directions import DEFAULT_DRAWS, DEFAULT_TOLERANCE
+from .directions import DEFAULT_DRAWS, DEFAULT_TOLERANCE, check_count, check_seed, check_tolerance
 from .operators import observable_elements_product
 
 #: Lanes per block. Every suite and errata table draws its inputs and evaluates
@@ -497,12 +497,8 @@ def run_all(
     draws: int = DEFAULT_DRAWS, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
     """Run every suite plus the errata adjudication, deterministically, as one block stream."""
-    for name, value, bits in (("draws", draws, 63), ("seed", seed, 64)):
-        if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**bits:
-            raise ValueError(f"{name} must be an integer from 0 to 2**{bits} - 1")
-    if not 0 < tolerance < np.inf:
-        raise ValueError("tolerance must be positive and finite")
-    draws, rng = int(draws), np.random.default_rng(seed)
+    draws, seed = check_count(draws, "draws", low=0), check_seed(seed)
+    tolerance, rng = check_tolerance(tolerance), np.random.default_rng(seed)
     jobs = [s.job(draws, rng, tolerance) for s in ALL_SUITES] + _errata_jobs(draws, rng, tolerance)
     *suites, observable, polarization, standard = _worst(jobs, draws)
     return VerifyReport(tuple(suites), tuple(observable + polarization + standard))

@@ -309,7 +309,7 @@ class TestDirections:
     @pytest.mark.parametrize("value", [2.0**1023, -(2.0**1023), 1.7e308, -1.7e308])
     @pytest.mark.parametrize("name", ["theta", "alpha"])
     def test_rejects_angles_from_2_to_the_1023(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and below 2\\*\\*1023"):
+        with pytest.raises(ValueError, match=f"{name}: must be a finite number below 2\\*\\*1023"):
             Direction(**{"theta": 0.0, name: value})
 
     def test_largest_angles_give_finite_results(self):

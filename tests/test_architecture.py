@@ -346,6 +346,55 @@ def test_only_build_parser_declares_arguments():
         assert flags.count(flag) == 1, flag
 
 
+#: Exponents of the powers of two that bound an input range: seeds, int64
+#: counts, eigenvalues and angles.
+RANGE_EXPONENTS = {63, 64, 511, 1023}
+
+
+def range_statements(tree: ast.Module) -> list:
+    """Every statement of an input range under ``tree``: each exponent of
+    ``RANGE_EXPONENTS`` in a ``2**k`` or ``2.0**k`` literal or written as
+    ``2**k`` in a string, every comparison with an infinity (the rule of a
+    finite positive tolerance), and every ``isinstance`` test for numpy's or
+    the ``numbers`` integer types."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+            and isinstance(node.right, ast.Constant) and node.right.value in RANGE_EXPONENTS
+        ):
+            found.append(node.right.value)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [int(k) for k in re.findall(r"2\*\*(\d+)", node.value) if int(k) in RANGE_EXPONENTS]
+        elif isinstance(node, ast.Compare) and "inf" in referenced_names(node):
+            found.append(ast.unparse(node))
+        elif (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and referenced_names(node.args[1]) & {"integer", "Integral"}
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_input_ranges_are_stated_only_in_directions():
+    # each range is one check in ``directions`` that the CLI, the scenario
+    # parser and the library all call; a second statement would drift from it
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "directions")
+    stated = {module: range_statements(parse(module)) for module in modules}
+    assert stated == {module: [] for module in modules}
+
+
+def test_range_guard_sees_every_form():
+    source = (
+        "a = 2**63\nb = 2.0**1023\nc = 'below 2**511'\nd = 2**62\n"
+        "e = 0 < t < math.inf\nf = isinstance(v, (int, np.integer))\n"
+    )
+    found = range_statements(ast.parse(source))
+    exponents = sorted(x for x in found if isinstance(x, int))
+    assert exponents == [63, 511, 1023] and len(found) == 5
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # the block pool that verify and sample share (``polamp._pool``) imports
     # concurrent.futures on its first call, so that ``import polamp`` and the

@@ -596,10 +596,10 @@ class TestSimulate:
             # a repeated key, whose last value Python's JSON reader would keep
             ('{"initial": {"theta_deg": 0, "branch": "+"}, "stages": [{"theta_deg": 30}],'
              ' "stages": [{"theta_deg": 60}, {"theta_deg": 90}]}',
-             "deep.json: duplicate key 'stages'"),
+             "deep.json: scenario.stages: duplicate key"),
             ('{"initial": {"theta_deg": 0, "branch": "+"},'
              ' "stages": [{"theta_deg": 30, "alpha_deg": 0, "alpha_deg": 90}]}',
-             "deep.json: duplicate key 'alpha_deg'"),
+             "deep.json: scenario.stages[0].alpha_deg: duplicate key"),
         ],
         ids=["huge_integer", "deep_nesting", "duplicate_key", "nested_duplicate_key"],
     )
@@ -636,7 +636,7 @@ class TestSimulate:
         assert f": {literal}" in path.read_text()
         assert run(["simulate", str(path)]) == EXIT_FILE
         captured = capsys.readouterr()
-        assert f"{fragment}: must be finite" in captured.err and captured.out == ""
+        assert f"{fragment}: must be a finite number" in captured.err and captured.out == ""
 
 
 def chain_document(n_stages, first_is_initial, seed=5):
@@ -1072,7 +1072,7 @@ def test_count_beyond_int64_is_a_usage_error(capsys, name, value):
         build_parser().parse_args([*COUNT_FLAGS[name], str(value)])
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()[-1]
-    assert f"argument {name}: must be a " in err and "below 2**63" in err
+    assert f"argument {name}: count: must be an integer from " in err and " to 2**63 - 1," in err
 
 
 @pytest.mark.parametrize("name", COUNT_FLAGS)

@@ -1,5 +1,6 @@
 """Tests for observable construction, eigenvectors and expectation values."""
 
+import cmath
 import math
 
 import numpy as np
@@ -30,8 +31,18 @@ TOL = 1e-12
 
 angles = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 values = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-#: Eigenvalues as the CLI bounds them: below 2**511 in magnitude.
+#: Eigenvalues as ``check_eigenvalue`` bounds them: below 2**511 in magnitude.
 eigenvalues = st.floats(-(2.0**511), 2.0**511, exclude_min=True, exclude_max=True)
+#: Any angle a ``Direction`` takes: below 2**1023 in magnitude.
+any_angles = st.floats(-(2.0**1023), 2.0**1023, exclude_min=True, exclude_max=True)
+#: Any float, and every float at and beside the eigenvalue bound.
+any_values = st.one_of(
+    st.floats(),
+    st.sampled_from([
+        x for bound in (2.0**511, -(2.0**511))
+        for x in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, 2 * bound))
+    ]),
+)
 
 RNG = np.random.default_rng(20250810)
 
@@ -225,6 +236,22 @@ class TestExpectation:
         weighted = r_plus * probability(a, plus(tm, am)) + r_minus * probability(a, minus(tm, am))
         bound = DEFAULT_TOLERANCE * max(1.0, abs(r_plus), abs(r_minus))
         assert abs(value - weighted) <= bound
+
+    @given(any_angles, any_angles, any_angles, any_angles, any_angles, any_angles,
+           any_values, any_values)
+    @settings(max_examples=300, deadline=None)
+    def test_any_eigenvalues_give_finite_results_or_a_value_error(
+        self, ta, aa, tm, am, tc, ac, r_plus, r_minus
+    ):
+        m, c = Direction(tm, am), Direction(tc, ac)
+        try:
+            obs = observable_matrix(m, c, r_plus, r_minus)
+        except ValueError:
+            assert not (abs(r_plus) < 2.0**511 and abs(r_minus) < 2.0**511)
+            return
+        numbers = (obs.m11, obs.m12, obs.m21, obs.m22, obs.trace, obs.determinant)
+        assert all(map(cmath.isfinite, numbers)), numbers
+        assert math.isfinite(expectation(state_vector(plus(ta, aa), c), obs))
 
     def test_rejects_non_hermitian_matrix(self):
         d = Direction(0.0)

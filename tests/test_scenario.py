@@ -65,19 +65,19 @@ def test_rejections_name_the_key(mutate, fragment):
 @pytest.mark.parametrize(
     "key, value, expected",
     [
-        ("seed", None, "an unsigned 64-bit integer, got None"),
-        ("seed", 2**64, f"an unsigned 64-bit integer, got {2**64}"),
-        ("seed", True, "an unsigned 64-bit integer, got True"),
-        ("trials", None, "a positive integer below 2**63, got None"),
-        ("trials", 10.0, "a positive integer below 2**63, got 10.0"),
-        ("trials", [1], "a positive integer below 2**63, got list"),
+        ("seed", None, "an integer from 0 to 2**64 - 1, got None"),
+        ("seed", 2**64, f"an integer from 0 to 2**64 - 1, got {2**64}"),
+        ("seed", True, "an integer from 0 to 2**64 - 1, got True"),
+        ("trials", None, "an integer from 1 to 2**63 - 1, got None"),
+        ("trials", 10.0, "an integer from 1 to 2**63 - 1, got 10.0"),
+        ("trials", [1], "an integer from 1 to 2**63 - 1, got list"),
     ],
 )
 def test_seed_and_trials_messages(key, value, expected):
     # a present null is rejected like any other value that is no integer
     with pytest.raises(ScenarioError) as exc:
         parse_scenario({**VALID, key: value})
-    assert str(exc.value) == f"scenario.{key}: expected {expected}"
+    assert str(exc.value) == f"scenario.{key}: must be {expected}"
 
 
 def test_trials_up_to_int64_max_accepted():
@@ -89,6 +89,14 @@ def test_load_from_file(tmp_path):
     path.write_text(json.dumps(VALID))
     loaded = load_scenario_file(path)
     assert loaded.scenario.n_stages == 2
+
+
+def test_an_object_in_place_of_a_number_is_named_dict(tmp_path):
+    # the reader builds each object as a dict subclass; a diagnostic names a dict
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({**VALID, "seed": {"a": 1}}))
+    with pytest.raises(ScenarioError, match=r"scenario\.seed: must be .*, got dict$"):
+        load_scenario_file(path)
 
 
 def test_missing_file_names_path(tmp_path):

@@ -245,7 +245,7 @@ class TestSample:
         # a float seed used to be truncated silently, and a float trial count
         # failed with a TypeError that did not name it
         args = {"seed": 1, "trials": 12, "block_size": 8, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"{name}: must be an integer"):
             sample(exact_distribution(malus_chain()), **args)
 
     def test_numpy_integer_arguments_accepted(self):

@@ -72,7 +72,7 @@ def test_run_all_accepts_the_largest_u64_seed():
 @pytest.mark.parametrize("draws", [1.5, 2.0])
 def test_run_all_rejects_a_float_draw_count(draws):
     # a float count would pass the range check and fail deep in PCG64 advance
-    with pytest.raises(ValueError, match="draws must be an integer"):
+    with pytest.raises(ValueError, match="draws: must be an integer"):
         run_all(draws=draws)
 
 
