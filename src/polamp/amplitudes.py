@@ -34,6 +34,12 @@ probabilities (squared moduli) and states; the reversed amplitude is
 probabilities live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
 checks them against this route.
 
+Every squared modulus of an amplitude, a state or an observable element,
+of a Python complex or of a numpy array, is :func:`_squared`:
+``z.real * z.real + z.imag * z.imag``. Neither Python nor numpy fuses that
+multiply-add, so it rounds alike on both. Only :mod:`polamp.verify`'s
+oracle squares its own way, sharing no code with what it checks.
+
 numpy is imported inside :func:`amp_matrix` and :meth:`StateVector2.as_array`
 only, the two places that make arrays, so the scalar API and ``import
 polamp`` run without it.
@@ -83,14 +89,19 @@ def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
 # label-based API
 # ---------------------------------------------------------------------------
 
-def _row(label: BranchLabel) -> int:
-    """Index of ``label``'s branch in an :func:`amp_matrix` block."""
-    return int(label.branch is Branch.MINUS)
+_MINUS = Branch.MINUS
 
 
-def _block(a, b):
-    """:func:`amp_matrix`'s block between two directions, or the directions of two
-    labels, from ``math``/``cmath`` on their Python floats: a block of Python complex.
+def _row(label: BranchLabel) -> bool:
+    """Index of ``label``'s branch in an :func:`amp_matrix` block, as a bool (False is
+    plus): it indexes a tuple as 0 or 1, but a numpy array takes it for a mask.
+    """
+    return label.branch is _MINUS
+
+
+def _block(a: Direction, b: Direction):
+    """:func:`amp_matrix`'s block between two directions, from ``math``/``cmath`` on
+    their Python floats: a block of Python complex.
     """
     return _combine(
         math.cos(a.theta), math.sin(a.theta), math.cos(b.theta), math.sin(b.theta),
@@ -98,14 +109,19 @@ def _block(a, b):
     )
 
 
-def _probability_of(z) -> float:
-    """|z|^2 of one amplitude, clamped into [0, 1]."""
-    return min(max(abs(complex(z)) ** 2, 0.0), 1.0)
+def _squared(z):
+    """|z|^2 of a complex number or array: the package's one squared-modulus rule."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _probability_of(z: complex) -> float:
+    """|z|^2 of one amplitude, clamped to at most 1."""
+    return min(_squared(z), 1.0)
 
 
 def amplitude(initial: BranchLabel, final: BranchLabel) -> complex:
     """Transition amplitude from ``initial`` to ``final``."""
-    return _block(initial, final)[_row(initial)][_row(final)]
+    return _block(initial.direction, final.direction)[_row(initial)][_row(final)]
 
 
 def probability(initial: BranchLabel, final: BranchLabel) -> float:
@@ -119,8 +135,8 @@ def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     Returns sum_s amplitude(initial, via^s) * amplitude(via^s, final);
     equals amplitude(initial, final) for every intermediate direction.
     """
-    first = _block(initial, via)[_row(initial)]
-    second = _block(via, final)
+    first = _block(initial.direction, via)[_row(initial)]
+    second = _block(via, final.direction)
     column = _row(final)
     return sum(first[s] * second[s][column] for s in (0, 1))
 
@@ -144,12 +160,8 @@ class StateVector2:
 
     @property
     def norm(self) -> float:
-        # correctly rounded, as ``np.sqrt`` is: the same bits without numpy;
-        # inf where a squared modulus overflows (float ``**`` raises there)
-        try:
-            return math.sqrt(abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2)
-        except OverflowError:
-            return math.inf
+        # correctly rounded, as ``np.sqrt`` is: the same bits without numpy
+        return math.sqrt(_squared(self.c_plus) + _squared(self.c_minus))
 
 
 def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
@@ -158,4 +170,4 @@ def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
     Component ``s`` is amplitude(label, reference^s); the result has unit
     norm for every reference direction.
     """
-    return StateVector2(*_block(label, reference)[_row(label)])
+    return StateVector2(*_block(label.direction, reference)[_row(label)])

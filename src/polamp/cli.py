@@ -25,9 +25,9 @@ Numbers pass the library's checks (``check_seed``, ``check_count``,
 ``check_angle``, ``check_eigenvalue``, ``check_tolerance`` of
 :mod:`polamp.directions`); a rejected flag or variable is a usage error.
 
-The parser and the ``amp``, ``prob`` and ``expect`` handlers run without
-numpy. What the other commands need is imported by the function that uses
-it: numpy in :func:`_eigvec_records`, :mod:`polamp.simulate` and
+The parser and the ``amp``, ``prob``, ``operator``, ``eigvec`` and
+``expect`` handlers run without numpy. What the other commands need is
+imported by the function that uses it: :mod:`polamp.simulate` and
 :mod:`polamp.scenario` in :func:`cmd_simulate` and :func:`_write_rows`,
 :mod:`polamp.verify` in :func:`cmd_verify`, and ``ctypes`` in
 :func:`_keep_heap_resident`.
@@ -193,13 +193,12 @@ def cmd_prob(args) -> int:
 
 
 def _eigvec_records(args, obs: Observable2) -> None:
-    import numpy as np
-
     xi_plus, xi_minus = eigenvector_states(obs.measure_dir, obs.basis_dir)
-    m = obs.as_array()
     for sign, xi, r in (("+", xi_plus, obs.r_plus), ("-", xi_minus, obs.r_minus)):
-        v = xi.as_array()
-        residual = float(np.max(np.abs(m @ v - r * v)))
+        v1, v2 = xi.c_plus, xi.c_minus  # the residual is max |M v - r v| over both components
+        residual = max(
+            abs(obs.m11 * v1 + obs.m12 * v2 - r * v1), abs(obs.m21 * v1 + obs.m22 * v2 - r * v2)
+        )
         human = (
             f"eigvec {sign} (eigenvalue {r:.12g}): "
             f"({_fmt_complex(xi.c_plus)}, {_fmt_complex(xi.c_minus)})  residual = {residual:.3e}"

@@ -42,20 +42,27 @@ class Branch(Enum):
     @classmethod
     def from_token(cls, token: str) -> "Branch":
         """Parse ``+``/``-`` (also accepts ``plus``/``minus``, any case)."""
-        t = token.strip().lower()
+        t = token.strip().lower() if isinstance(token, str) else None
         if t in ("+", "plus"):
             return cls.PLUS
         if t in ("-", "minus"):
             return cls.MINUS
-        raise ValueError(f"invalid branch {token!r}: expected '+' or '-'")
+        raise ValueError(f"invalid branch {_shown(token)}: expected '+' or '-'")
 
     def __str__(self) -> str:
         return self.value
 
 
 def _shown(value) -> str:
-    """``value`` for a diagnostic; a list or object is named by its type only."""
-    return "dict" if isinstance(value, dict) else "list" if isinstance(value, list) else repr(value)
+    """``value`` for a diagnostic; a list or object is named by its type only, and an
+    int too long for ``repr`` (Python's 4300-digit limit by default) by its size.
+    """
+    if isinstance(value, (dict, list)):
+        return "dict" if isinstance(value, dict) else "list"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {int(value).bit_length()} bits"
 
 
 def _must_be(value, name: str, what: str) -> ValueError:

@@ -18,10 +18,11 @@ bit equal to the batched form on Python floats. The closed trig
 expressions live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
 checks them against it.
 
-numpy is imported inside the functions that call it (the batched form,
-:func:`observable_matrix`'s moduli, :meth:`Observable2.as_array` and
-:func:`expectation`), so ``import polamp`` and :func:`expectation_closed`
-run without it.
+The scalar forms (:func:`observable_matrix`, :func:`eigenvector_states`,
+:func:`expectation` and :func:`expectation_closed`) compute on Python
+complex alone. numpy is imported only by :meth:`Observable2.as_array` and,
+for the batched form, by the kernel, so ``import polamp`` and the scalar
+API run without it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .amplitudes import StateVector2, _block, _probability_of, amp_matrix, state_vector
+from .amplitudes import StateVector2, _block, _probability_of, _squared, amp_matrix, state_vector
 from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction, check_eigenvalue
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it (module docstring)
@@ -68,18 +69,17 @@ class Observable2:
         return self.m11 * self.m22 - self.m12 * self.m21
 
 
-def _elements(block, squared, r_plus, r_minus):
+def _elements(block, r_plus, r_minus):
     """Element (i, j) = sum_s conj(chi(c^i, b^s)) chi(c^j, b^s) R_s of one block.
 
-    ``block`` is the amplitude block between c and b, ``squared`` its squared
-    moduli in the same layout. Returns ((m11, m12), (m21, m22)).
+    ``block`` is the amplitude block between c and b, of Python complex or
+    of arrays. Returns ((m11, m12), (m21, m22)).
     """
     (k_pp, k_pm), (k_mp, k_mm) = block
-    (a_pp, a_pm), (a_mp, a_mm) = squared
-    m11 = a_pp * r_plus + a_pm * r_minus
+    m11 = _squared(k_pp) * r_plus + _squared(k_pm) * r_minus
     m12 = k_pp.conjugate() * k_mp * r_plus + k_pm.conjugate() * k_mm * r_minus
     m21 = k_mp.conjugate() * k_pp * r_plus + k_mm.conjugate() * k_pm * r_minus
-    m22 = a_mp * r_plus + a_mm * r_minus
+    m22 = _squared(k_mp) * r_plus + _squared(k_mm) * r_minus
     return ((m11 + 0j, m12), (m21, m22 + 0j))
 
 
@@ -89,11 +89,7 @@ def observable_elements_product(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_mi
     Element (i, j) is sum_s conj(chi(c^i, b^s)) chi(c^j, b^s) R_s with c the
     basis direction and b the measured one. Returns ((m11, m12), (m21, m22)).
     """
-    import numpy as np
-
-    block = amp_matrix(theta_c, alpha_c, theta_b, alpha_b)
-    squared = [[np.abs(k) ** 2 for k in row] for row in block]
-    return _elements(block, squared, r_plus, r_minus)
+    return _elements(amp_matrix(theta_c, alpha_c, theta_b, alpha_b), r_plus, r_minus)
 
 
 def observable_matrix(
@@ -105,25 +101,10 @@ def observable_matrix(
     Built from amplitude products; the result is Hermitian with trace r_plus + r_minus
     and determinant r_plus * r_minus, both finite by :func:`~polamp.directions.check_eigenvalue`.
     """
-    import numpy as np
-
     r_plus, r_minus = check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus")
-    block = _block(basis, measure)
-    # the batched form's bits on floats: moduli from numpy, whose complex abs
-    # rounds unlike Python's ``abs``, squared by ``pow`` as a numpy scalar's
-    # ``** 2`` is (``m * m`` can differ in the last bit)
-    squared = [[m ** 2 for m in row] for row in np.abs(block).tolist()]
-    (m11, m12), (m21, m22) = _elements(block, squared, r_plus, r_minus)
-    return Observable2(
-        m11=m11,
-        m12=m12,
-        m21=m21,
-        m22=m22,
-        r_plus=r_plus,
-        r_minus=r_minus,
-        measure_dir=measure,
-        basis_dir=basis,
-    )
+    # one label block through the batched form's formula: its bits on Python floats
+    (m11, m12), (m21, m22) = _elements(_block(basis, measure), r_plus, r_minus)
+    return Observable2(m11, m12, m21, m22, r_plus, r_minus, measure, basis)
 
 
 def polarization_operator(measure: Direction, basis: Direction) -> Observable2:
@@ -157,14 +138,12 @@ def expectation(state: StateVector2, obs: Observable2) -> float:
     eigenvalues: it is checked against the tolerance times the larger of 1
     and ``|r_plus|``, ``|r_minus|``, and discarded.
     """
-    import numpy as np
-
     tol = DEFAULT_TOLERANCE
     norm_dev = abs(state.norm - 1.0)
     if not norm_dev <= tol:  # a NaN norm is not normalized either
         raise ValueError(f"state is not normalized: |norm - 1| = {norm_dev:.3e} > {tol:.3e}")
-    v = state.as_array()
-    z = np.vdot(v, obs.as_array() @ v)
+    v1, v2 = state.c_plus, state.c_minus
+    z = v1.conjugate() * (obs.m11 * v1 + obs.m12 * v2) + v2.conjugate() * (obs.m21 * v1 + obs.m22 * v2)
     if abs(z.imag) > tol * max(1.0, abs(obs.r_plus), abs(obs.r_minus)):
         raise ValueError(f"non-real expectation (residue {z.imag:.3e}); matrix not Hermitian?")
     return float(z.real)

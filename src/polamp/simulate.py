@@ -140,7 +140,7 @@ def exact_distribution(
         raise StageCapError(f"{n} stages exceeds the cap of {stage_cap} (2^n outcome blowup)")
 
     initial, stages = scenario.initial, scenario.stages
-    probs = _stage_transition(initial.direction, stages[0])[_row(initial)]
+    probs = _stage_transition(initial.direction, stages[0])[int(_row(initial))]
     for prev, stage in zip(stages, stages[1:]):
         # sequence 2i + t extends sequence i, whose last branch is i & 1
         t = _stage_transition(prev, stage)

@@ -279,12 +279,15 @@ class TestStateVector:
         assert v.c_minus == pytest.approx(amplitude(label, BranchLabel(ref, Branch.MINUS)), abs=TOL)
         assert v.norm == pytest.approx(1.0, abs=TOL)
 
-    # beyond 1e150 in magnitude ``abs(c) ** 2`` raises OverflowError on either side
+    # beyond 1e150 in magnitude the sum of squares overflows to inf on either side
     @given(*[st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)] * 2)
     @settings(max_examples=500, deadline=None)
     def test_norm_keeps_the_bits_of_numpy_sqrt(self, c1, c2):
-        # math.sqrt and np.sqrt are both correctly rounded
-        expected = float(np.sqrt(abs(c1) ** 2 + abs(c2) ** 2))
+        # math.sqrt and np.sqrt are both correctly rounded; the squares are the
+        # package's one rule, re * re + im * im, written out here on numpy floats
+        c = np.array([c1, c2])
+        squared = c.real * c.real + c.imag * c.imag
+        expected = float(np.sqrt(squared[0] + squared[1]))
         assert StateVector2(c1, c2).norm.hex() == expected.hex()
 
     def test_inner_product_against_amplitude(self):
@@ -341,3 +344,8 @@ class TestDirections:
         assert Branch.from_token("minus") is Branch.MINUS
         with pytest.raises(ValueError):
             Branch.from_token("x")
+
+    @pytest.mark.parametrize("token", [1, None, 1.0, b"+", ["+"]])
+    def test_branch_rejects_a_non_string_with_a_value_error(self, token):
+        with pytest.raises(ValueError, match="invalid branch .*: expected '\\+' or '-'"):
+            Branch.from_token(token)

@@ -443,11 +443,14 @@ def test_parser_and_label_commands_start_without_numpy():
         for units in ([], ["--deg"], ["--rad"])
         for machine in ([], ["--machine"])
     ]
-    numpy_free = [["--help"], ["amp", "--help"], *labels]
+    numpy_free = [
+        ["--help"], ["amp", "--help"], *labels,
+        ["operator", "30", "0", "0", "0"],
+        ["operator", "30", "0", "0", "0", "--r-plus", "2", "--r-minus", "0.5", "--machine"],
+        ["eigvec", "30", "0", "0", "0", "--machine"],
+    ]
     scenario = str(ROOT / "tests" / "data" / "simulate_two_stage.json")
     heavy = [
-        ["operator", "30", "0", "0", "0"],
-        ["eigvec", "30", "0", "0", "0", "--machine"],
         ["simulate", scenario, "--trials", "1000"],
         ["verify", "--draws", "200", "--machine"],
     ]

@@ -34,6 +34,7 @@ from polamp import (
     sample,
 )
 from polamp.cli import EXIT_USAGE, run
+from polamp.directions import check_angle, check_count, check_seed
 
 SCENARIO_FILE = str(Path(__file__).parent / "data" / "simulate_two_stage.json")
 SCENARIO = {"initial": {"theta_deg": 0, "branch": "+"}, "stages": [{"theta_deg": 30}]}
@@ -192,3 +193,19 @@ def test_every_layer_takes_the_same_values(name, value):
     assert len(kinds) == 1, outcomes
     results = {result for _, result in outcomes if result is not None}
     assert len(results) == 1, outcomes  # one value kept, or one phrase
+
+
+@pytest.mark.parametrize(
+    "check, what",
+    [
+        (check_seed, "an integer from 0 to 2**64 - 1"),
+        (lambda v: check_count(v, "trials"), "an integer from 1 to 2**63 - 1"),
+        (check_angle, "a finite number below 2**1023 in magnitude"),
+    ],
+    ids=["seed", "count", "angle"],
+)
+@pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
+def test_an_int_too_long_for_repr_is_named_by_its_size(check, what, value):
+    # Python refuses ``repr`` of an int of more than 4300 digits by default
+    with pytest.raises(ValueError, match=re.escape(f"must be {what}, got an int of 16610 bits")):
+        check(value)

@@ -219,7 +219,7 @@ class TestExpectation:
 
     @pytest.mark.parametrize("c_plus", [1e200 + 0j, math.nan + 0j], ids=["overflow", "nan"])
     def test_rejects_states_without_a_finite_norm(self, c_plus):
-        # abs(1e200) ** 2 overflows: the norm is inf, not an OverflowError
+        # 1e200 squared overflows: the norm is inf, not an OverflowError
         obs = polarization_operator(Direction(0.4), Direction(0.0))
         with pytest.raises(ValueError, match="normalized"):
             expectation(StateVector2(c_plus, 0j), obs)

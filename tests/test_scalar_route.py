@@ -6,8 +6,10 @@ feed the one combine step, so a label's values equal the kernel's on the
 same Python floats exactly, which keeps every label command's output bytes,
 and the kernel's on one-lane arrays up to the sign of a zero part: this is
 what carries ``verify``'s checks of the kernel over to the scalar API. The
-observable elements keep the bits of the batched form evaluated on Python
-floats, the route labels took before they had their own trig source.
+observable elements equal the batched form evaluated on Python floats bit
+for bit: both run ``operators._elements``, whose squared moduli are the
+package's one rule, ``amplitudes._squared``, on Python complex or on numpy
+scalars alike.
 """
 
 import itertools
