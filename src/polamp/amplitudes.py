@@ -22,9 +22,12 @@ block from the cos/sin of both plane angles and the phase. Two trig sources
 feed it. :func:`amp_matrix`, the batched kernel, takes ``np.cos``/``np.sin``/
 ``np.exp`` over scalars or numpy arrays (broadcasting). The label-based
 functions below it are the scalar API: they evaluate one block per pair of
-directions through :func:`_block`, which takes ``math.cos``/``math.sin``/
-``cmath.exp`` on the labels' Python floats and so skips numpy's per-call
-cost. Where numpy's float64 trig is the C library's, both sources round
+directions through :func:`_block`, on the labels' Python floats, and so skip
+numpy's per-call cost. Each :class:`~polamp.directions.Direction` holds the
+``math.cos``/``math.sin`` of its plane angle, taken once when it is built;
+:func:`_block` reads them and takes ``cmath.exp`` of the phase difference,
+which does not factor into per-direction terms without moving bits. Where
+numpy's float64 trig is the C library's, both sources round
 alike: a label's block equals the kernel's on the same Python floats bit
 for bit, and on one-lane arrays up to the sign of a zero part (properties
 in the tests). That is how :mod:`polamp.verify`'s checks of the kernel
@@ -40,22 +43,16 @@ of a Python complex or of a numpy array, is :func:`_squared`:
 multiply-add, so it rounds alike on both. Only :mod:`polamp.verify`'s
 oracle squares its own way, sharing no code with what it checks.
 
-numpy is imported inside :func:`amp_matrix` and :meth:`StateVector2.as_array`
-only, the two places that make arrays, so the scalar API and ``import
-polamp`` run without it.
+numpy is imported inside :func:`amp_matrix` only, the one place that makes
+arrays, so the scalar API and ``import polamp`` run without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .directions import Branch, BranchLabel, Direction
-
-if TYPE_CHECKING:  # numpy is imported by the functions that use it (module docstring)
-    import numpy as np
+from .directions import _MINUS, BranchLabel, Direction, _new, _Record
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +86,6 @@ def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
 # label-based API
 # ---------------------------------------------------------------------------
 
-_MINUS = Branch.MINUS
-
-
 def _row(label: BranchLabel) -> bool:
     """Index of ``label``'s branch in an :func:`amp_matrix` block, as a bool (False is
     plus): it indexes a tuple as 0 or 1, but a numpy array takes it for a mask.
@@ -100,13 +94,13 @@ def _row(label: BranchLabel) -> bool:
 
 
 def _block(a: Direction, b: Direction):
-    """:func:`amp_matrix`'s block between two directions, from ``math``/``cmath`` on
-    their Python floats: a block of Python complex.
+    """:func:`amp_matrix`'s block between two directions, from the cos/sin each
+    :class:`~polamp.directions.Direction` holds and ``cmath.exp`` of the phase
+    difference: a block of Python complex.
     """
-    return _combine(
-        math.cos(a.theta), math.sin(a.theta), math.cos(b.theta), math.sin(b.theta),
-        cmath.exp(1j * (a.alpha - b.alpha)),
-    )
+    _, alpha_a, cos_a, sin_a = a
+    _, alpha_b, cos_b, sin_b = b
+    return _combine(cos_a, sin_a, cos_b, sin_b, cmath.exp(1j * (alpha_a - alpha_b)))
 
 
 def _squared(z):
@@ -141,8 +135,7 @@ def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     return sum(first[s] * second[s][column] for s in (0, 1))
 
 
-@dataclass(frozen=True)
-class StateVector2:
+class StateVector2(_Record):
     """A polarization state over the two outcomes of a reference direction.
 
     ``c_plus``/``c_minus`` are the amplitudes for the parallel and
@@ -150,13 +143,11 @@ class StateVector2:
     for every state produced by this package.
     """
 
-    c_plus: complex
-    c_minus: complex
+    __slots__ = ()
+    _fields = ("c_plus", "c_minus")
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.c_plus, self.c_minus], dtype=complex)
+    def __new__(cls, c_plus: complex, c_minus: complex):
+        return _new(cls, (c_plus, c_minus))
 
     @property
     def norm(self) -> float:
@@ -170,4 +161,4 @@ def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
     Component ``s`` is amplitude(label, reference^s); the result has unit
     norm for every reference direction.
     """
-    return StateVector2(*_block(label.direction, reference)[_row(label)])
+    return _new(StateVector2, _block(label.direction, reference)[_row(label)])

@@ -6,7 +6,15 @@ components. Each context has exactly two outcomes: polarization parallel
 (``Branch.PLUS``) or perpendicular (``Branch.MINUS``) to the direction.
 
 Angles are used exactly as given; all formulas downstream are 2*pi-periodic
-in both angles, so no normalization is applied.
+in both angles, so no normalization is applied. A :class:`Direction` takes
+``math.cos``/``math.sin`` of its plane angle once, when it is built, and
+holds them for every amplitude block that reads it.
+
+:class:`Direction`, :class:`BranchLabel` and the state and observable records
+of :mod:`polamp.amplitudes` and :mod:`polamp.operators` are immutable records
+(``_Record``): each is one tuple, built after its constructor's checks, that
+equals only a record of its own type. A record built inside the package from
+fields that are already checked skips the constructor (``_new``).
 
 Each input range is stated once, here, by :func:`check_seed`, :func:`check_count`,
 :func:`check_angle`, :func:`check_eigenvalue` or :func:`check_tolerance`. Each
@@ -19,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 #: Default absolute tolerance for every numeric invariant check in the package.
@@ -53,6 +60,10 @@ class Branch(Enum):
         return self.value
 
 
+#: The members as module names: an enum attribute lookup costs a Python call.
+_PLUS, _MINUS = Branch.PLUS, Branch.MINUS
+
+
 def _shown(value) -> str:
     """``value`` for a diagnostic; a list or object is named by its type only, and an
     int too long for ``repr`` (Python's 4300-digit limit by default) by its size.
@@ -79,11 +90,15 @@ def _integer(value, name: str, low: int, bits: int) -> int:
 
 
 def _real(value, name: str, low: float, high: float, what: str) -> float:
-    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-    try:
-        number = float(value) if real else math.nan
-    except OverflowError:  # an int past the largest double
-        number = math.inf
+    if type(value) is float:
+        number = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the largest double
+            number = math.inf
+    else:
+        number = math.nan
     if not low < number < high:  # also rejects nan
         raise _must_be(value, name, what)
     return number
@@ -113,27 +128,72 @@ def check_tolerance(value, name: str = "tolerance") -> float:
     return _real(value, name, 0.0, math.inf, "a finite positive number")
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A polarization measurement context: plane angle and relative phase.
-
-    Both angles are in radians and pass :func:`check_angle`.
+class _Record(tuple):
+    """An immutable value: a tuple whose first items are its fields, read-only
+    attributes named by ``_fields``. It equals and hashes as a value of its own
+    type only, has no ordering, and pickles and copies through its
+    constructor's checks. A subclass defines ``__new__`` and ``__slots__ = ()``.
     """
 
-    theta: float
-    alpha: float = 0.0
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", check_angle(self.theta, "theta"))
-        object.__setattr__(self, "alpha", check_angle(self.alpha, "alpha"))
+    def __init_subclass__(cls):
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(operator.itemgetter(index)))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self[: len(self._fields)]
 
 
-@dataclass(frozen=True)
-class BranchLabel:
+#: Builds a record from a row whose fields are already checked.
+_new = tuple.__new__
+
+
+class Direction(_Record):
+    """A polarization measurement context: plane angle and relative phase.
+
+    Both angles are in radians and pass :func:`check_angle`. The record is the
+    tuple ``(theta, alpha, cos(theta), sin(theta))``: the plane angle's cos and
+    sin are taken once, here, and every amplitude block reads them.
+    """
+
+    __slots__ = ()
+    _fields = ("theta", "alpha")
+
+    def __new__(cls, theta: float, alpha: float = 0.0):
+        theta = check_angle(theta, "theta")
+        return _new(cls, (theta, check_angle(alpha, "alpha"), math.cos(theta), math.sin(theta)))
+
+
+class BranchLabel(_Record):
     """A single measurement outcome: a direction plus one of its branches."""
 
-    direction: Direction
-    branch: Branch
+    __slots__ = ()
+    _fields = ("direction", "branch")
+
+    def __new__(cls, direction: Direction, branch: Branch):
+        if not isinstance(direction, Direction):
+            raise _must_be(direction, "direction", "a Direction")
+        if not isinstance(branch, Branch):
+            raise _must_be(branch, "branch", "a Branch")
+        return _new(cls, (direction, branch))
 
     @property
     def theta(self) -> float:
@@ -146,9 +206,9 @@ class BranchLabel:
 
 def plus(theta: float, alpha: float = 0.0) -> BranchLabel:
     """Label for the parallel outcome at ``Direction(theta, alpha)``."""
-    return BranchLabel(Direction(theta, alpha), Branch.PLUS)
+    return _new(BranchLabel, (Direction(theta, alpha), _PLUS))
 
 
 def minus(theta: float, alpha: float = 0.0) -> BranchLabel:
     """Label for the perpendicular outcome at ``Direction(theta, alpha)``."""
-    return BranchLabel(Direction(theta, alpha), Branch.MINUS)
+    return _new(BranchLabel, (Direction(theta, alpha), _MINUS))

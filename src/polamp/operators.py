@@ -20,25 +20,21 @@ checks them against it.
 
 The scalar forms (:func:`observable_matrix`, :func:`eigenvector_states`,
 :func:`expectation` and :func:`expectation_closed`) compute on Python
-complex alone. numpy is imported only by :meth:`Observable2.as_array` and,
-for the batched form, by the kernel, so ``import polamp`` and the scalar
-API run without it.
+complex alone, from the label blocks and the cos/sin each direction holds.
+numpy is imported only by the kernel, for the batched form, so ``import
+polamp`` and the scalar API run without it. :func:`observable_matrix` checks
+its eigenvalues once and builds the record in :func:`_observable`, which
+:func:`polarization_operator` calls directly with its constant +1 and -1.
+:class:`Observable2` is an immutable record (:mod:`polamp.directions`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from .amplitudes import StateVector2, _block, _probability_of, _squared, amp_matrix, state_vector
-from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction, check_eigenvalue
-
-if TYPE_CHECKING:  # numpy is imported by the functions that use it (module docstring)
-    import numpy as np
+from .amplitudes import StateVector2, _block, _probability_of, _row, _squared, amp_matrix
+from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction, _new, _Record, check_eigenvalue
 
 
-@dataclass(frozen=True)
-class Observable2:
+class Observable2(_Record):
     """A 2x2 Hermitian observable with its defining eigenvalues and directions.
 
     ``measure_dir`` is the direction whose branches carry the eigenvalues
@@ -46,19 +42,14 @@ class Observable2:
     the matrix elements.
     """
 
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-    r_plus: float
-    r_minus: float
-    measure_dir: Direction
-    basis_dir: Direction
+    __slots__ = ()
+    _fields = ("m11", "m12", "m21", "m22", "r_plus", "r_minus", "measure_dir", "basis_dir")
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
+    def __new__(
+        cls, m11: complex, m12: complex, m21: complex, m22: complex,
+        r_plus: float, r_minus: float, measure_dir: Direction, basis_dir: Direction,
+    ):
+        return _new(cls, (m11, m12, m21, m22, r_plus, r_minus, measure_dir, basis_dir))
 
     @property
     def trace(self) -> complex:
@@ -102,9 +93,14 @@ def observable_matrix(
     and determinant r_plus * r_minus, both finite by :func:`~polamp.directions.check_eigenvalue`.
     """
     r_plus, r_minus = check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus")
+    return _observable(measure, basis, r_plus, r_minus)
+
+
+def _observable(measure: Direction, basis: Direction, r_plus: float, r_minus: float) -> Observable2:
+    """:func:`observable_matrix` on eigenvalues that are already checked."""
     # one label block through the batched form's formula: its bits on Python floats
     (m11, m12), (m21, m22) = _elements(_block(basis, measure), r_plus, r_minus)
-    return Observable2(m11, m12, m21, m22, r_plus, r_minus, measure, basis)
+    return _new(Observable2, (m11, m12, m21, m22, r_plus, r_minus, measure, basis))
 
 
 def polarization_operator(measure: Direction, basis: Direction) -> Observable2:
@@ -112,7 +108,7 @@ def polarization_operator(measure: Direction, basis: Direction) -> Observable2:
 
     Traceless, determinant -1, and involutory (its square is the identity).
     """
-    return observable_matrix(measure, basis, +1.0, -1.0)
+    return _observable(measure, basis, +1.0, -1.0)
 
 
 def eigenvector_states(
@@ -126,7 +122,7 @@ def eigenvector_states(
     component formulas exactly (no re-phasing).
     """
     plus_row, minus_row = _block(measure, basis)
-    return StateVector2(*plus_row), StateVector2(*minus_row)
+    return _new(StateVector2, plus_row), _new(StateVector2, minus_row)
 
 
 def expectation(state: StateVector2, obs: Observable2) -> float:
@@ -156,5 +152,5 @@ def expectation_closed(initial: BranchLabel, measure: Direction) -> float:
     ``expectation(state_vector(initial, basis), polarization_operator(measure, basis))``
     for every basis direction.
     """
-    state = state_vector(initial, measure)
-    return _probability_of(state.c_plus) - _probability_of(state.c_minus)
+    c_plus, c_minus = _block(initial.direction, measure)[_row(initial)]
+    return _probability_of(c_plus) - _probability_of(c_minus)

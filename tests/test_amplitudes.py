@@ -1,6 +1,7 @@
 """Unit and property tests for the transition-amplitude layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ TOL = 1e-12
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 branches = st.sampled_from([Branch.PLUS, Branch.MINUS])
+
+
+def vector(state) -> np.ndarray:
+    """A state's components as a numpy vector."""
+    return np.array([state.c_plus, state.c_minus], dtype=complex)
 
 
 def ref_state(theta, alpha, branch):
@@ -266,8 +272,8 @@ class TestStateVector:
         d = Direction(1.1, 0.7)
         vp = state_vector(BranchLabel(d, Branch.PLUS), d)
         vm = state_vector(BranchLabel(d, Branch.MINUS), d)
-        np.testing.assert_allclose(vp.as_array(), [1.0, 0.0], atol=TOL)
-        np.testing.assert_allclose(vm.as_array(), [0.0, 1.0], atol=TOL)
+        np.testing.assert_allclose(vector(vp), [1.0, 0.0], atol=TOL)
+        np.testing.assert_allclose(vector(vm), [0.0, 1.0], atol=TOL)
 
     @given(angles, angles, branches, angles, angles)
     @settings(max_examples=200, deadline=None)
@@ -294,7 +300,7 @@ class TestStateVector:
         # <state(b)|state(a)> over any shared reference equals amplitude(a, b)
         a, b, ref = plus(0.3, 1.2), minus(2.4, 0.5), Direction(0.9, 2.8)
         va, vb = state_vector(a, ref), state_vector(b, ref)
-        assert np.vdot(vb.as_array(), va.as_array()) == pytest.approx(amplitude(a, b), abs=TOL)
+        assert np.vdot(vector(vb), vector(va)) == pytest.approx(amplitude(a, b), abs=TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +350,17 @@ class TestDirections:
         assert Branch.from_token("minus") is Branch.MINUS
         with pytest.raises(ValueError):
             Branch.from_token("x")
+
+    @pytest.mark.parametrize("branch", ["-", "+", 1, None])
+    def test_label_rejects_a_branch_that_is_no_branch(self, branch):
+        # a token such as "-" is parsed by Branch.from_token, never taken as a branch
+        with pytest.raises(ValueError, match=f"^branch: must be a Branch, got {re.escape(repr(branch))}$"):
+            BranchLabel(Direction(0.3, 0.2), branch)
+
+    @pytest.mark.parametrize("direction", [0.3, (0.3, 0.2), None, plus(0.3, 0.2)])
+    def test_label_rejects_a_direction_that_is_no_direction(self, direction):
+        with pytest.raises(ValueError, match=f"^direction: must be a Direction, got {re.escape(repr(direction))}$"):
+            BranchLabel(direction, Branch.PLUS)
 
     @pytest.mark.parametrize("token", [1, None, 1.0, b"+", ["+"]])
     def test_branch_rejects_a_non_string_with_a_value_error(self, token):

@@ -127,13 +127,17 @@ def trig_sites(tree: ast.Module) -> set[tuple[str, str]]:
 
 
 def test_each_amplitude_route_reads_one_trig_source_at_one_site():
-    # the label block takes math/cmath on Python floats and the batched kernel
-    # numpy; a second site of either would fork what the combine step is fed
-    sites = {(module, *site) for module in NORMATIVE for site in trig_sites(parse(module))}
-    scalar = {("amplitudes", f, "_block") for f in ("math.cos", "math.sin", "cmath.exp")}
+    # the label route takes math on a Direction's plane angle once, in its
+    # constructor, and cmath on the phase difference in the label block; the
+    # batched kernel takes numpy. A second site of either would fork what the
+    # combine step is fed
+    modules = ("directions", *NORMATIVE)
+    sites = {(module, *site) for module in modules for site in trig_sites(parse(module))}
+    scalar = {("directions", f, "Direction") for f in ("math.cos", "math.sin")}
+    scalar.add(("amplitudes", "cmath.exp", "_block"))
     batched = {("amplitudes", f, "amp_matrix") for f in ("np.cos", "np.sin", "np.exp")}
     assert sites == scalar | batched
-    for module in NORMATIVE:  # and none is imported bare, out of the guard's sight
+    for module in modules:  # and none is imported bare, out of the guard's sight
         bare = {
             alias.name
             for node in ast.walk(parse(module))
@@ -407,8 +411,11 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 
 #: What the parser and the label commands leave unloaded, so that they start
-#: without numpy's import (README, CLI).
-HEAVY_MODULES = ("numpy", "ctypes", "polamp.simulate", "polamp.scenario", "polamp.verify")
+#: without numpy's import (README, CLI), nor ``dataclasses`` and the
+#: ``inspect`` it loads: the label records are tuples.
+HEAVY_MODULES = (
+    "numpy", "ctypes", "dataclasses", "polamp.simulate", "polamp.scenario", "polamp.verify",
+)
 
 #: Runs each argument list of ``sys.argv[1]`` (JSON) through ``polamp.cli.run``
 #: in order, printing one JSON line per run: its exit code and the modules of

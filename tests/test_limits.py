@@ -22,6 +22,16 @@ TOL = 1e-12
 RNG = np.random.default_rng(77)
 
 
+def vector(state) -> np.ndarray:
+    """A state's components as a numpy vector."""
+    return np.array([state.c_plus, state.c_minus], dtype=complex)
+
+
+def matrix(obs) -> np.ndarray:
+    """An observable's elements as a 2x2 numpy array."""
+    return np.array([[obs.m11, obs.m12], [obs.m21, obs.m22]], dtype=complex)
+
+
 class TestStandardAmplitudes:
 
     def test_x_direction(self):
@@ -57,46 +67,46 @@ class TestStandardStates:
 
     def test_x_direction_is_computational_basis(self):
         sp, sm = standard_states(Direction(0.0, 0.0))
-        np.testing.assert_allclose(sp.as_array(), [1, 0], atol=TOL)
-        np.testing.assert_allclose(sm.as_array(), [0, 1], atol=TOL)
+        np.testing.assert_allclose(vector(sp), [1, 0], atol=TOL)
+        np.testing.assert_allclose(vector(sm), [0, 1], atol=TOL)
 
     def test_circular_pair(self):
         sp, sm = standard_states(Direction(math.pi / 4, math.pi / 2))
         s = np.sqrt(2) / 2
-        np.testing.assert_allclose(sp.as_array(), [s, s * 1j], atol=TOL)
-        np.testing.assert_allclose(sm.as_array(), [-s, s * 1j], atol=TOL)
+        np.testing.assert_allclose(vector(sp), [s, s * 1j], atol=TOL)
+        np.testing.assert_allclose(vector(sm), [-s, s * 1j], atol=TOL)
 
     def test_orthonormal_pair(self):
         for theta, alpha in RNG.uniform(-6, 6, (25, 2)):
             sp, sm = standard_states(Direction(theta, alpha))
             assert sp.norm == pytest.approx(1.0, abs=TOL)
             assert sm.norm == pytest.approx(1.0, abs=TOL)
-            assert abs(np.vdot(sp.as_array(), sm.as_array())) < TOL
+            assert abs(np.vdot(vector(sp), vector(sm))) < TOL
 
 
 class TestStandardOperator:
 
     def test_x_direction_is_diagonal(self):
         np.testing.assert_allclose(
-            standard_operator(Direction(0.0, 0.0)).as_array(), np.diag([1.0, -1.0]), atol=TOL
+            matrix(standard_operator(Direction(0.0, 0.0))), np.diag([1.0, -1.0]), atol=TOL
         )
 
     def test_diagonal_flip_at_45_degrees(self):
-        m = standard_operator(Direction(math.pi / 4, 0.0)).as_array()
+        m = matrix(standard_operator(Direction(math.pi / 4, 0.0)))
         np.testing.assert_allclose(m, [[0, 1], [1, 0]], atol=TOL)
 
     def test_structure_and_eigenvectors(self):
         for tb, ab in RNG.uniform(-2 * math.pi, 2 * math.pi, (25, 2)):
             op = standard_operator(Direction(tb, ab))
-            m = op.as_array()
+            m = matrix(op)
             assert abs(np.trace(m)) < TOL
             np.testing.assert_allclose(m @ m, np.eye(2), atol=TOL)
             assert m[0, 0] == pytest.approx(math.cos(2 * tb), abs=TOL)
             assert m[0, 1] == pytest.approx(math.sin(2 * tb) * np.exp(-1j * ab), abs=TOL)
 
             xi_p, xi_m = eigenvector_states(Direction(tb, ab), Direction(0.0, 0.0))
-            assert np.max(np.abs(m @ xi_p.as_array() - xi_p.as_array())) < TOL
-            assert np.max(np.abs(m @ xi_m.as_array() + xi_m.as_array())) < TOL
+            assert np.max(np.abs(m @ vector(xi_p) - vector(xi_p))) < TOL
+            assert np.max(np.abs(m @ vector(xi_m) + vector(xi_m))) < TOL
             # the stated standard eigenvector components
             assert xi_p.c_plus == pytest.approx(math.cos(tb), abs=TOL)
             assert xi_p.c_minus == pytest.approx(math.sin(tb) * np.exp(1j * ab), abs=TOL)

@@ -52,6 +52,16 @@ def random_directions(n):
     return [(Direction(t1, a1), Direction(t2, a2)) for t1, a1, t2, a2 in draws]
 
 
+def vector(state) -> np.ndarray:
+    """A state's components as a numpy vector."""
+    return np.array([state.c_plus, state.c_minus], dtype=complex)
+
+
+def matrix(obs) -> np.ndarray:
+    """An observable's elements as a 2x2 numpy array."""
+    return np.array([[obs.m11, obs.m12], [obs.m21, obs.m22]], dtype=complex)
+
+
 def closed_matrix(measure, basis, r_plus, r_minus):
     """The observable via the closed trig forms Eq53-Eq56."""
     m = observable_elements(basis.theta, basis.alpha, measure.theta, measure.alpha, r_plus, r_minus)
@@ -67,25 +77,25 @@ class TestObservableMatrix:
     def test_same_direction_is_diagonal(self):
         d = Direction(0.8, 2.2)
         obs = observable_matrix(d, d, 2.5, -0.5)
-        np.testing.assert_allclose(obs.as_array(), np.diag([2.5, -0.5]), atol=TOL)
+        np.testing.assert_allclose(matrix(obs), np.diag([2.5, -0.5]), atol=TOL)
 
     def test_equal_values_give_identity_multiple(self):
         obs = observable_matrix(Direction(1.3, 0.2), Direction(-0.4, 2.8), 1.7, 1.7)
-        np.testing.assert_allclose(obs.as_array(), 1.7 * np.eye(2), atol=TOL)
+        np.testing.assert_allclose(matrix(obs), 1.7 * np.eye(2), atol=TOL)
 
     def test_matches_spectral_oracle(self):
         for measure, basis in random_directions(50):
             obs = observable_matrix(measure, basis, 2.0, -3.0)
             xi_p, xi_m = eigenvector_states(measure, basis)
-            vp, vm = xi_p.as_array(), xi_m.as_array()
+            vp, vm = vector(xi_p), vector(xi_m)
             spectral = 2.0 * np.outer(vp, vp.conj()) - 3.0 * np.outer(vm, vm.conj())
-            np.testing.assert_allclose(obs.as_array(), spectral, atol=TOL)
+            np.testing.assert_allclose(matrix(obs), spectral, atol=TOL)
 
     @given(angles, angles, angles, angles, values, values)
     @settings(max_examples=150, deadline=None)
     def test_structural_invariants(self, tb, ab, tc, ac, rp, rm):
         obs = observable_matrix(Direction(tb, ab), Direction(tc, ac), rp, rm)
-        m = obs.as_array()
+        m = matrix(obs)
         np.testing.assert_allclose(m, m.conj().T, rtol=0, atol=TOL)
         assert obs.trace == pytest.approx(rp + rm, abs=1e-11)
         assert obs.determinant == pytest.approx(rp * rm, abs=1e-10)
@@ -99,7 +109,7 @@ class TestObservableMatrixClosed:
 
     def test_agrees_with_product_construction(self):
         for measure, basis in random_directions(100):
-            product = observable_matrix(measure, basis, 1.4, -2.2).as_array()
+            product = matrix(observable_matrix(measure, basis, 1.4, -2.2))
             closed = closed_matrix(measure, basis, 1.4, -2.2)
             np.testing.assert_allclose(closed, product, atol=TOL)
 
@@ -120,7 +130,7 @@ class TestPolarizationOperator:
     def test_same_direction(self):
         d = Direction(2.7, 1.8)
         np.testing.assert_allclose(
-            polarization_operator(d, d).as_array(), np.diag([1.0, -1.0]), atol=TOL
+            matrix(polarization_operator(d, d)), np.diag([1.0, -1.0]), atol=TOL
         )
 
     def test_standard_basis_elements(self):
@@ -131,7 +141,7 @@ class TestPolarizationOperator:
 
     def test_involution_and_spectrum(self):
         for measure, basis in random_directions(50):
-            m = polarization_operator(measure, basis).as_array()
+            m = matrix(polarization_operator(measure, basis))
             np.testing.assert_allclose(m @ m, np.eye(2), atol=TOL)
             assert abs(np.trace(m)) < TOL
             assert np.linalg.det(m).real == pytest.approx(-1.0, abs=TOL)
@@ -146,8 +156,8 @@ class TestEigenvectorStates:
     def test_same_direction_is_standard_basis(self):
         d = Direction(0.4, 0.9)
         xi_p, xi_m = eigenvector_states(d, d)
-        np.testing.assert_allclose(xi_p.as_array(), [1.0, 0.0], atol=TOL)
-        np.testing.assert_allclose(xi_m.as_array(), [0.0, 1.0], atol=TOL)
+        np.testing.assert_allclose(vector(xi_p), [1.0, 0.0], atol=TOL)
+        np.testing.assert_allclose(vector(xi_m), [0.0, 1.0], atol=TOL)
 
     def test_standard_basis_components(self):
         tb, ab = 1.4, 0.6
@@ -157,9 +167,9 @@ class TestEigenvectorStates:
 
     def test_eigenvalue_equation_and_orthonormality(self):
         for measure, basis in random_directions(100):
-            p = polarization_operator(measure, basis).as_array()
+            p = matrix(polarization_operator(measure, basis))
             xi_p, xi_m = eigenvector_states(measure, basis)
-            vp, vm = xi_p.as_array(), xi_m.as_array()
+            vp, vm = vector(xi_p), vector(xi_m)
             assert np.max(np.abs(p @ vp - vp)) < TOL
             assert np.max(np.abs(p @ vm + vm)) < TOL
             assert abs(np.vdot(vp, vm)) < TOL
