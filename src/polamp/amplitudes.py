@@ -52,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .directions import _MINUS, BranchLabel, Direction, _new, _Record
+from .directions import _MINUS, BranchLabel, Direction, _complex, _must_be, _new, _Record
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,11 @@ def _row(label: BranchLabel) -> bool:
 def _block(a: Direction, b: Direction):
     """:func:`amp_matrix`'s block between two directions, from the cos/sin each
     :class:`~polamp.directions.Direction` holds and ``cmath.exp`` of the phase
-    difference: a block of Python complex.
+    difference: a block of Python complex. Every label function reads its
+    directions here, so this is where a non-:class:`Direction` is rejected.
     """
+    if not (isinstance(a, Direction) and isinstance(b, Direction)):
+        raise _must_be(b if isinstance(a, Direction) else a, "direction", "a Direction")
     _, alpha_a, cos_a, sin_a = a
     _, alpha_b, cos_b, sin_b = b
     return _combine(cos_a, sin_a, cos_b, sin_b, cmath.exp(1j * (alpha_a - alpha_b)))
@@ -140,14 +143,15 @@ class StateVector2(_Record):
 
     ``c_plus``/``c_minus`` are the amplitudes for the parallel and
     perpendicular branches of the reference; |c_plus|^2 + |c_minus|^2 = 1
-    for every state produced by this package.
+    for every state produced by this package. Each component must be a
+    complex number (not a bool).
     """
 
     __slots__ = ()
     _fields = ("c_plus", "c_minus")
 
     def __new__(cls, c_plus: complex, c_minus: complex):
-        return _new(cls, (c_plus, c_minus))
+        return _new(cls, (_complex(c_plus, "c_plus"), _complex(c_minus, "c_minus")))
 
     @property
     def norm(self) -> float:

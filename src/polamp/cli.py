@@ -19,11 +19,11 @@ Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
 3 unreadable or invalid scenario file (including the stage cap),
 4 invariant-suite failure in ``verify``.
 
-Environment overrides (flags take precedence): ``POLAMP_TOLERANCE`` for
-``verify``'s tolerance, ``POLAMP_STAGE_CAP`` for ``simulate``'s stage cap.
-Numbers pass the library's checks (``check_seed``, ``check_count``,
-``check_angle``, ``check_eigenvalue``, ``check_tolerance`` of
-:mod:`polamp.directions`); a rejected flag or variable is a usage error.
+Every setting is a flag or, for ``simulate``'s seed and trials, a scenario
+key that the flag overrides; the environment sets nothing. Numbers pass the
+library's checks (``check_seed``, ``check_count``, ``check_angle``,
+``check_eigenvalue``, ``check_tolerance`` of :mod:`polamp.directions`); the
+parser reports a rejected flag as a usage error.
 
 The parser and the ``amp``, ``prob``, ``operator``, ``eigvec`` and
 ``expect`` handlers run without numpy. What the other commands need is
@@ -68,9 +68,6 @@ EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_VERIFY = 4
-
-ENV_TOLERANCE = "POLAMP_TOLERANCE"
-ENV_STAGE_CAP = "POLAMP_STAGE_CAP"
 
 DEFAULT_TRIALS = 100_000
 
@@ -140,25 +137,6 @@ def _record(args, kind: str, human: str, **fields) -> None:
 def _first(*values):
     """The first of ``values`` that is not None."""
     return next(v for v in values if v is not None)
-
-
-def _resolve(flag, env_name: str, validate, default):
-    """A setting: its flag if given, else ``$env_name`` through ``validate``, else ``default``.
-
-    The variable is read only when the flag is absent, so a flag overrides
-    even an invalid value in the environment. An invalid value is a usage
-    error, reported the way argparse reports a bad flag.
-    """
-    if flag is not None:
-        return flag
-    text = os.environ.get(env_name)
-    if text is None:
-        return default
-    try:
-        return validate(text)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {env_name}={text!r}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
 
 
 def _direction(args, prefix: str) -> Direction:
@@ -267,9 +245,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
 
-    stage_cap = _resolve(args.stage_cap, ENV_STAGE_CAP, _positive_int, DEFAULT_STAGE_CAP)
     try:
-        dist = exact_distribution(loaded.scenario, stage_cap=stage_cap)
+        dist = exact_distribution(loaded.scenario, stage_cap=args.stage_cap)
     except StageCapError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_FILE
@@ -310,9 +287,8 @@ def _keep_heap_resident() -> None:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    tolerance = _resolve(args.tolerance, ENV_TOLERANCE, _positive_float, DEFAULT_TOLERANCE)
     _keep_heap_resident()
-    report = run_all(draws=args.draws, seed=args.seed, tolerance=tolerance)
+    report = run_all(draws=args.draws, seed=args.seed, tolerance=args.tolerance)
     for s in report.suites:
         flag, relation = ("PASS", "<") if s.passed else ("FAIL", ">=")
         human = (
@@ -397,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=None, help="trial count (overrides the file)")
     p.add_argument("--exact", action="store_true", help="exact distribution only, no sampling")
     p.add_argument(
-        "--stage-cap", type=_positive_int, default=None,
-        help=f"maximum stage count (default: ${ENV_STAGE_CAP} or {DEFAULT_STAGE_CAP})",
+        "--stage-cap", type=_positive_int, default=DEFAULT_STAGE_CAP,
+        help=f"maximum stage count (default: {DEFAULT_STAGE_CAP})",
     )
 
     p = sub.choices["verify"]
     p.add_argument(
-        "--tolerance", type=_positive_float, default=None,
-        help=f"numeric tolerance (default: ${ENV_TOLERANCE} or {DEFAULT_TOLERANCE})",
+        "--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE,
+        help=f"numeric tolerance (default: {DEFAULT_TOLERANCE})",
     )
     p.add_argument("--draws", type=_non_negative_int, default=DEFAULT_DRAWS, help="random draws per suite")
     p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed for the draws")

@@ -80,6 +80,18 @@ def _must_be(value, name: str, what: str) -> ValueError:
     return ValueError(f"{name}: must be {what}, got {_shown(value)}")
 
 
+def _instance(value, cls: type, name: str):
+    if not isinstance(value, cls):
+        raise _must_be(value, name, f"a {cls.__name__}")
+    return value
+
+
+def _complex(value, name: str):
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        return value
+    raise _must_be(value, name, "a complex number")
+
+
 def _integer(value, name: str, low: int, bits: int) -> int:
     number = None
     if hasattr(value, "__index__") and not isinstance(value, bool):
@@ -189,11 +201,8 @@ class BranchLabel(_Record):
     _fields = ("direction", "branch")
 
     def __new__(cls, direction: Direction, branch: Branch):
-        if not isinstance(direction, Direction):
-            raise _must_be(direction, "direction", "a Direction")
-        if not isinstance(branch, Branch):
-            raise _must_be(branch, "branch", "a Branch")
-        return _new(cls, (direction, branch))
+        direction = _instance(direction, Direction, "direction")
+        return _new(cls, (direction, _instance(branch, Branch, "branch")))
 
     @property
     def theta(self) -> float:

@@ -31,7 +31,16 @@ its eigenvalues once and builds the record in :func:`_observable`, which
 from __future__ import annotations
 
 from .amplitudes import StateVector2, _block, _probability_of, _row, _squared, amp_matrix
-from .directions import DEFAULT_TOLERANCE, BranchLabel, Direction, _new, _Record, check_eigenvalue
+from .directions import (
+    DEFAULT_TOLERANCE,
+    BranchLabel,
+    Direction,
+    _complex,
+    _instance,
+    _new,
+    _Record,
+    check_eigenvalue,
+)
 
 
 class Observable2(_Record):
@@ -39,7 +48,8 @@ class Observable2(_Record):
 
     ``measure_dir`` is the direction whose branches carry the eigenvalues
     (r_plus, r_minus); ``basis_dir`` is the direction whose outcomes index
-    the matrix elements.
+    the matrix elements. The elements must be complex numbers (not bools)
+    and the eigenvalues pass :func:`~polamp.directions.check_eigenvalue`.
     """
 
     __slots__ = ()
@@ -49,7 +59,12 @@ class Observable2(_Record):
         cls, m11: complex, m12: complex, m21: complex, m22: complex,
         r_plus: float, r_minus: float, measure_dir: Direction, basis_dir: Direction,
     ):
-        return _new(cls, (m11, m12, m21, m22, r_plus, r_minus, measure_dir, basis_dir))
+        elements = (_complex(m, name) for m, name in zip((m11, m12, m21, m22), cls._fields))
+        return _new(cls, (
+            *elements, check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus"),
+            _instance(measure_dir, Direction, "measure_dir"),
+            _instance(basis_dir, Direction, "basis_dir"),
+        ))
 
     @property
     def trace(self) -> complex:

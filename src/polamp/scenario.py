@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .directions import Branch, BranchLabel, Direction, _shown, check_angle, check_count, check_seed
+from .directions import Branch, BranchLabel, Direction, check_angle, check_count, check_seed
 from .simulate import MeasurementScenario
 
 
@@ -100,11 +100,8 @@ def parse_scenario(document: dict) -> ScenarioFile:
     direction = _direction(initial_map, f"{where}.initial", extra=frozenset({"branch"}))
     if "branch" not in initial_map:
         raise ScenarioError(f"{where}.initial.branch: missing required key")
-    token = initial_map["branch"]
-    if not isinstance(token, str):
-        raise ScenarioError(f"{where}.initial.branch: expected '+' or '-', got {_shown(token)}")
     try:
-        branch = Branch.from_token(token)
+        branch = Branch.from_token(initial_map["branch"])
     except ValueError as exc:
         raise ScenarioError(f"{where}.initial.branch: {exc}") from None
     initial = BranchLabel(direction, branch)

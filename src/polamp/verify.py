@@ -99,19 +99,18 @@ class VerifyReport:
 #: The (low, high) of an angle draw, broad enough to exercise periodicity.
 _ANGLE = (-2 * np.pi, 2 * np.pi)
 #: The draws behind one eigenvalue pair (see :func:`_eigenvalues`): r_plus, the
-#: gap to r_minus, and the gap's sign coin (``None``: ``random()``).
-_EIGENVALUES = ((-3.0, 3.0), (0.5, 3.0), None)
+#: gap to r_minus, and the gap's sign coin.
+_EIGENVALUES = ((-3.0, 3.0), (0.5, 3.0), (0.0, 1.0))
 
 
 def _draws(rng: np.random.Generator, n: int, *ranges):
     """Stand in for ``len(ranges)`` arrays of ``n`` draws from ``rng``, one after the other.
 
-    Array ``k`` is ``rng.uniform(*ranges[k], n)``, or ``rng.random(n)`` where
-    ``ranges[k]`` is None. ``rng`` is advanced past them all, as if they had
-    been drawn. The returned ``lanes(lo, hi)`` draws lanes ``lo .. hi`` of
-    each array from a PCG64 rebuilt at the recorded state and moved by
-    counter advance, so a block draws only its own lanes, in its own thread.
-    ``uniform`` and ``random`` both take one 64-bit output per double, so the
+    Array ``k`` is ``rng.uniform(*ranges[k], n)``. ``rng`` is advanced past
+    them all, as if they had been drawn. The returned ``lanes(lo, hi)`` draws
+    lanes ``lo .. hi`` of each array from a PCG64 rebuilt at the recorded
+    state and moved by counter advance, so a block draws only its own lanes,
+    in its own thread. ``uniform`` takes one 64-bit output per double, so the
     lanes equal the slices of the full arrays: the stream-split rule of
     ``sample`` (Philox), here for PCG64, the generator of ``run_all``.
     """
@@ -130,7 +129,7 @@ def _draws(rng: np.random.Generator, n: int, *ranges):
         block.advance(lo)
         gen, out = np.random.Generator(block), []
         for bounds in ranges:
-            out.append(gen.random(hi - lo) if bounds is None else gen.uniform(*bounds, hi - lo))
+            out.append(gen.uniform(*bounds, hi - lo))
             block.advance(n - (hi - lo))  # to the same lanes of the next array
         return out
 

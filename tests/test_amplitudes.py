@@ -12,11 +12,17 @@ from polamp import (
     Branch,
     BranchLabel,
     Direction,
+    MeasurementScenario,
     StateVector2,
     amplitude,
     chain,
+    eigenvector_states,
+    exact_distribution,
+    expectation_closed,
     minus,
+    observable_matrix,
     plus,
+    polarization_operator,
     probability,
     state_vector,
 )
@@ -366,3 +372,28 @@ class TestDirections:
     def test_branch_rejects_a_non_string_with_a_value_error(self, token):
         with pytest.raises(ValueError, match="invalid branch .*: expected '\\+' or '-'"):
             Branch.from_token(token)
+
+
+#: Each label function's ``Direction`` argument, as a call with ``bad`` in its place.
+DIRECTION_ARGUMENTS = {
+    "chain.via": lambda bad: chain(plus(0.1), minus(0.2), bad),
+    "state_vector.reference": lambda bad: state_vector(plus(0.1), bad),
+    "observable_matrix.measure": lambda bad: observable_matrix(bad, Direction(0.2), 1.0, -1.0),
+    "observable_matrix.basis": lambda bad: observable_matrix(Direction(0.2), bad, 1.0, -1.0),
+    "polarization_operator.measure": lambda bad: polarization_operator(bad, Direction(0.2)),
+    "polarization_operator.basis": lambda bad: polarization_operator(Direction(0.2), bad),
+    "eigenvector_states.measure": lambda bad: eigenvector_states(bad, Direction(0.2)),
+    "eigenvector_states.basis": lambda bad: eigenvector_states(Direction(0.2), bad),
+    "expectation_closed.measure": lambda bad: expectation_closed(plus(0.1), bad),
+    "exact_distribution.stage": lambda bad: exact_distribution(
+        MeasurementScenario(plus(0.1), (Direction(0.2), bad))
+    ),
+}
+
+
+# a plain 4-tuple has a Direction's layout, (theta, alpha, cos, sin), but no check behind it
+@pytest.mark.parametrize("bad", [(0.1, 0.2, 0.3, 0.4), plus(0.3), 0.5, None])
+@pytest.mark.parametrize("entry", DIRECTION_ARGUMENTS)
+def test_every_direction_argument_must_be_a_direction(entry, bad):
+    with pytest.raises(ValueError, match=f"^direction: must be a Direction, got {re.escape(repr(bad))}$"):
+        DIRECTION_ARGUMENTS[entry](bad)

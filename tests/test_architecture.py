@@ -196,7 +196,7 @@ def test_verify_draws_only_in_its_block_draw_helper():
     # a suite that drew its own arrays would hold all of its draws at once
     tree = parse("verify")
     inside = draw_calls(top_level_function(tree, "_draws"))
-    assert len(inside) == 2 and len(draw_calls(tree)) == len(inside)
+    assert len(inside) == 1 and len(draw_calls(tree)) == len(inside)
 
 
 #: The verify suites, in report order.
@@ -397,6 +397,39 @@ def test_range_guard_sees_every_form():
     found = range_statements(ast.parse(source))
     exponents = sorted(x for x in found if isinstance(x, int))
     assert exponents == [63, 511, 1023] and len(found) == 5
+
+
+#: The ``os`` names that read the process environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.AST) -> list[str]:
+    """Every read of the process environment under ``tree``: an attribute or a
+    name imported from ``os`` that is in ``ENVIRONMENT``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names if alias.name in ENVIRONMENT]
+    return found
+
+
+def test_no_module_reads_the_process_environment():
+    # every setting is a flag, resolved by the parser, or a scenario key; a
+    # variable would be a second source for one of them
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    read = {module: environment_reads(parse(module)) for module in modules}
+    assert read == {module: [] for module in modules}
+
+
+def test_environment_guard_sees_every_form():
+    source = (
+        "import os\nfrom os import getenv as g, path\na = os.environ.get('X')\n"
+        "b = os.environb[b'X']\nc = os.getenv('X')\nd = os.path.join('x')\n"
+    )
+    found = sorted(environment_reads(ast.parse(source)))
+    assert found == ["getenv", "os.environ", "os.environb", "os.getenv"]
 
 
 def test_import_leaves_the_thread_pool_unloaded():

@@ -496,9 +496,7 @@ class TestSimulate:
         _, second = run_capture(capsys, ["simulate", malus_file, "--machine"])
         assert first == second
 
-    def test_success_writes_nothing_to_stderr(self, capsys, malus_file, monkeypatch):
-        # simulate reads no tolerance: the distribution checks its own sum
-        monkeypatch.setenv("POLAMP_TOLERANCE", "abc")
+    def test_success_writes_nothing_to_stderr(self, capsys, malus_file):
         assert run(["simulate", malus_file]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out
@@ -528,7 +526,7 @@ class TestSimulate:
         assert "stages[1].spin" in err and "odd.json" in err
 
     def test_stage_cap_flag_overrides_invalid_env(self, capsys, malus_file, monkeypatch):
-        # the variable is read only when the flag is absent
+        # the environment sets nothing, not even an invalid value
         monkeypatch.setenv("POLAMP_STAGE_CAP", "0")
         assert run(["simulate", malus_file, "--exact", "--stage-cap", "3"]) == EXIT_OK
 
@@ -538,22 +536,12 @@ class TestSimulate:
         assert "cap" in capsys.readouterr().err
 
     def test_stage_cap_env(self, capsys, malus_file, monkeypatch):
-        monkeypatch.setenv("POLAMP_STAGE_CAP", "1")
-        assert run(["simulate", malus_file]) == EXIT_FILE
-        capsys.readouterr()
-        # flag takes precedence over the environment
-        monkeypatch.setenv("POLAMP_STAGE_CAP", "1")
-        assert run(["simulate", malus_file, "--stage-cap", "5"]) == EXIT_OK
-
-    @pytest.mark.parametrize("value", ["0", "x"])
-    def test_invalid_stage_cap_env_is_a_usage_error(self, capsys, malus_file, monkeypatch, value):
-        monkeypatch.setenv("POLAMP_STAGE_CAP", value)
-        with pytest.raises(SystemExit) as exc:
-            run(["simulate", malus_file])
-        assert exc.value.code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: POLAMP_STAGE_CAP={value!r}")
-        assert captured.out == ""
+        # the stage cap is --stage-cap or its default: the environment sets no cap
+        expected = run_capture(capsys, ["simulate", malus_file, "--exact", "--machine"])
+        for value in ("1", "0", "x"):
+            monkeypatch.setenv("POLAMP_STAGE_CAP", value)
+            assert run_capture(capsys, ["simulate", malus_file, "--exact", "--machine"]) == expected
+        assert expected[0] == EXIT_OK
 
     def test_sample_lines_print_the_library_statistics(self, capsys, malus_file):
         _, lines = run_capture(capsys, ["simulate", malus_file, "--machine"])
@@ -848,21 +836,13 @@ class TestVerify:
         _, second = run_capture(capsys, ["verify", "--draws", "300", "--seed", "9", "--machine"])
         assert first == second
 
-    def test_env_tolerance_makes_it_fail(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLAMP_TOLERANCE", "1e-30")
-        code, lines = run_capture(capsys, ["verify", "--draws", "200", "--machine"])
-        assert code == EXIT_VERIFY
-        assert fields(lines[-1])["pass"] == "0"
-
-    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
-    def test_invalid_env_tolerance_is_a_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("POLAMP_TOLERANCE", value)
-        with pytest.raises(SystemExit) as exc:
-            run(["verify", "--draws", "200", "--machine"])
-        assert exc.value.code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: POLAMP_TOLERANCE={value!r}")
-        assert captured.out == ""
+    def test_tolerance_env(self, capsys, monkeypatch):
+        # the tolerance is --tolerance or its default: the environment sets none
+        expected = run_capture(capsys, ["verify", "--draws", "200", "--machine"])
+        for value in ("1e-30", "abc", "-1", "inf", "nan"):
+            monkeypatch.setenv("POLAMP_TOLERANCE", value)
+            assert run_capture(capsys, ["verify", "--draws", "200", "--machine"]) == expected
+        assert expected[0] == EXIT_OK
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_tolerance_flag_is_a_usage_error(self, capsys, value):
@@ -894,7 +874,7 @@ class TestVerify:
         assert code == EXIT_OK
 
     def test_flag_overrides_invalid_env_tolerance(self, capsys, monkeypatch):
-        # the variable is read only when the flag is absent
+        # the environment sets nothing, not even an invalid value
         monkeypatch.setenv("POLAMP_TOLERANCE", "abc")
         code, _ = run_capture(capsys, ["verify", "--draws", "200", "--tolerance", "1e-9"])
         assert code == EXIT_OK
@@ -933,8 +913,7 @@ UNITS = [
     (("--rad",), "rad", False, None, "angles are radians"),
 ]
 TOLERANCE = (
-    ("--tolerance",), "tolerance", None, "_positive_float",
-    "numeric tolerance (default: $POLAMP_TOLERANCE or 1e-12)",
+    ("--tolerance",), "tolerance", 1e-12, "_positive_float", "numeric tolerance (default: 1e-12)",
 )
 MEASURED = [
     ((), "theta_b", None, ANGLE, "plane angle of the measured direction"),
@@ -979,8 +958,7 @@ INTERFACE = {
         (("--seed",), "seed", None, "_seed_u64", "RNG seed (overrides the file)"),
         (("--trials",), "trials", None, "_positive_int", "trial count (overrides the file)"),
         (("--exact",), "exact", False, None, "exact distribution only, no sampling"),
-        (("--stage-cap",), "stage_cap", None, "_positive_int",
-         "maximum stage count (default: $POLAMP_STAGE_CAP or 20)"),
+        (("--stage-cap",), "stage_cap", 20, "_positive_int", "maximum stage count (default: 20)"),
     ]),
     "verify": ("run every invariant suite and report errata", [
         HELP, MACHINE, TOLERANCE,

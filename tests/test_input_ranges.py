@@ -1,19 +1,18 @@
 """Every layer takes the same values for each input range.
 
 Each range is stated once, in :mod:`polamp.directions`. For a value at or
-near a bound, the CLI flag, its environment variable, the scenario key and
-the library call must either all accept it with the same result or all
-reject it with the same ``must be ...`` phrase. The CLI receives the value
-as text, ``str(value)``; a scenario file as JSON holds it. An angle is
-checked in its own unit, before the conversion to radians, so a scenario's
-degrees and a radian argument take the same numbers.
+near a bound, the CLI flag, the scenario key and the library call must
+either all accept it with the same result or all reject it with the same
+``must be ...`` phrase. The CLI receives the value as text, ``str(value)``;
+a scenario file as JSON holds it. An angle is checked in its own unit,
+before the conversion to radians, so a scenario's degrees and a radian
+argument take the same numbers.
 """
 
 import contextlib
 import io
 import json
 import math
-import os
 import re
 from pathlib import Path
 from unittest import mock
@@ -55,14 +54,13 @@ def keeping(target: str, pick):
     return mock.patch(target, side_effect=keep)
 
 
-def command(argv, target, pick, env=None):
+def command(argv, target, pick):
     """The CLI layer: ``polamp <argv>`` with each ``{}`` replaced by the value's
-    text, or with ``$env`` set to it; what reaches ``target`` is kept."""
+    text; what reaches ``target`` is kept."""
 
     def call(value):
         words = [word.replace("{}", str(value)) for word in argv]
-        environ = {env: str(value)} if env else {}
-        with keeping(target, pick), mock.patch.dict(os.environ, environ):
+        with keeping(target, pick):
             return run(words)
 
     return call
@@ -119,14 +117,10 @@ LAYERS = {
     "stage_cap": [
         command(["simulate", SCENARIO_FILE, "--exact", "--stage-cap={}"],
                 "polamp.simulate.exact_distribution", lambda s, **k: k["stage_cap"]),
-        command(["simulate", SCENARIO_FILE, "--exact"], "polamp.simulate.exact_distribution",
-                lambda s, **k: k["stage_cap"], env="POLAMP_STAGE_CAP"),
         lambda v: exact_distribution(ONE_STAGE, stage_cap=v) and None,
     ],
     "tolerance": [
         command(["verify", "--tolerance={}"], "polamp.verify.run_all", lambda **k: k["tolerance"]),
-        command(["verify"], "polamp.verify.run_all", lambda **k: k["tolerance"],
-                env="POLAMP_TOLERANCE"),
         lambda v: run_all(draws=0, tolerance=v).suites[0].tolerance,
     ],
     "angle": [

@@ -7,13 +7,15 @@ at construction, and every label block reads them. The properties below pin
 what a caller sees: a record equals only a record of its own type, hashes as
 it compares, prints its fields only, cannot be changed, pickles and copies
 through its constructor's checks, and has no method that builds an unchecked
-record.
+record. The public constructors of the state and observable records check
+every field, as ``Direction`` and ``BranchLabel`` do.
 """
 
 import copy
 import math
 import operator
 import pickle
+import re
 import struct
 
 import pytest
@@ -156,6 +158,46 @@ def test_no_method_builds_an_unchecked_record(cls):
     assert public == set(FIELDS[cls]) | DERIVED[cls] | {"count", "index"}
     for name in ("_make", "_replace", "__replace__", "_asdict"):
         assert not hasattr(cls, name), name
+
+
+#: A valid argument list of each checked constructor.
+VALID = {
+    StateVector2: (0.6 + 0j, 0.8j),
+    Observable2: (1 + 0j, 0j, 0j, -1 + 0j, 1.0, -1.0, Direction(0.3), Direction(0.0)),
+}
+
+#: What a field of each kind takes, and values it rejects.
+COMPLEX = ("a complex number", ["x", None, True, (1.0, 0.0)])
+EIGENVALUE = ("a finite number below 2**511 in magnitude", [math.nan, 2.0**511, "1", False])
+DIRECTION = ("a Direction", [(0.3, 0.0), 0.3, Direction(0.3) * 1])
+KINDS = {
+    StateVector2: [COMPLEX] * 2,
+    Observable2: [COMPLEX] * 4 + [EIGENVALUE] * 2 + [DIRECTION] * 2,
+}
+
+
+@pytest.mark.parametrize(
+    "cls, index, bad, what",
+    [
+        (cls, index, bad, what)
+        for cls, kinds in KINDS.items()
+        for index, (what, rejected) in enumerate(kinds)
+        for bad in rejected
+    ],
+)
+def test_public_constructors_check_every_field(cls, index, bad, what):
+    args = list(VALID[cls])
+    args[index] = bad
+    name = FIELDS[cls][index]
+    with pytest.raises(ValueError, match=f"^{name}: must be {re.escape(what)}, got {re.escape(repr(bad))}$"):
+        cls(*args)
+
+
+def test_public_constructors_take_any_complex_number_and_real_eigenvalues():
+    state = StateVector2(1, 0.0)
+    assert state == StateVector2(1 + 0j, 0j) and state.norm == 1.0
+    obs = Observable2(*VALID[Observable2][:4], 3, -2, Direction(0.3), Direction(0.0))
+    assert (type(obs.r_plus), obs.r_plus, obs.r_minus) == (float, 3.0, -2.0)
 
 
 @given(records)

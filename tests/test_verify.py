@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from polamp import _pool, verify
 from polamp.amplitudes import amp_matrix
@@ -304,11 +303,22 @@ PARTS = st.one_of(
 )
 
 
-#: Ten lane arrays of one length: a SIMD loop's body and its tail.
-LANES = hnp.arrays(
-    np.complex128,
-    st.tuples(st.just(10), st.integers(1, 17)),
-    elements=st.builds(complex, PARTS, PARTS),
+def lane_arrays(pool, seed, n):
+    """Ten complex arrays of ``n`` lanes. Each lane's twenty parts are twenty
+    slots of ``pool``, no slot twice, picked by a generator seeded with ``seed``."""
+    slots = np.random.default_rng(seed).random((n, len(pool))).argsort(axis=1)[:, :20]
+    parts = np.array(pool)[slots].reshape(n, 10, 2).transpose(1, 0, 2).copy()
+    return parts.view(np.complex128)[..., 0]
+
+
+#: Ten lane arrays of one length: a SIMD loop's body and its tail. hypothesis
+#: draws a pool of 40 parts per example: several times faster than drawing
+#: each of up to 340 parts, with about as many distinct parts in a lane. An
+#: array that ``hypothesis.extra.numpy.arrays`` fills would be faster still,
+#: but most of its lanes would repeat one value in all twenty parts.
+LANES = st.builds(
+    lane_arrays, st.lists(PARTS, min_size=40, max_size=40), st.integers(0, 2**32 - 1),
+    st.integers(1, 17),
 )
 
 
