@@ -52,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .directions import _MINUS, BranchLabel, Direction, _complex, _must_be, _new, _Record
+from .directions import _MINUS, BranchLabel, Direction, _complex, _instance, _must_be, _new, _Record
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +86,14 @@ def amp_matrix(theta_a, alpha_a, theta_b, alpha_b):
 # label-based API
 # ---------------------------------------------------------------------------
 
-def _row(label: BranchLabel) -> bool:
-    """Index of ``label``'s branch in an :func:`amp_matrix` block, as a bool (False is
-    plus): it indexes a tuple as 0 or 1, but a numpy array takes it for a mask.
+def _read_label(label: BranchLabel) -> tuple[Direction, bool]:
+    """``label``'s direction and the index of its branch in an :func:`amp_matrix`
+    block, as a bool (False is plus): it indexes a tuple as 0 or 1, but a numpy
+    array takes it for a mask. Every label function reads its labels here, so
+    this is where a non-:class:`~polamp.directions.BranchLabel` is rejected.
     """
-    return label.branch is _MINUS
+    direction, branch = _instance(label, BranchLabel, "label")
+    return direction, branch is _MINUS
 
 
 def _block(a: Direction, b: Direction):
@@ -118,7 +121,8 @@ def _probability_of(z: complex) -> float:
 
 def amplitude(initial: BranchLabel, final: BranchLabel) -> complex:
     """Transition amplitude from ``initial`` to ``final``."""
-    return _block(initial.direction, final.direction)[_row(initial)][_row(final)]
+    (a, row), (b, column) = _read_label(initial), _read_label(final)
+    return _block(a, b)[row][column]
 
 
 def probability(initial: BranchLabel, final: BranchLabel) -> float:
@@ -132,9 +136,8 @@ def chain(initial: BranchLabel, final: BranchLabel, via: Direction) -> complex:
     Returns sum_s amplitude(initial, via^s) * amplitude(via^s, final);
     equals amplitude(initial, final) for every intermediate direction.
     """
-    first = _block(initial.direction, via)[_row(initial)]
-    second = _block(via, final.direction)
-    column = _row(final)
+    (a, row), (b, column) = _read_label(initial), _read_label(final)
+    first, second = _block(a, via)[row], _block(via, b)
     return sum(first[s] * second[s][column] for s in (0, 1))
 
 
@@ -165,4 +168,5 @@ def state_vector(label: BranchLabel, reference: Direction) -> StateVector2:
     Component ``s`` is amplitude(label, reference^s); the result has unit
     norm for every reference direction.
     """
-    return _new(StateVector2, _block(label.direction, reference)[_row(label)])
+    direction, row = _read_label(label)
+    return _new(StateVector2, _block(direction, reference)[row])

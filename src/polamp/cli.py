@@ -2,10 +2,10 @@
 
 Subcommands: amp, prob, operator, eigvec, expect, simulate, verify.
 
-Angles on the command line are degrees by default (--rad switches to
-radians); angles inside scenario files are always degrees. Degree input is
-converted to radians at exactly one point, so ``--deg X`` and
-``--rad <X*pi/180>`` agree bit-for-bit.
+Angles on the command line are degrees unless ``--rad`` is given; angles
+inside scenario files are always degrees. Degree input is converted to
+radians at exactly one point, so an angle X in degrees and
+``--rad <X*pi/180>`` agree bit-for-bit. A branch is exactly ``+`` or ``-``.
 
 Output modes: a human-readable table (default) and ``--machine``:
 one record per line, its kind followed by space-separated ``key=value``
@@ -16,8 +16,8 @@ round-trip safe), a complex value as ``re+imi`` with both parts at
 ``.17g``, an integer in decimal, a bool as ``0``/``1`` and a string as is.
 
 Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
-3 unreadable or invalid scenario file (including the stage cap),
-4 invariant-suite failure in ``verify``.
+3 unreadable or invalid scenario file (including one of more stages than
+``DEFAULT_STAGE_CAP``), 4 invariant-suite failure in ``verify``.
 
 Every setting is a flag or, for ``simulate``'s seed and trials, a scenario
 key that the flag overrides; the environment sets nothing. Numbers pass the
@@ -44,7 +44,6 @@ import sys
 from .amplitudes import _probability_of, amplitude, probability
 from .directions import (
     DEFAULT_DRAWS,
-    DEFAULT_STAGE_CAP,
     DEFAULT_TOLERANCE,
     Branch,
     BranchLabel,
@@ -246,7 +245,7 @@ def cmd_simulate(args) -> int:
         return EXIT_FILE
 
     try:
-        dist = exact_distribution(loaded.scenario, stage_cap=args.stage_cap)
+        dist = exact_distribution(loaded.scenario)
     except StageCapError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_FILE
@@ -332,11 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags that several subcommands share, each declared once
     machine, units = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     machine.add_argument("--machine", action="store_true", help="machine-readable output")
-    group = units.add_mutually_exclusive_group()
-    group.add_argument(
-        "--deg", action="store_true", default=True, help="angles are degrees (default)"
-    )
-    group.add_argument("--rad", action="store_true", default=False, help="angles are radians")
+    units.add_argument("--rad", action="store_true", help="angles are radians (default: degrees)")
 
     # a subcommand reads the angles of its directions in order, each given as
     # (prefix, what); ``what`` None is branch label ``prefix``, which adds its branch
@@ -372,10 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_u64, default=None, help="RNG seed (overrides the file)")
     p.add_argument("--trials", type=_positive_int, default=None, help="trial count (overrides the file)")
     p.add_argument("--exact", action="store_true", help="exact distribution only, no sampling")
-    p.add_argument(
-        "--stage-cap", type=_positive_int, default=DEFAULT_STAGE_CAP,
-        help=f"maximum stage count (default: {DEFAULT_STAGE_CAP})",
-    )
 
     p = sub.choices["verify"]
     p.add_argument(

@@ -32,8 +32,8 @@ from enum import Enum
 #: Default absolute tolerance for every numeric invariant check in the package.
 DEFAULT_TOLERANCE = 1e-12
 
-#: Default maximum number of stages of a simulated chain (2^n outcome
-#: sequences bound memory); :mod:`polamp.simulate` applies it.
+#: Maximum number of stages of a simulated chain (2^n outcome sequences
+#: bound memory); :func:`polamp.simulate.exact_distribution` refuses more.
 DEFAULT_STAGE_CAP = 20
 
 #: Default random draws per suite of :func:`polamp.verify.run_all`.
@@ -48,16 +48,10 @@ class Branch(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "Branch":
-        """Parse ``+``/``-`` (also accepts ``plus``/``minus``, any case)."""
-        t = token.strip().lower() if isinstance(token, str) else None
-        if t in ("+", "plus"):
-            return cls.PLUS
-        if t in ("-", "minus"):
-            return cls.MINUS
+        """Parse exactly ``+`` or ``-``."""
+        if isinstance(token, str) and token in ("+", "-"):
+            return cls(token)
         raise ValueError(f"invalid branch {_shown(token)}: expected '+' or '-'")
-
-    def __str__(self) -> str:
-        return self.value
 
 
 #: The members as module names: an enum attribute lookup costs a Python call.
@@ -116,8 +110,8 @@ def _real(value, name: str, low: float, high: float, what: str) -> float:
     return number
 
 
-# Seeds key 64-bit generators, and counts (trials, draws, the stage cap,
-# ``block_size``) are int64. Two angles below 2**1023 in magnitude differ by a
+# Seeds key 64-bit generators, and counts (trials, draws, ``block_size``,
+# ``n_stages``) are int64. Two angles below 2**1023 in magnitude differ by a
 # finite double, so no phase difference downstream overflows to a NaN result,
 # and two eigenvalues below 2**511 have a finite sum and product.
 def check_seed(value, name: str = "seed") -> int:

@@ -30,7 +30,7 @@ its eigenvalues once and builds the record in :func:`_observable`, which
 
 from __future__ import annotations
 
-from .amplitudes import StateVector2, _block, _probability_of, _row, _squared, amp_matrix
+from .amplitudes import StateVector2, _block, _probability_of, _read_label, _squared, amp_matrix
 from .directions import (
     DEFAULT_TOLERANCE,
     BranchLabel,
@@ -167,5 +167,6 @@ def expectation_closed(initial: BranchLabel, measure: Direction) -> float:
     ``expectation(state_vector(initial, basis), polarization_operator(measure, basis))``
     for every basis direction.
     """
-    c_plus, c_minus = _block(initial.direction, measure)[_row(initial)]
+    direction, row = _read_label(initial)
+    c_plus, c_minus = _block(direction, measure)[row]
     return _probability_of(c_plus) - _probability_of(c_minus)

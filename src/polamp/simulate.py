@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._pool import map_in_order
-from .amplitudes import _block, _probability_of, _row
+from .amplitudes import _block, _probability_of, _read_label
 from .directions import DEFAULT_STAGE_CAP, BranchLabel, Direction, check_count, check_seed
 
 #: Trials per sampling block by default (a multiple of 4). A block is drawn
@@ -49,7 +49,7 @@ DEFAULT_BLOCK_SIZE = 1 << 18
 
 
 class StageCapError(ValueError):
-    """Scenario has more stages than the configured cap allows."""
+    """Scenario has more stages than ``DEFAULT_STAGE_CAP`` allows."""
 
 
 def sequence_labels(n_stages: int) -> Iterator[str]:
@@ -82,7 +82,8 @@ class OutcomeDistribution:
     ``probs[i]`` is the probability of sequence ``i`` (module docstring),
     whose label is the ``i``-th of :func:`sequence_labels`. Summing out the
     last stage is ``probs.reshape(-1, 2).sum(axis=1)``. ``probs`` is stored as a
-    read-only float64 copy, so the checks hold for its life:
+    read-only float64 copy, so the checks hold for its life: ``n_stages`` passes
+    :func:`~polamp.directions.check_count`, and the table has
     ``2**n_stages`` finite, non-negative entries, not all 0, summing to 1 within
     ``8 * (n_stages + 1)`` epsilons (5x :func:`exact_distribution`'s worst rounding).
     """
@@ -91,10 +92,12 @@ class OutcomeDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n, probs = self.n_stages, np.array(self.probs, dtype=np.float64)
+        n = check_count(self.n_stages, "n_stages")
+        probs = np.array(self.probs, dtype=np.float64)
         probs.flags.writeable = False
-        if probs.shape != (1 << n,):
-            raise ValueError(f"{n} stages need {1 << n} probabilities, not shape {probs.shape}")
+        # the length first: ``1 << n`` is built only for an n the table can have
+        if probs.size.bit_length() != n + 1 or probs.shape != (1 << n,):
+            raise ValueError(f"{n} stages need 2**{n} probabilities, not shape {probs.shape}")
         if not np.all(np.isfinite(probs) & (probs >= 0)):
             raise ValueError("probabilities must be finite and non-negative")
         if not probs.any():
@@ -102,6 +105,7 @@ class OutcomeDistribution:
         deviation = float(probs.sum()) - 1.0
         if abs(deviation) > 8 * (n + 1) * np.finfo(np.float64).eps:
             raise ValueError(f"probabilities sum to 1 {deviation:+.3e}, beyond rounding")
+        object.__setattr__(self, "n_stages", n)
         object.__setattr__(self, "probs", probs)
 
 
@@ -126,21 +130,19 @@ def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
     return np.array([[_probability_of(z) for z in row] for row in _block(prev, stage)])
 
 
-def exact_distribution(
-    scenario: MeasurementScenario, stage_cap: int = DEFAULT_STAGE_CAP
-) -> OutcomeDistribution:
+def exact_distribution(scenario: MeasurementScenario) -> OutcomeDistribution:
     """Exact probability of every outcome sequence.
 
     The probability of (s_1 ... s_n) is the product of the stage-wise
     transition probabilities under the collapse convention. Refuses
-    scenarios beyond ``stage_cap`` stages (2^n sequences).
+    scenarios beyond ``DEFAULT_STAGE_CAP`` stages (2^n sequences).
     """
-    n, stage_cap = scenario.n_stages, check_count(stage_cap, "stage_cap")
-    if n > stage_cap:
-        raise StageCapError(f"{n} stages exceeds the cap of {stage_cap} (2^n outcome blowup)")
+    n = scenario.n_stages
+    if n > DEFAULT_STAGE_CAP:
+        raise StageCapError(f"{n} stages exceeds the cap of {DEFAULT_STAGE_CAP} (2^n outcome blowup)")
 
-    initial, stages = scenario.initial, scenario.stages
-    probs = _stage_transition(initial.direction, stages[0])[int(_row(initial))]
+    (direction, row), stages = _read_label(scenario.initial), scenario.stages
+    probs = _stage_transition(direction, stages[0])[int(row)]
     for prev, stage in zip(stages, stages[1:]):
         # sequence 2i + t extends sequence i, whose last branch is i & 1
         t = _stage_transition(prev, stage)

@@ -353,9 +353,10 @@ class TestDirections:
 
     def test_branch_tokens(self):
         assert Branch.from_token("+") is Branch.PLUS
-        assert Branch.from_token("minus") is Branch.MINUS
-        with pytest.raises(ValueError):
-            Branch.from_token("x")
+        assert Branch.from_token("-") is Branch.MINUS
+        for token in ("x", "plus", "minus", "PLUS", " + ", "-\n", ""):  # no other spelling
+            with pytest.raises(ValueError, match=f"^invalid branch {re.escape(repr(token))}: "):
+                Branch.from_token(token)
 
     @pytest.mark.parametrize("branch", ["-", "+", 1, None])
     def test_label_rejects_a_branch_that_is_no_branch(self, branch):
@@ -397,3 +398,29 @@ DIRECTION_ARGUMENTS = {
 def test_every_direction_argument_must_be_a_direction(entry, bad):
     with pytest.raises(ValueError, match=f"^direction: must be a Direction, got {re.escape(repr(bad))}$"):
         DIRECTION_ARGUMENTS[entry](bad)
+
+
+#: Each label function's ``BranchLabel`` argument, as a call with ``bad`` in its place.
+LABEL_ARGUMENTS = {
+    "amplitude.initial": lambda bad: amplitude(bad, plus(0.2)),
+    "amplitude.final": lambda bad: amplitude(plus(0.2), bad),
+    "probability.initial": lambda bad: probability(bad, plus(0.2)),
+    "probability.final": lambda bad: probability(plus(0.2), bad),
+    "chain.initial": lambda bad: chain(bad, minus(0.2), Direction(0.3)),
+    "chain.final": lambda bad: chain(plus(0.1), bad, Direction(0.3)),
+    "state_vector.label": lambda bad: state_vector(bad, Direction(0.2)),
+    "expectation_closed.initial": lambda bad: expectation_closed(bad, Direction(0.2)),
+    "exact_distribution.initial": lambda bad: exact_distribution(
+        MeasurementScenario(bad, (Direction(0.5),))
+    ),
+}
+
+
+# a plain (Direction, Branch) pair has a label's layout, but no check behind it
+@pytest.mark.parametrize(
+    "bad", [Direction(0.1), (Direction(0.1), Branch.PLUS), (0.1, 0.2), 0.5, None]
+)
+@pytest.mark.parametrize("entry", LABEL_ARGUMENTS)
+def test_every_label_argument_must_be_a_branch_label(entry, bad):
+    with pytest.raises(ValueError, match=f"^label: must be a BranchLabel, got {re.escape(repr(bad))}$"):
+        LABEL_ARGUMENTS[entry](bad)

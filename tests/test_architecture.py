@@ -10,6 +10,7 @@ is used by the CLI, the benchmark or the README library example, or is on
 an allow-list that says why it is public.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -25,6 +26,7 @@ import pytest
 
 import polamp
 from polamp import verify
+from polamp.cli import build_parser
 from polamp.directions import DEFAULT_TOLERANCE
 
 SRC = Path(polamp.__file__).parent
@@ -346,8 +348,40 @@ def test_only_build_parser_declares_arguments():
         call.args[0].value for call in calls["build_parser"]
         if call.args and isinstance(call.args[0], ast.Constant)
     ]
-    for flag in ("--machine", "--deg", "--rad", "--tolerance"):
+    for flag in ("--machine", "--rad", "--tolerance"):
         assert flags.count(flag) == 1, flag
+
+
+def unread_flags(parser, tree: ast.Module) -> list[str]:
+    """The ``dest`` of every optional argument of ``parser``'s subcommands, help
+    aside, that no ``args.<dest>`` under ``tree`` reads."""
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        action.dest
+        for subparser in sub.choices.values()
+        for action in subparser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+    return sorted(declared - read)
+
+
+def test_every_flag_is_read():
+    # a flag that no handler reads does nothing but take a value
+    assert unread_flags(build_parser(), parse("cli")) == []
+
+
+def test_flag_guard_sees_an_unread_flag():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("x")
+    for flag in ("--read", "--unread", "--attribute-of-another-name"):
+        p.add_argument(flag)
+    p.add_argument("positional")
+    source = "def cmd(args):\n    return args.read, other.attribute_of_another_name, args.positional\n"
+    assert unread_flags(parser, ast.parse(source)) == ["attribute_of_another_name", "unread"]
 
 
 #: Exponents of the powers of two that bound an input range: seeds, int64
@@ -480,7 +514,7 @@ def test_parser_and_label_commands_start_without_numpy():
             ("prob", ["45", "90", "+", "0", "0", "-"]),
             ("expect", ["0", "0", "+", "45", "0"]),
         )
-        for units in ([], ["--deg"], ["--rad"])
+        for units in ([], ["--rad"])
         for machine in ([], ["--machine"])
     ]
     numpy_free = [
@@ -521,6 +555,7 @@ PUBLIC_WITHOUT_CALLER = {
     "standard_states": "the textbook state pair as a boundary value",
     # a scenario document already in memory, with no file to name
     "parse_scenario": "validates a decoded scenario document",
+    "DEFAULT_STAGE_CAP": "the cap exact_distribution enforces",
 }
 
 

@@ -371,7 +371,7 @@ class TestLabelSubcommands:
         angles=st.lists(FINITE_TEXT, min_size=4, max_size=4),
         branches=st.lists(st.sampled_from("+-"), min_size=2, max_size=2),
         eigenvalues=st.lists(FINITE_TEXT, min_size=2, max_size=2),
-        units=st.sampled_from([[], ["--deg"], ["--rad"]]),
+        units=st.sampled_from([[], ["--rad"]]),
         machine=st.booleans(),
     )
     @example(name="amp", angles=["0", "1.7e308", "0", "-1.7e308"], branches=["+", "+"],
@@ -525,18 +525,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "stages[1].spin" in err and "odd.json" in err
 
-    def test_stage_cap_flag_overrides_invalid_env(self, capsys, malus_file, monkeypatch):
-        # the environment sets nothing, not even an invalid value
-        monkeypatch.setenv("POLAMP_STAGE_CAP", "0")
-        assert run(["simulate", malus_file, "--exact", "--stage-cap", "3"]) == EXIT_OK
+    def test_stage_cap(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({**MALUS, "stages": [{"theta_deg": k} for k in range(21)]}))
+        assert run(["simulate", str(path)]) == EXIT_FILE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: 21 stages exceeds the cap of 20 (2^n outcome blowup)\n"
 
-    def test_stage_cap_flag(self, capsys, malus_file):
-        code = run(["simulate", malus_file, "--stage-cap", "1"])
-        assert code == EXIT_FILE
-        assert "cap" in capsys.readouterr().err
+    def test_stage_cap_is_no_flag(self, capsys, malus_file):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", malus_file, "--stage-cap", "3"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --stage-cap 3" in capsys.readouterr().err
 
     def test_stage_cap_env(self, capsys, malus_file, monkeypatch):
-        # the stage cap is --stage-cap or its default: the environment sets no cap
+        # the stage cap is a constant: the environment sets no cap
         expected = run_capture(capsys, ["simulate", malus_file, "--exact", "--machine"])
         for value in ("1", "0", "x"):
             monkeypatch.setenv("POLAMP_STAGE_CAP", value)
@@ -908,10 +912,7 @@ ANGLE, BRANCH, EIGENVALUE = "_angle", "_branch", "_eigenvalue"
 
 HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, "show this help message and exit")
 MACHINE = (("--machine",), "machine", False, None, "machine-readable output")
-UNITS = [
-    (("--deg",), "deg", True, None, "angles are degrees (default)"),
-    (("--rad",), "rad", False, None, "angles are radians"),
-]
+RAD = (("--rad",), "rad", False, None, "angles are radians (default: degrees)")
 TOLERANCE = (
     ("--tolerance",), "tolerance", 1e-12, "_positive_float", "numeric tolerance (default: 1e-12)",
 )
@@ -933,7 +934,7 @@ def label_positionals(prefix):
     ]
 
 
-LABEL_FLAGS = [HELP, *UNITS, MACHINE]
+LABEL_FLAGS = [HELP, RAD, MACHINE]
 
 #: Each subcommand: its help, then every argument as (option strings, dest,
 #: default, type, help), positionals in the order they are read. This is the
@@ -958,7 +959,6 @@ INTERFACE = {
         (("--seed",), "seed", None, "_seed_u64", "RNG seed (overrides the file)"),
         (("--trials",), "trials", None, "_positive_int", "trial count (overrides the file)"),
         (("--exact",), "exact", False, None, "exact distribution only, no sampling"),
-        (("--stage-cap",), "stage_cap", 20, "_positive_int", "maximum stage count (default: 20)"),
     ]),
     "verify": ("run every invariant suite and report errata", [
         HELP, MACHINE, TOLERANCE,
@@ -987,9 +987,8 @@ def test_every_subcommand_declares_the_same_arguments():
         groups = [[a.dest for a in g._group_actions] for g in parser._mutually_exclusive_groups]
         actual[name] = (help_text, positionals, set(arguments), groups)
     expected = {
-        # --deg and --rad stay exclusive, and nothing else is
-        name: (help_text, [a for a in arguments if not a[0]], set(arguments),
-               [["deg", "rad"]] if UNITS[1] in arguments else [])
+        # no two arguments exclude each other
+        name: (help_text, [a for a in arguments if not a[0]], set(arguments), [])
         for name, (help_text, arguments) in INTERFACE.items()
     }
     assert actual == expected
@@ -1033,6 +1032,34 @@ def test_usage_error_is_in_plain_words(capsys, name):
     assert f"argument {name}: " in err and "'abc'" in err
     # no private function name, such as that of an argparse type function
     assert not re.search(r"(?<!\w)_[a-z]", err), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["amp", "--deg", "30", "0", "+", "0", "0", "+"],
+    ["expect", "30", "0", "+", "0", "0", "--deg"],
+    ["operator", "--deg", "--rad", "30", "0", "0", "0"],
+], ids=["amp", "expect", "with_rad"])
+def test_deg_is_no_flag(capsys, argv):
+    # degrees are the default, and ``--rad`` the one unit flag
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --deg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["plus", "PLUS", " + ", "minus"])
+def test_branch_is_exactly_plus_or_minus(capsys, tmp_path, token):
+    expected = f"invalid branch {token!r}: expected '+' or '-'"
+    with pytest.raises(SystemExit) as exc:
+        run(["amp", "30", "0", token, "0", "0", "+"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"argument branch_a: {expected}\n")
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps({**MALUS, "initial": {**MALUS["initial"], "branch": token}}))
+    assert run(["simulate", str(path)]) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: scenario.initial.branch: {expected}\n"
 
 
 #: Each count flag and a value one past the int64 counts it feeds.

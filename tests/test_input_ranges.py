@@ -92,8 +92,8 @@ def patched(call, target, pick):
 
 
 #: Every range's layers. A layer returns the value it kept, or None where the
-#: value leaves no trace (``run_all``'s seed, ``exact_distribution``'s cap) or
-#: is converted (a scenario's degrees).
+#: value leaves no trace (``run_all``'s seed) or is converted (a scenario's
+#: degrees).
 LAYERS = {
     "seed": [
         command(["simulate", SCENARIO_FILE, "--seed={}"], "polamp.simulate.sample",
@@ -113,11 +113,6 @@ LAYERS = {
     "draws": [
         command(["verify", "--draws={}"], "polamp.verify.run_all", lambda **k: k["draws"]),
         patched(lambda v: run_all(draws=v), "polamp.verify._worst", lambda jobs, n: n),
-    ],
-    "stage_cap": [
-        command(["simulate", SCENARIO_FILE, "--exact", "--stage-cap={}"],
-                "polamp.simulate.exact_distribution", lambda s, **k: k["stage_cap"]),
-        lambda v: exact_distribution(ONE_STAGE, stage_cap=v) and None,
     ],
     "tolerance": [
         command(["verify", "--tolerance={}"], "polamp.verify.run_all", lambda **k: k["tolerance"]),

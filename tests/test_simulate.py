@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from polamp import _pool, simulate
 from polamp import (
+    DEFAULT_STAGE_CAP,
     Branch,
     Direction,
     MeasurementScenario,
@@ -147,11 +149,11 @@ class TestExactDistribution:
         np.testing.assert_allclose(full.probs.reshape(-1, 2).sum(axis=1), shorter.probs, atol=TOL)
 
     def test_stage_cap(self):
-        stages = tuple(Direction(0.1 * k) for k in range(5))
-        scenario = MeasurementScenario(initial=plus(0.0), stages=stages)
-        with pytest.raises(StageCapError, match="cap"):
-            exact_distribution(scenario, stage_cap=4)
-        exact_distribution(scenario, stage_cap=5)
+        stages = tuple(Direction(0.1 * k) for k in range(DEFAULT_STAGE_CAP + 1))
+        with pytest.raises(StageCapError, match="^21 stages exceeds the cap of 20 "):
+            exact_distribution(MeasurementScenario(initial=plus(0.0), stages=stages))
+        dist = exact_distribution(MeasurementScenario(initial=plus(0.0), stages=stages[:-1]))
+        assert dist.n_stages == DEFAULT_STAGE_CAP == 20
 
     def test_empty_stages_rejected(self):
         with pytest.raises(ValueError, match="stage"):
@@ -283,8 +285,24 @@ class TestOutcomeDistribution:
         ids=["too_short", "too_long", "two_dimensional"],
     )
     def test_table_of_the_wrong_shape_rejected(self, n_stages, probs):
-        with pytest.raises(ValueError, match=f"{n_stages} stages need {2**n_stages} probabilities"):
+        with pytest.raises(ValueError, match=f"{n_stages} stages need 2\\*\\*{n_stages} probabilities"):
             OutcomeDistribution(n_stages, probs)
+
+    @pytest.mark.parametrize("n_stages", [1.5, "1", None, True, -1, 0], ids=repr)
+    def test_stage_count_must_be_a_positive_integer(self, n_stages):
+        what = re.escape(f"must be an integer from 1 to 2**63 - 1, got {n_stages!r}")
+        with pytest.raises(ValueError, match=f"^n_stages: {what}$"):
+            OutcomeDistribution(n_stages, [0.5, 0.5])
+
+    def test_stage_count_beyond_the_table_builds_no_table_of_its_size(self):
+        # 2**40 stages would need 2**(2**40) entries: the length check comes first,
+        # so the shift that would build that number (128 GiB) never runs
+        with pytest.raises(ValueError, match=f"^{2**40} stages need 2\\*\\*{2**40} probabilities"):
+            OutcomeDistribution(2**40, [0.5, 0.5])
+
+    def test_stage_count_is_stored_as_an_int(self):
+        dist = OutcomeDistribution(np.int64(1), [0.5, 0.5])
+        assert type(dist.n_stages) is int and dist.n_stages == 1
 
     def test_list_is_stored_as_a_float64_array(self):
         dist = OutcomeDistribution(2, [0.25, 0, 0.5, 0.25])
