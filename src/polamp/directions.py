@@ -76,7 +76,8 @@ def _must_be(value, name: str, what: str) -> ValueError:
 
 def _instance(value, cls: type, name: str):
     if not isinstance(value, cls):
-        raise _must_be(value, name, f"a {cls.__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise _must_be(value, name, f"{article} {cls.__name__}")
     return value
 
 

@@ -143,12 +143,14 @@ def eigenvector_states(
 def expectation(state: StateVector2, obs: Observable2) -> float:
     """Expectation value <state| obs |state>.
 
-    ``state`` must be normalized within the package tolerance
-    ``DEFAULT_TOLERANCE``. The imaginary residue of the quadratic form, zero
-    up to rounding for Hermitian matrices, rounds in proportion to the
-    eigenvalues: it is checked against the tolerance times the larger of 1
-    and ``|r_plus|``, ``|r_minus|``, and discarded.
+    ``obs`` must be an :class:`Observable2`, and ``state`` a :class:`StateVector2`
+    normalized within the package tolerance ``DEFAULT_TOLERANCE``. The
+    imaginary residue of the quadratic form, zero up to rounding for Hermitian
+    matrices, rounds in proportion to the eigenvalues: it is checked against
+    the tolerance times the larger of 1 and ``|r_plus|``, ``|r_minus|``, and
+    discarded.
     """
+    state, obs = _instance(state, StateVector2, "state"), _instance(obs, Observable2, "obs")
     tol = DEFAULT_TOLERANCE
     norm_dev = abs(state.norm - 1.0)
     if not norm_dev <= tol:  # a NaN norm is not normalized either

@@ -40,7 +40,14 @@ import numpy as np
 
 from ._pool import map_in_order
 from .amplitudes import _block, _probability_of, _read_label
-from .directions import DEFAULT_STAGE_CAP, BranchLabel, Direction, check_count, check_seed
+from .directions import (
+    DEFAULT_STAGE_CAP,
+    BranchLabel,
+    Direction,
+    _instance,
+    check_count,
+    check_seed,
+)
 
 #: Trials per sampling block by default (a multiple of 4). A block is drawn
 #: inside the thread that counts it, so the uniforms held at once are 2 MB
@@ -59,13 +66,18 @@ def sequence_labels(n_stages: int) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class MeasurementScenario:
-    """An initial branch label followed by an ordered list of analyzers."""
+    """An initial branch label followed by an ordered list of analyzers.
+
+    ``initial`` must be a :class:`BranchLabel` and each of the one or more ``stages`` a
+    :class:`Direction`; a field of another type is a ``ValueError`` that names it.
+    """
 
     initial: BranchLabel
     stages: tuple[Direction, ...]
 
     def __post_init__(self):
-        stages = tuple(self.stages)
+        _instance(self.initial, BranchLabel, "initial")
+        stages = tuple(_instance(d, Direction, f"stages[{i}]") for i, d in enumerate(self.stages))
         if not stages:
             raise ValueError("scenario needs at least one stage")
         object.__setattr__(self, "stages", stages)
@@ -181,12 +193,14 @@ def sample(
     these numbers are its counts (bit-identical for any block size and
     thread count). A double in the rounding tail, at or above ``cum[-1]``,
     maps to the last sequence with nonzero probability, so p = 0 is never
-    drawn. ``distribution`` has checked its probabilities on construction.
+    drawn. ``distribution`` must be an :class:`OutcomeDistribution`, which has
+    checked its probabilities on construction.
     ``seed``, ``trials`` and ``block_size`` pass the checks of :mod:`polamp.directions`.
 
     The report's ``max_abs_deviation_sigma`` is the largest per-sequence
     deviation from the expected count in binomial standard deviations.
     """
+    distribution = _instance(distribution, OutcomeDistribution, "distribution")
     seed, trials = check_seed(seed), check_count(trials, "trials")
     block_size = check_count(block_size, "block_size")
     if block_size % 4 != 0:

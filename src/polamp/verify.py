@@ -17,20 +17,22 @@ independent route over seeded random parameter draws:
 * standard-limit reductions.
 
 The adjudication half compares the verbatim transcriptions in
-:mod:`polamp.closedforms` element by element and emits an
-:class:`ErrataRecord` wherever a stated form disagrees with the derived
-value beyond tolerance. The expected outcome: records for Eq58, Eq59 and
-Eq72, none for Eq53-Eq56.
+:mod:`polamp.closedforms` element by element, in three errata tables, and
+emits an :class:`ErrataRecord` wherever a stated form disagrees with the
+derived value beyond tolerance. The observable closed-form suite is the
+Eq53-Eq56 table: one job, whose worst lanes give both its result and its
+records. The expected outcome: records for Eq58, Eq59 and Eq72, none for
+Eq53-Eq56.
 
-A suite is its residual function (:func:`_suite`) over arrays of ``draws``
+A suite or table is one kind of job (:func:`_job`) over arrays of ``draws``
 doubles from the run's PCG64 stream, but no such array exists: each block
 of ``LANE_BLOCK`` lanes draws its own slice of them in its worker thread by
 counter advance (:func:`_draws`), so memory does not grow with the draw
-count. A run draws the lanes of every suite and errata table first; then
-one function (:func:`_worst`) maps all their blocks as one stream (no
-barrier between suites) and reduces them: each residual's largest value
-and the first lane holding it. An erratum reads its stated and derived
-values by drawing that lane again. ``polamp verify`` keeps freed blocks in
+count. A run draws the lanes of every suite and then of the other two
+tables first; then one function (:func:`_worst`) maps all their blocks as
+one stream (no barrier between suites) and reduces them: each residual's
+largest value and the first lane holding it. An erratum reads its stated
+and derived values by drawing that lane again. ``polamp verify`` keeps freed blocks in
 glibc's heap (:func:`polamp.cli._keep_heap_resident`).
 
 The residuals' 2x2 algebra is :func:`_diff`, :func:`_matvec`, :func:`_matmul` and
@@ -137,10 +139,11 @@ def _draws(rng: np.random.Generator, n: int, *ranges):
 
 
 def _worst(jobs, n: int) -> list:
-    """``finish(worst)`` per ``(fn, lanes, finish)`` job, all blocks mapped as one stream.
+    """The results of ``(fn, lanes, finish)`` jobs, in job order, all blocks mapped as one stream.
 
-    ``worst`` holds the largest value of each lane array ``fn(*lanes(lo, hi))`` returns and its
-    first lane: ``max`` over the blocks' ``argmax`` in block order keeps the first of equal maxima.
+    A job's results are ``finish(worst)``, where ``worst`` holds the largest value of each lane
+    array ``fn(*lanes(lo, hi))`` returns and its first lane: ``max`` over the blocks' ``argmax``
+    in block order keeps the first of equal maxima.
     """
     blocks = -(-n // LANE_BLOCK)
 
@@ -153,32 +156,59 @@ def _worst(jobs, n: int) -> list:
     for i, block in enumerate(map_in_order(block_worst, range(len(jobs) * blocks))):
         job, b = divmod(i, blocks)
         worst[job] = [max(p, key=lambda w: w[0]) for p in zip(worst[job], block)] if b else block
-    return [finish(w) for (*_, finish), w in zip(jobs, worst)]
+    return [result for (*_, finish), w in zip(jobs, worst) for result in finish(w)]
 
 
-def _suite(*ranges, floor: float = 0.0):
-    """Declare a suite ``(n, rng, tol)`` by its draw ranges and its residual function.
+def _records(equation_ids, forms, lanes, tol, worst) -> list[ErrataRecord]:
+    """A record per element whose largest difference in ``worst`` exceeds tol, where
+    ``forms(*block) = (stated, derived)``, with their values at its first lane.
+    """
+    return [
+        ErrataRecord(equation_ids[i][j], closedforms.ELEMENT_NAMES[i][j],
+                     complex(stated[i][j][0]), complex(derived[i][j][0]), float(diff))
+        for (i, j), (diff, k) in zip(_PAIRS, worst)
+        if diff > tol
+        for stated, derived in [forms(*lanes(k, k + 1))]
+    ]
+
+
+def _job(n, rng, tol, ranges, fn, name=None, equation_ids=None) -> tuple:
+    """A :func:`_worst` job over ``n`` lanes drawn from ``ranges``.
+
+    With ``name`` it is a suite, whose residuals ``fn`` returns and which passes below tol;
+    with ``equation_ids`` an errata table, where ``fn`` returns ``(stated, derived)`` blocks
+    and the residuals are their element differences; or both. Its results are the
+    :class:`SuiteResult`, then the :func:`_records` of the same worst lanes.
+    """
+    lanes = _draws(rng, n, *ranges)
+    residuals = fn if equation_ids is None else lambda *block: _diff(*fn(*block))
+
+    def finish(worst) -> list:
+        max_res = float(max((value for value, _ in worst), default=0.0))
+        suite = [SuiteResult(name, n, max_res, tol, passed=max_res < tol)] if name else []
+        return suite + (_records(equation_ids, fn, lanes, tol, worst) if equation_ids else [])
+
+    return residuals, lanes, finish
+
+
+def _suite(*ranges, floor: float = 0.0, equation_ids=None):
+    """Declare a suite ``(n, rng, tol)`` by its draw ranges and its function (see :func:`_job`).
 
     It passes below ``max(tol, floor)``; ``suite.job(n, rng, tol)`` draws lanes for :func:`_worst`.
     """
 
-    def declare(residuals):
-        name = residuals.__name__.removeprefix("suite_")
+    def declare(fn):
+        name = fn.__name__.removeprefix("suite_")
 
         def job(n, rng, tol):
-            tol = max(tol, floor)
-
-            def finish(worst) -> SuiteResult:
-                max_res = float(max((value for value, _ in worst), default=0.0))
-                return SuiteResult(name, n, max_res, tol, passed=max_res < tol)
-
-            return residuals, _draws(rng, n, *ranges), finish
+            return _job(n, rng, max(tol, floor), ranges, fn, name, equation_ids)
 
         def suite(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
+            n, tol = check_count(n, "draws", low=0), check_tolerance(tol)
             return _worst([job(n, rng, tol)], n)[0]
 
-        suite.__name__ = suite.__qualname__ = residuals.__name__
-        suite.__doc__ = residuals.__doc__
+        suite.__name__ = suite.__qualname__ = fn.__name__
+        suite.__doc__ = fn.__doc__
         suite.job = job
         return suite
 
@@ -298,12 +328,14 @@ def _eigenvalues(r_plus, gap, coin):
     return r_plus, r_plus - gap * np.where(coin < 0.5, 1.0, -1.0)
 
 
-@_suite(*[_ANGLE] * 4, *_EIGENVALUES)
+@_suite(*[_ANGLE] * 4, *_EIGENVALUES, equation_ids=closedforms.OBSERVABLE_ELEMENT_IDS)
 def suite_observable_closed_forms(tc, ac, tb, ab, *eigenvalue_draws):
+    """The stated observable elements (Eq53-Eq56) against the amplitude products."""
     r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
-    derived = observable_elements_product(tc, ac, tb, ab, r_plus, r_minus)
-    stated = closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus)
-    return _diff(stated, derived)
+    return (
+        closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus),
+        observable_elements_product(tc, ac, tb, ab, r_plus, r_minus),
+    )
 
 
 @_suite(*[_ANGLE] * 4, *_EIGENVALUES, floor=EIGENSOLVER_TOLERANCE)
@@ -429,42 +461,11 @@ ALL_SUITES = (
 )
 
 
-def _errata_for(equation_ids, tol, forms, lanes):
-    """The job of a table: a record per element where ``forms(*block) = (stated, derived)``
-    differ beyond tol, with their values at the first lane of the largest difference.
-    """
+def _table_jobs(n, rng, tol) -> list:
+    """The jobs of the polarization and standard-limit errata tables, their lanes drawn in that order."""
 
-    def diffs(*block):
-        return _diff(*forms(*block))
-
-    def finish(worst) -> list[ErrataRecord]:
-        return [
-            ErrataRecord(
-                equation=equation_ids[i][j],
-                element=closedforms.ELEMENT_NAMES[i][j],
-                paper_value=complex(stated[i][j][0]),
-                derived_value=complex(derived[i][j][0]),
-                max_abs_diff=float(diff),
-            )
-            for (i, j), (diff, k) in zip(_PAIRS, worst)
-            if diff > tol
-            for stated, derived in [forms(*lanes(k, k + 1))]
-        ]
-
-    return diffs, lanes, finish
-
-
-def _errata_jobs(n, rng, tol) -> list:
-    """The jobs of the three errata tables, their lanes drawn in table order."""
-
-    def observable(tc, ac, tb, ab, *eigenvalue_draws):
-        r_plus, r_minus = _eigenvalues(*eigenvalue_draws)
-        return (
-            closedforms.observable_elements(tc, ac, tb, ab, r_plus, r_minus),
-            observable_elements_product(tc, ac, tb, ab, r_plus, r_minus),
-        )
-
-    # the polarization operator over the same angle draws; it has fixed eigenvalues
+    # the polarization operator has fixed eigenvalues: its lanes stand for the eigenvalue arrays
+    # of an observable too, which it does not read, so that each table's draws keep their place
     def polarization(tc, ac, tb, ab, *_):
         return (
             closedforms.polarization_elements_literal(tc, ac, tb, ab),
@@ -478,26 +479,21 @@ def _errata_jobs(n, rng, tol) -> list:
             observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0),
         )
 
-    shared = _draws(rng, n, *[_ANGLE] * 4, *_EIGENVALUES)
-    tables = (
-        (closedforms.OBSERVABLE_ELEMENT_IDS, observable, shared),
-        (closedforms.POLARIZATION_ELEMENT_IDS, polarization, shared),
-        (((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2, standard, _draws(rng, n, *[_ANGLE] * 3)),
-    )
-    return [_errata_for(ids, tol, forms, lanes) for ids, forms, lanes in tables]
-
-
-def collect_errata(n, rng, tol=DEFAULT_TOLERANCE) -> list[ErrataRecord]:
-    """Adjudicate every verbatim transcription against the derived values."""
-    return [r for records in _worst(_errata_jobs(n, rng, tol), n) for r in records]
+    return [
+        _job(n, rng, tol, [*[_ANGLE] * 4, *_EIGENVALUES], polarization,
+             equation_ids=closedforms.POLARIZATION_ELEMENT_IDS),
+        _job(n, rng, tol, [_ANGLE] * 3, standard,
+             equation_ids=((closedforms.STANDARD_OPERATOR_ID,) * 2,) * 2),
+    ]
 
 
 def run_all(
     draws: int = DEFAULT_DRAWS, seed: int = 0, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
-    """Run every suite plus the errata adjudication, deterministically, as one block stream."""
+    """Run every suite and errata table, deterministically, as one block stream."""
     draws, seed = check_count(draws, "draws", low=0), check_seed(seed)
     tolerance, rng = check_tolerance(tolerance), np.random.default_rng(seed)
-    jobs = [s.job(draws, rng, tolerance) for s in ALL_SUITES] + _errata_jobs(draws, rng, tolerance)
-    *suites, observable, polarization, standard = _worst(jobs, draws)
-    return VerifyReport(tuple(suites), tuple(observable + polarization + standard))
+    jobs = [s.job(draws, rng, tolerance) for s in ALL_SUITES] + _table_jobs(draws, rng, tolerance)
+    results = _worst(jobs, draws)
+    suites = tuple(r for r in results if isinstance(r, SuiteResult))
+    return VerifyReport(suites, tuple(r for r in results if isinstance(r, ErrataRecord)))

@@ -15,7 +15,6 @@ from polamp.amplitudes import amp_matrix
 from polamp import closedforms
 from polamp.operators import observable_elements_product
 from polamp.verify import (
-    collect_errata,
     run_all,
     suite_amplitude_oracle,
     suite_chaining,
@@ -146,8 +145,7 @@ def test_criterion_08_standard_limit_reductions():
 
 
 def test_criterion_09_errata_detection():
-    rng = np.random.default_rng(109)
-    records = collect_errata(TRIANGLE_DRAWS, rng, TOL)
+    records = run_all(draws=TRIANGLE_DRAWS, seed=109, tolerance=TOL).errata
     flagged = {r.equation for r in records}
     # the misprinted transcriptions are detected ...
     assert {"Eq58", "Eq59", "Eq72"} <= flagged

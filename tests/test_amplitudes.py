@@ -392,11 +392,16 @@ DIRECTION_ARGUMENTS = {
 }
 
 
+#: A scenario checks its fields when it is built, and names them as fields.
+FIELD_NAMES = {"exact_distribution.stage": "stages[1]", "exact_distribution.initial": "initial"}
+
+
 # a plain 4-tuple has a Direction's layout, (theta, alpha, cos, sin), but no check behind it
 @pytest.mark.parametrize("bad", [(0.1, 0.2, 0.3, 0.4), plus(0.3), 0.5, None])
 @pytest.mark.parametrize("entry", DIRECTION_ARGUMENTS)
 def test_every_direction_argument_must_be_a_direction(entry, bad):
-    with pytest.raises(ValueError, match=f"^direction: must be a Direction, got {re.escape(repr(bad))}$"):
+    name = re.escape(FIELD_NAMES.get(entry, "direction"))
+    with pytest.raises(ValueError, match=f"^{name}: must be a Direction, got {re.escape(repr(bad))}$"):
         DIRECTION_ARGUMENTS[entry](bad)
 
 
@@ -422,5 +427,6 @@ LABEL_ARGUMENTS = {
 )
 @pytest.mark.parametrize("entry", LABEL_ARGUMENTS)
 def test_every_label_argument_must_be_a_branch_label(entry, bad):
-    with pytest.raises(ValueError, match=f"^label: must be a BranchLabel, got {re.escape(repr(bad))}$"):
+    name = FIELD_NAMES.get(entry, "label")
+    with pytest.raises(ValueError, match=f"^{name}: must be a BranchLabel, got {re.escape(repr(bad))}$"):
         LABEL_ARGUMENTS[entry](bad)

@@ -229,15 +229,15 @@ def test_verify_suites_are_their_residual_functions():
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     suites = [n for n in functions if n.name.startswith("suite_")]
     assert [n.name for n in suites] == [f"suite_{name}" for name in SUITE_NAMES]
-    plumbing = {"_draws", "map_in_order", "_worst", "SuiteResult", "max"}
+    plumbing = {"_draws", "map_in_order", "_worst", "_records", "SuiteResult", "ErrataRecord", "max"}
     for node in suites:
         assert not bare_names(node.body) & plumbing, node.name
         assert "argmax" not in referenced_names(ast.Module(node.body, [])), node.name
 
 
 def test_verify_reduces_blocks_in_one_function():
-    # suites and errata share ``_worst``: no other function maps blocks or
-    # takes an argmax of its own, ``_errata_for`` included
+    # suites and errata tables share ``_worst``: no other function maps blocks
+    # or takes an argmax of its own, ``_job`` and ``_records`` included
     tree = parse("verify")
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     for name in ("map_in_order", "argmax"):
@@ -255,6 +255,34 @@ def test_verify_suites_keep_their_signature():
         params = inspect.signature(suite).parameters.values()
         assert [(p.name, p.default) for p in params] == expected
         assert suite(0, np.random.default_rng(0)).name == name
+
+
+def closedform_sites(tree: ast.AST) -> list[str]:
+    """The name at every ``closedforms.<name>`` under ``tree``, called or not."""
+    return [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "closedforms"
+    ]
+
+
+def test_verify_computes_each_closed_form_once():
+    # a law computed at two sites is adjudicated twice, on two sets of draws,
+    # and one report can then pass it and flag it at once
+    tree = parse("verify")
+    assert not names_from(tree, "closedforms")  # only ``closedforms.<name>``, so every site shows
+    functions = [n.name for n in parse("closedforms").body if isinstance(n, ast.FunctionDef)]
+    sites = closedform_sites(tree)
+    assert {name: sites.count(name) for name in functions} == dict.fromkeys(functions, 1)
+
+
+def test_closed_form_guard_sees_a_second_site():
+    source = (
+        "a = closedforms.observable_elements(1)\nb = [closedforms.observable_elements]\n"
+        "c = closedforms.ELEMENT_NAMES\nd = other.observable_elements(1)\n"
+    )
+    found = closedform_sites(ast.parse(source))
+    assert sorted(found) == ["ELEMENT_NAMES", "observable_elements", "observable_elements"]
 
 
 def test_chain_steps_take_one_route():

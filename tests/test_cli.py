@@ -872,6 +872,26 @@ class TestVerify:
         assert run(argv) == expected_code
         assert capsys.readouterr().out == (Path(__file__).parent / "data" / name).read_text()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_observable_suite_fails_exactly_when_eq53_to_eq56_are_flagged(self, capsys, seed):
+        # the suite is the Eq53-Eq56 table: one set of draws, one maximum; a
+        # suite fails at or above the tolerance, a record is made above it
+        def observable(tolerance):
+            argv = ["verify", "--draws", "100", "--seed", str(seed), "--tolerance", tolerance]
+            records = [fields(l) for l in run_capture(capsys, [*argv, "--machine"])[1]]
+            (suite,) = [r for r in records if r.get("name") == "observable_closed_forms"]
+            flagged = [r for r in records if r.get("equation") in ("Eq53", "Eq54", "Eq55", "Eq56")]
+            return suite, flagged
+
+        for tolerance in ("1e-300", "8.9e-16"):
+            suite, flagged = observable(tolerance)
+            assert (suite["pass"] == "0") == bool(flagged), tolerance
+            if flagged:
+                largest = max(float(r["max_abs_diff"]) for r in flagged)
+                assert largest == float(suite["max_residual"])
+        suite, flagged = observable(suite["max_residual"])
+        assert suite["pass"] == "0" and not flagged
+
     def test_flag_overrides_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("POLAMP_TOLERANCE", "1e-30")
         code, _ = run_capture(capsys, ["verify", "--draws", "200", "--tolerance", "1e-9"])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ class TestEigenvectorStates:
 # ---------------------------------------------------------------------------
 
 class TestExpectation:
+
+    @pytest.mark.parametrize("bad", [None, (1.0, 0.0), [1.0, 0.0], np.array([1.0, 0.0])])
+    def test_arguments_must_be_records(self, bad):
+        obs = polarization_operator(Direction(0.0), Direction(0.0))
+        state = state_vector(plus(0.0), Direction(0.0))
+        shown = re.escape(repr(bad)) if not isinstance(bad, list) else "list"
+        with pytest.raises(ValueError, match=f"^state: must be a StateVector2, got {shown}$"):
+            expectation(bad, obs)
+        with pytest.raises(ValueError, match=f"^obs: must be an Observable2, got {shown}$"):
+            expectation(state, bad)
+        # an observable's matrix is not the observable, nor are its values a state
+        with pytest.raises(ValueError, match="^obs: must be an Observable2, got "):
+            expectation(state, state)
 
     def test_eigenstate_expectation_is_eigenvalue(self):
         measure, basis = Direction(1.2, 0.3), Direction(0.5, 2.0)

@@ -159,6 +159,22 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="stage"):
             MeasurementScenario(initial=plus(0.0), stages=())
 
+    @pytest.mark.parametrize(
+        "initial, stages, message",
+        [
+            (plus(0.0), "ab", "stages[0]: must be a Direction, got 'a'"),
+            (plus(0.0), (Direction(0.1), Direction(0.2), 0.3), "stages[2]: must be a Direction, got 0.3"),
+            (plus(0.0), [(0.1, 0.2, 0.3, 0.4)], "stages[0]: must be a Direction, got (0.1, 0.2, 0.3, 0.4)"),
+            (Direction(0.0), (Direction(0.1),), "initial: must be a BranchLabel, got Direction("),
+            ((Direction(0.0), Branch.PLUS), (Direction(0.1),), "initial: must be a BranchLabel, got ("),
+            (None, (), "initial: must be a BranchLabel, got None"),
+        ],
+    )
+    def test_scenario_checks_its_fields(self, initial, stages, message):
+        # a scenario that no function accepts is not built
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            MeasurementScenario(initial, stages)
+
     @given(
         thetas=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=11),
         initial_branch=st.sampled_from([P, M]),
@@ -181,6 +197,12 @@ class TestExactDistribution:
 
 
 class TestSample:
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.5], np.array([0.5, 0.5]), None, malus_chain])
+    def test_distribution_must_be_an_outcome_distribution(self, bad):
+        shown = "list" if isinstance(bad, list) else re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"^distribution: must be an OutcomeDistribution, got {shown}$"):
+            sample(bad, 0, 10)
 
     def test_certain_outcome(self):
         d = Direction(0.7, 0.1)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from polamp import _pool, verify
 from polamp.amplitudes import amp_matrix
+from polamp.directions import DEFAULT_TOLERANCE
 from polamp.verify import (
     DEFAULT_DRAWS,
     EIGENSOLVER_TOLERANCE,
-    collect_errata,
     run_all,
     suite_amplitude_oracle,
     suite_operator_oracle_triangle,
@@ -64,6 +64,26 @@ def test_run_all_rejects_out_of_range_inputs(key, value):
         run_all(**{key: value})
 
 
+@pytest.mark.parametrize(
+    "n, tol, key",
+    [
+        (-5, DEFAULT_TOLERANCE, "draws"),
+        (2.5, DEFAULT_TOLERANCE, "draws"),
+        (2**63, DEFAULT_TOLERANCE, "draws"),
+        (10, 0.0, "tolerance"),
+        (10, -1e-12, "tolerance"),
+        (10, float("inf"), "tolerance"),
+        (10, float("nan"), "tolerance"),
+    ],
+)
+@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda suite: suite.__name__)
+def test_suites_reject_what_run_all_rejects(suite, n, tol, key):
+    # a negative count would pass vacuously and an infinite tolerance would
+    # pass the suite, as in run_all
+    with pytest.raises(ValueError, match=f"^{key}: must be "):
+        suite(n, np.random.default_rng(0), tol)
+
+
 def test_run_all_accepts_the_largest_u64_seed():
     assert run_all(draws=5, seed=np.uint64(2**64 - 1)) == run_all(draws=5, seed=2**64 - 1)
 
@@ -82,8 +102,7 @@ def test_run_all_accepts_a_numpy_integer_draw_count():
 
 
 def test_errata_discriminate():
-    rng = np.random.default_rng(12)
-    records = collect_errata(2000, rng)
+    records = run_all(draws=2000, seed=12).errata
     by_equation = {r.equation for r in records}
     assert {"Eq58", "Eq59", "Eq72"} <= by_equation
     assert not by_equation & {"Eq53", "Eq54", "Eq55", "Eq56", "Eq57", "Eq60"}
@@ -94,8 +113,7 @@ def test_errata_discriminate():
 
 
 def test_errata_elements_are_off_diagonal():
-    rng = np.random.default_rng(13)
-    records = collect_errata(1000, rng)
+    records = run_all(draws=1000, seed=13).errata
     assert {r.element for r in records} == {"m12", "m21"}
 
 
@@ -163,11 +181,22 @@ def test_results_do_not_depend_on_blocks_or_workers(
 
 @pytest.mark.parametrize("draws", [*BLOCK_DRAWS, 20001])
 def test_run_all_is_the_public_suites_then_the_errata(draws):
-    # one block stream for the whole run draws every lane as the entry points do
-    rng = np.random.default_rng(21)
-    suites = tuple(suite(draws, rng) for suite in verify.ALL_SUITES)
-    expected = verify.VerifyReport(suites, tuple(collect_errata(draws, rng)))
-    assert run_all(draws=draws, seed=21) == expected
+    for tol in (DEFAULT_TOLERANCE, 1e-300):
+        # one block stream for the whole run draws every lane as the entry points do,
+        # then the lanes of the polarization and standard-limit tables
+        rng = np.random.default_rng(21)
+        suites = tuple(suite(draws, rng, tol) for suite in verify.ALL_SUITES)
+        tables = verify._worst(verify._table_jobs(draws, rng, tol), draws)
+        # the Eq53-Eq56 records come from the observable suite's own job and its worst lanes
+        rng = np.random.default_rng(21)
+        jobs = [suite.job(draws, rng, tol) for suite in verify.ALL_SUITES]
+        k = verify.ALL_SUITES.index(verify.suite_observable_closed_forms)
+        observable, *records = verify._worst([jobs[k]], draws)
+        assert observable == suites[k]
+        flagged = ["Eq53", "Eq54", "Eq55", "Eq56"] if draws and tol == 1e-300 else []
+        assert [r.equation for r in records] == flagged
+        expected = verify.VerifyReport(suites, tuple(records + tables))
+        assert run_all(draws=draws, seed=21, tolerance=tol) == expected
 
 
 def test_run_all_maps_every_block_in_one_stream(monkeypatch):
@@ -181,7 +210,7 @@ def test_run_all_maps_every_block_in_one_stream(monkeypatch):
     monkeypatch.setattr(verify, "LANE_BLOCK", 512)
     monkeypatch.setattr(verify, "map_in_order", counted)
     run_all(draws=1001, seed=21)
-    assert calls == [2 * (len(verify.ALL_SUITES) + 3)]
+    assert calls == [2 * (len(verify.ALL_SUITES) + 2)]
 
 
 def test_more_workers_than_cores_under_fast_thread_switching(monkeypatch, unblocked_reports):
@@ -211,17 +240,20 @@ def test_errata_take_the_first_lane_of_equal_maxima(monkeypatch):
     def lanes(lo, hi):
         return zero[lo:hi], tie[lo:hi], later[lo:hi]
 
-    def errata():
-        return verify._worst([verify._errata_for(ids, 0.5, forms, lanes)], 4)[0]
+    def results():
+        # a suite that is an errata table too, over these lanes instead of drawn ones
+        monkeypatch.setattr(verify, "_draws", lambda rng, n, *ranges: lanes)
+        return verify._worst([verify._job(4, None, 0.5, (), forms, "ties", ids)], 4)
 
-    records = errata()
+    suite, *records = results()
+    assert suite == verify.SuiteResult("ties", 4, 2.0, 0.5, passed=False)
     assert [(r.equation, r.element) for r in records] == [("Eq11", "m11"), ("Eq12", "m12")]
     first, larger = records
     assert (first.paper_value, first.derived_value, first.max_abs_diff) == (0j, 1 + 0j, 1.0)
     assert (larger.paper_value, larger.derived_value, larger.max_abs_diff) == (0j, -2j, 2.0)
     # the same records as np.argmax over all lanes, in one block
     monkeypatch.setattr(verify, "LANE_BLOCK", 4)
-    assert errata() == records
+    assert results() == [suite, *records]
 
 
 # ---------------------------------------------------------------------------
