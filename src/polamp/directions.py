@@ -199,14 +199,6 @@ class BranchLabel(_Record):
         direction = _instance(direction, Direction, "direction")
         return _new(cls, (direction, _instance(branch, Branch, "branch")))
 
-    @property
-    def theta(self) -> float:
-        return self.direction.theta
-
-    @property
-    def alpha(self) -> float:
-        return self.direction.alpha
-
 
 def plus(theta: float, alpha: float = 0.0) -> BranchLabel:
     """Label for the parallel outcome at ``Direction(theta, alpha)``."""

@@ -33,7 +33,7 @@ same exact counts.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +68,7 @@ def sequence_labels(n_stages: int) -> Iterator[str]:
 class MeasurementScenario:
     """An initial branch label followed by an ordered list of analyzers.
 
-    ``initial`` must be a :class:`BranchLabel` and each of the one or more ``stages`` a
+    ``initial`` must be a :class:`BranchLabel` and ``stages`` an iterable of one or more
     :class:`Direction`; a field of another type is a ``ValueError`` that names it.
     """
 
@@ -77,6 +77,7 @@ class MeasurementScenario:
 
     def __post_init__(self):
         _instance(self.initial, BranchLabel, "initial")
+        _instance(self.stages, Iterable, "stages")
         stages = tuple(_instance(d, Direction, f"stages[{i}]") for i, d in enumerate(self.stages))
         if not stages:
             raise ValueError("scenario needs at least one stage")
@@ -89,27 +90,25 @@ class MeasurementScenario:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probability of every outcome sequence of a scenario.
+    """Probability of every outcome sequence of a scenario: the table alone.
 
     ``probs[i]`` is the probability of sequence ``i`` (module docstring),
     whose label is the ``i``-th of :func:`sequence_labels`. Summing out the
     last stage is ``probs.reshape(-1, 2).sum(axis=1)``. ``probs`` is stored as a
-    read-only float64 copy, so the checks hold for its life: ``n_stages`` passes
-    :func:`~polamp.directions.check_count`, and the table has
-    ``2**n_stages`` finite, non-negative entries, not all 0, summing to 1 within
-    ``8 * (n_stages + 1)`` epsilons (5x :func:`exact_distribution`'s worst rounding).
+    read-only float64 copy, so the checks hold for its life: it is 1-D, with ``2**n``
+    finite, non-negative entries (``n = n_stages >= 1``, read from its length), not all 0,
+    summing to 1 within ``8 * (n + 1)`` eps (5x :func:`exact_distribution`'s worst rounding).
     """
 
-    n_stages: int
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = check_count(self.n_stages, "n_stages")
         probs = np.array(self.probs, dtype=np.float64)
         probs.flags.writeable = False
-        # the length first: ``1 << n`` is built only for an n the table can have
-        if probs.size.bit_length() != n + 1 or probs.shape != (1 << n,):
-            raise ValueError(f"{n} stages need 2**{n} probabilities, not shape {probs.shape}")
+        object.__setattr__(self, "probs", probs)
+        n = self.n_stages
+        if probs.ndim != 1 or n < 1 or probs.size != 1 << n:
+            raise ValueError(f"need 2**n probabilities for n >= 1 stages, not shape {probs.shape}")
         if not np.all(np.isfinite(probs) & (probs >= 0)):
             raise ValueError("probabilities must be finite and non-negative")
         if not probs.any():
@@ -117,8 +116,10 @@ class OutcomeDistribution:
         deviation = float(probs.sum()) - 1.0
         if abs(deviation) > 8 * (n + 1) * np.finfo(np.float64).eps:
             raise ValueError(f"probabilities sum to 1 {deviation:+.3e}, beyond rounding")
-        object.__setattr__(self, "n_stages", n)
-        object.__setattr__(self, "probs", probs)
+
+    @property
+    def n_stages(self) -> int:
+        return self.probs.size.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,15 @@ class SampleReport:
     trials: int
     #: Count of every sequence, indexed as ``OutcomeDistribution.probs``.
     counts: np.ndarray = field(repr=False)
-    max_abs_deviation_sigma: float
     #: Expected count of every sequence, trials * p.
     expected: np.ndarray = field(repr=False)
     #: |count - expected| of every sequence in binomial standard deviations;
     #: 0 where p is 0 or 1 and the count matches, inf where it does not.
     sigma: np.ndarray = field(repr=False)
+
+    @property
+    def max_abs_deviation_sigma(self) -> float:
+        return float(self.sigma.max())
 
 
 def _stage_transition(prev: Direction, stage: Direction) -> np.ndarray:
@@ -159,7 +163,7 @@ def exact_distribution(scenario: MeasurementScenario) -> OutcomeDistribution:
         # sequence 2i + t extends sequence i, whose last branch is i & 1
         t = _stage_transition(prev, stage)
         probs = (probs.reshape(-1, 2)[:, :, None] * t).reshape(-1)
-    return OutcomeDistribution(n_stages=n, probs=probs)
+    return OutcomeDistribution(probs)
 
 
 def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -197,8 +201,8 @@ def sample(
     checked its probabilities on construction.
     ``seed``, ``trials`` and ``block_size`` pass the checks of :mod:`polamp.directions`.
 
-    The report's ``max_abs_deviation_sigma`` is the largest per-sequence
-    deviation from the expected count in binomial standard deviations.
+    The report's ``max_abs_deviation_sigma``, the largest of its ``sigma``, is the largest
+    per-sequence deviation from the expected count in binomial standard deviations.
     """
     distribution = _instance(distribution, OutcomeDistribution, "distribution")
     seed, trials = check_seed(seed), check_count(trials, "trials")
@@ -230,7 +234,6 @@ def sample(
         seed=seed,
         trials=trials,
         counts=counts,
-        max_abs_deviation_sigma=float(sigma.max()),
         expected=expected,
         sigma=sigma,
     )

@@ -48,7 +48,8 @@ def ref_state(theta, alpha, branch):
 
 
 def oracle_amplitude(a: BranchLabel, b: BranchLabel) -> complex:
-    return complex(np.vdot(ref_state(b.theta, b.alpha, b.branch), ref_state(a.theta, a.alpha, a.branch)))
+    da, db = a.direction, b.direction
+    return complex(np.vdot(ref_state(db.theta, db.alpha, b.branch), ref_state(da.theta, da.alpha, a.branch)))
 
 
 # ---------------------------------------------------------------------------

@@ -706,3 +706,24 @@ def test_public_api_guard_sees_every_kind_of_use():
     assert {"plus", "sample", "chain", "amplitude"} <= used
     assert "probability" not in used
     assert unused_exports(["plus", "helper", "Result"], used, {"Result": "why"}) == ["helper"]
+
+
+def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
+    # hypothesis reports a failing example through libcst, whose import warns; under
+    # ``filterwarnings = error`` alone that warning was an INTERNALERROR (exit 3) that
+    # ended the run before the next test
+    (tmp_path / "pyproject.toml").write_bytes((ROOT / "pyproject.toml").read_bytes())
+    (tmp_path / "test_planted.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_planted.py"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert out.returncode == 1 and "1 failed, 1 passed" in out.stdout, out.stdout

@@ -35,39 +35,36 @@ from polamp.cli import (
     run,
 )
 
-#: ``verify --machine --seed 0 --draws 2000`` as recorded with the earlier
-#: per-element amplitude kernels: every residual, the errata set
-#: {Eq58, Eq59, Eq72} and the record layout must reproduce byte for byte.
-GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed0_draws2000.txt"
+DATA = Path(__file__).parent / "data"
 
-#: ``verify --machine --seed 7 --draws 20001`` as recorded before the suites
-#: ran over lane blocks. Its draws span blocks of 8192, 8192 and 3617 lanes,
-#: so every suite maximum and every erratum crosses two block boundaries.
-GOLDEN_VERIFY_BLOCKS = Path(__file__).parent / "data" / "verify_seed7_draws20001.txt"
-
-#: Human ``verify`` output, as recorded before every record went through one
-#: writer: ``argv`` and exit code per file. The second fails ten suites, so it
-#: holds the FAIL lines, all twelve ERRATUM lines and the failure summary.
-GOLDEN_VERIFY_HUMAN = {
-    "verify_human_seed0_draws2000.txt": (["verify", "--draws", "2000"], EXIT_OK),
-    "verify_human_seed0_draws100_tol1e-300.txt": (
-        ["verify", "--draws", "100", "--tolerance", "1e-300"],
-        EXIT_VERIFY,
-    ),
-}
-
-#: ``simulate --machine`` on ``data/simulate_<name>.json`` as recorded when
-#: every trial was classified on its own: the counts of a seeded run are a
-#: contract. ``two_stage`` runs 1,000,003 trials (several default blocks and a
-#: partial block of 3 mod 4); ``six_stage`` starts with a stage equal to the
-#: preparation, so 32 of its sequences have p = 0.
-GOLDEN_SIMULATE = ("two_stage", "six_stage")
+#: Every whole-output golden: (file under ``data``, argv, exit code). The run's
+#: stdout must equal the file byte for byte.
+GOLDEN_OUTPUTS = [
+    # ``verify --machine`` as recorded with the earlier per-element amplitude kernels:
+    # every residual, the errata set {Eq58, Eq59, Eq72} and the record layout
+    ("verify_seed0_draws2000.txt", ["verify", "--machine", "--seed", "0", "--draws", "2000"], EXIT_OK),
+    # as recorded before the suites ran over lane blocks: its draws span blocks of 8192,
+    # 8192 and 3617 lanes, so every suite maximum and every erratum crosses two boundaries
+    ("verify_seed7_draws20001.txt", ["verify", "--machine", "--seed", "7", "--draws", "20001"], EXIT_OK),
+    # human output, as recorded before every record went through one writer
+    ("verify_human_seed0_draws2000.txt", ["verify", "--draws", "2000"], EXIT_OK),
+    # fails ten suites, so it holds the FAIL lines, all twelve ERRATUM lines and the
+    # failure summary
+    ("verify_human_seed0_draws100_tol1e-300.txt",
+     ["verify", "--draws", "100", "--tolerance", "1e-300"], EXIT_VERIFY),
+    # ``simulate --machine`` as recorded when every trial was classified on its own: the
+    # counts of a seeded run are a contract. 1,000,003 trials make several default
+    # blocks and a partial block of 3 mod 4
+    ("simulate_two_stage.txt", ["simulate", str(DATA / "simulate_two_stage.json"), "--machine"], EXIT_OK),
+    # its first stage equals the preparation, so 32 of its sequences have p = 0
+    ("simulate_six_stage.txt", ["simulate", str(DATA / "simulate_six_stage.json"), "--machine"], EXIT_OK),
+]
 
 #: Human and ``--machine`` output of amp, prob, operator (default and custom
 #: eigenvalues), eigvec and expect, in degrees and with ``--rad``, as
 #: recorded before the subcommands shared one angle-parsing path: each
 #: ``$ argv`` line is followed by the output that command printed.
-GOLDEN_LABELS = Path(__file__).parent / "data" / "label_subcommands.txt"
+GOLDEN_LABELS = DATA / "label_subcommands.txt"
 
 #: A valid invocation of every subcommand that takes angles on the command line.
 LABEL_COMMANDS = {
@@ -266,6 +263,16 @@ class TestAmp:
         labels = [*a, *(b or a)]
         amp = machine_record(["amp", *labels])
         assert amp["modulus2"] == machine_record(["prob", *labels])["value"]
+
+
+# ---------------------------------------------------------------------------
+# whole-output goldens of verify and simulate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, argv, code", GOLDEN_OUTPUTS, ids=[row[0] for row in GOLDEN_OUTPUTS])
+def test_output_matches_golden_record(capsys, name, argv, code):
+    assert run(argv) == code
+    assert capsys.readouterr().out == (DATA / name).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +577,6 @@ class TestSimulate:
         assert captured.err.startswith(f"error: {path}: scenario.trials: ")
         assert "2**63" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("name", GOLDEN_SIMULATE)
-    def test_machine_output_matches_golden_record(self, capsys, name):
-        data = Path(__file__).parent / "data"
-        code = run(["simulate", str(data / f"simulate_{name}.json"), "--machine"])
-        assert code == EXIT_OK
-        assert capsys.readouterr().out == (data / f"simulate_{name}.txt").read_text()
-
     @pytest.mark.parametrize(
         "text, fragment",
         [
@@ -855,22 +855,6 @@ class TestVerify:
             run(["verify", "--draws", "10", "--machine", "--tolerance", value])
         assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
-
-    def test_machine_output_matches_golden_record(self, capsys):
-        code, lines = run_capture(capsys, ["verify", "--machine", "--seed", "0", "--draws", "2000"])
-        assert code == EXIT_OK
-        assert lines == GOLDEN_VERIFY.read_text().splitlines()
-
-    def test_machine_output_across_lane_blocks_matches_golden_record(self, capsys):
-        code = run(["verify", "--machine", "--seed", "7", "--draws", "20001"])
-        assert code == EXIT_OK
-        assert capsys.readouterr().out == GOLDEN_VERIFY_BLOCKS.read_text()
-
-    @pytest.mark.parametrize("name", GOLDEN_VERIFY_HUMAN)
-    def test_human_output_matches_golden_record(self, capsys, name):
-        argv, expected_code = GOLDEN_VERIFY_HUMAN[name]
-        assert run(argv) == expected_code
-        assert capsys.readouterr().out == (Path(__file__).parent / "data" / name).read_text()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_observable_suite_fails_exactly_when_eq53_to_eq56_are_flagged(self, capsys, seed):

@@ -124,7 +124,7 @@ LAYERS = {
     ],
     "angle": [
         command(["amp", "--rad", "--", "{}", "0", "+", "0", "0", "+"], "polamp.cli.amplitude",
-                lambda a, b: a.theta),
+                lambda a, b: a.direction.theta),
         scenario_key("theta_deg"),
         lambda v: Direction(v).theta,
     ],

@@ -8,10 +8,13 @@ what a caller sees: a record equals only a record of its own type, hashes as
 it compares, prints its fields only, cannot be changed, pickles and copies
 through its constructor's checks, and has no method that builds an unchecked
 record. The public constructors of the state and observable records check
-every field, as ``Direction`` and ``BranchLabel`` do.
+every field, as ``Direction`` and ``BranchLabel`` do. The result records of
+:mod:`polamp.simulate` and :mod:`polamp.verify` store no value that their other
+fields fix: it is a property, and no constructor takes it.
 """
 
 import copy
+import dataclasses
 import math
 import operator
 import pickle
@@ -30,6 +33,8 @@ from polamp import (
     StateVector2,
     observable_matrix,
 )
+from polamp.simulate import OutcomeDistribution, SampleReport
+from polamp.verify import SuiteResult
 
 #: Angles where the cached trig is most fragile: signed zeros, subnormals, the
 #: smallest normal and the largest powers of two a ``Direction`` takes.
@@ -63,7 +68,7 @@ FIELDS = {
 #: properties, and the ``count``/``index`` every tuple has.
 DERIVED = {
     Direction: set(),
-    BranchLabel: {"theta", "alpha"},
+    BranchLabel: set(),
     StateVector2: {"norm"},
     Observable2: {"trace", "determinant"},
 }
@@ -214,3 +219,20 @@ def test_records_have_no_order(record):
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
             compare(record, twin)
+
+
+#: Each result record's stored fields, and the value it derives from them.
+RESULT_FIELDS = {
+    OutcomeDistribution: (("probs",), "n_stages"),
+    SuiteResult: (("name", "draws", "max_residual", "tolerance"), "passed"),
+    SampleReport: (("seed", "trials", "counts", "expected", "sigma"), "max_abs_deviation_sigma"),
+}
+
+
+@pytest.mark.parametrize("cls", list(RESULT_FIELDS), ids=lambda cls: cls.__name__)
+def test_a_derived_value_is_no_field(cls):
+    names, derived = RESULT_FIELDS[cls]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert isinstance(getattr(cls, derived), property)
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
+        cls(**dict.fromkeys(names), **{derived: None})

@@ -21,8 +21,8 @@ def test_parse_valid_document():
     loaded = parse_scenario(VALID)
     scenario = loaded.scenario
     assert scenario.initial.branch is Branch.PLUS
-    assert scenario.initial.theta == pytest.approx(math.radians(30.0))
-    assert scenario.initial.alpha == pytest.approx(math.radians(10.0))
+    assert scenario.initial.direction.theta == pytest.approx(math.radians(30.0))
+    assert scenario.initial.direction.alpha == pytest.approx(math.radians(10.0))
     assert scenario.n_stages == 2
     assert scenario.stages[0].theta == pytest.approx(math.radians(45.0))
     assert scenario.stages[1].alpha == 0.0

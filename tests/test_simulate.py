@@ -26,7 +26,7 @@ from polamp import (
     sample,
 )
 from polamp.directions import BranchLabel
-from polamp.simulate import DEFAULT_BLOCK_SIZE, OutcomeDistribution, sequence_labels
+from polamp.simulate import DEFAULT_BLOCK_SIZE, OutcomeDistribution, SampleReport, sequence_labels
 
 TOL = 1e-12
 
@@ -168,6 +168,10 @@ class TestExactDistribution:
             (Direction(0.0), (Direction(0.1),), "initial: must be a BranchLabel, got Direction("),
             ((Direction(0.0), Branch.PLUS), (Direction(0.1),), "initial: must be a BranchLabel, got ("),
             (None, (), "initial: must be a BranchLabel, got None"),
+            # not iterable, named like every other field
+            (plus(0.0), 5, "stages: must be an Iterable, got 5"),
+            (plus(0.0), None, "stages: must be an Iterable, got None"),
+            (plus(0.0), 1.5, "stages: must be an Iterable, got 1.5"),
         ],
     )
     def test_scenario_checks_its_fields(self, initial, stages, message):
@@ -217,6 +221,12 @@ class TestSample:
         r2 = sample(dist, seed=123, trials=20000)
         assert np.array_equal(r1.counts, r2.counts)
         assert r1.max_abs_deviation_sigma == r2.max_abs_deviation_sigma
+
+    def test_largest_deviation_is_read_from_sigma(self):
+        report = sample(exact_distribution(malus_chain()), seed=5, trials=20000)
+        assert report.max_abs_deviation_sigma == float(report.sigma.max())
+        built = SampleReport(0, 10, np.array([10, 0]), np.array([5.0, 5.0]), np.array([0.0, 3.0]))
+        assert built.max_abs_deviation_sigma == 3.0
 
     def test_seed_changes_counts(self):
         dist = exact_distribution(malus_chain())
@@ -280,54 +290,41 @@ class TestSample:
 
     def test_distribution_without_a_possible_outcome_rejected(self):
         with pytest.raises(ValueError, match="every outcome has probability 0"):
-            sample(OutcomeDistribution(1, np.zeros(2)), 0, 10)
+            sample(OutcomeDistribution(np.zeros(2)), 0, 10)
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_probability_not_finite_and_non_negative_rejected(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            dist = OutcomeDistribution(2, np.array([0.5, bad, 0.5, 0.0]))
+            dist = OutcomeDistribution(np.array([0.5, bad, 0.5, 0.0]))
             sample(dist, 0, 1000)
 
 
 class TestOutcomeDistribution:
     """A distribution checks its table on construction, so ``sample`` can trust it."""
 
-    @pytest.mark.parametrize(
-        "n_stages, probs",
-        [(2, [0.1] * 4), (1, [0.9, 0.9])],
-        ids=["sum_0.4", "sum_1.8"],
-    )
-    def test_table_that_does_not_sum_to_one_rejected(self, n_stages, probs):
+    @pytest.mark.parametrize("probs", [[0.1] * 4, [0.9, 0.9]], ids=["sum_0.4", "sum_1.8"])
+    def test_table_that_does_not_sum_to_one_rejected(self, probs):
         with pytest.raises(ValueError, match="sum to 1"):
-            OutcomeDistribution(n_stages, probs)
+            OutcomeDistribution(probs)
 
     @pytest.mark.parametrize(
-        "n_stages, probs",
-        [(3, np.full(4, 0.25)), (1, np.full(4, 0.25)), (2, np.full((2, 2), 0.25))],
-        ids=["too_short", "too_long", "two_dimensional"],
+        "probs",
+        [[], [1.0], [0.5, 0.25, 0.25], [1 / 6] * 6, np.full((2, 2), 0.25), np.array(1.0)],
+        ids=["size_0", "size_1", "size_3", "size_6", "two_dimensional", "scalar"],
     )
-    def test_table_of_the_wrong_shape_rejected(self, n_stages, probs):
-        with pytest.raises(ValueError, match=f"{n_stages} stages need 2\\*\\*{n_stages} probabilities"):
-            OutcomeDistribution(n_stages, probs)
+    def test_table_of_the_wrong_shape_rejected(self, probs):
+        what = re.escape(f"need 2**n probabilities for n >= 1 stages, not shape {np.shape(probs)}")
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            OutcomeDistribution(probs)
 
-    @pytest.mark.parametrize("n_stages", [1.5, "1", None, True, -1, 0], ids=repr)
-    def test_stage_count_must_be_a_positive_integer(self, n_stages):
-        what = re.escape(f"must be an integer from 1 to 2**63 - 1, got {n_stages!r}")
-        with pytest.raises(ValueError, match=f"^n_stages: {what}$"):
-            OutcomeDistribution(n_stages, [0.5, 0.5])
-
-    def test_stage_count_beyond_the_table_builds_no_table_of_its_size(self):
-        # 2**40 stages would need 2**(2**40) entries: the length check comes first,
-        # so the shift that would build that number (128 GiB) never runs
-        with pytest.raises(ValueError, match=f"^{2**40} stages need 2\\*\\*{2**40} probabilities"):
-            OutcomeDistribution(2**40, [0.5, 0.5])
-
-    def test_stage_count_is_stored_as_an_int(self):
-        dist = OutcomeDistribution(np.int64(1), [0.5, 0.5])
-        assert type(dist.n_stages) is int and dist.n_stages == 1
+    def test_stage_count_is_read_from_the_table_length(self):
+        for k in range(1, 21):
+            # 2**k entries of 2**-k sum to 1 exactly; 8 MB at k = 20
+            dist = OutcomeDistribution(np.full(2**k, 2.0**-k))
+            assert type(dist.n_stages) is int and dist.n_stages == k
 
     def test_list_is_stored_as_a_float64_array(self):
-        dist = OutcomeDistribution(2, [0.25, 0, 0.5, 0.25])
+        dist = OutcomeDistribution([0.25, 0, 0.5, 0.25])
         assert isinstance(dist.probs, np.ndarray) and dist.probs.dtype == np.float64
         assert dist.probs.tolist() == [0.25, 0.0, 0.5, 0.25]
         report = sample(dist, seed=3, trials=1000)
@@ -335,10 +332,10 @@ class TestOutcomeDistribution:
 
     def test_table_is_a_read_only_copy(self):
         source = np.array([0.5, 0.5])
-        dist = OutcomeDistribution(1, source)
+        dist = OutcomeDistribution(source)
         source[:] = [0.9, 0.9]  # would not pass the sum check
         assert dist.probs.tolist() == [0.5, 0.5]
-        fair = OutcomeDistribution(1, [0.5, 0.5])
+        fair = OutcomeDistribution([0.5, 0.5])
         counts = sample(dist, seed=4, trials=10_000).counts
         assert counts.tolist() == sample(fair, seed=4, trials=10_000).counts.tolist()
         with pytest.raises(ValueError, match="read-only"):
@@ -347,9 +344,9 @@ class TestOutcomeDistribution:
     def test_rounding_bound_is_linear_in_the_stage_count(self):
         eps = np.finfo(np.float64).eps
         # 8 * (n_stages + 1) eps: 32 eps at 3 stages, 24 eps at 2
-        OutcomeDistribution(3, [0.125 + 30 * eps] + [0.125] * 7)
+        OutcomeDistribution([0.125 + 30 * eps] + [0.125] * 7)
         with pytest.raises(ValueError, match="sum to 1"):
-            OutcomeDistribution(2, [0.25 + 30 * eps] + [0.25] * 3)
+            OutcomeDistribution([0.25 + 30 * eps] + [0.25] * 3)
 
     @given(
         angles=st.lists(st.floats(-1e8, 1e8), min_size=26, max_size=26),
@@ -421,7 +418,7 @@ class TestSampleCounting:
     def test_ties_go_to_the_next_possible_sequence(self):
         # cum = (0.25, 0.25, 0.75, 1): a double equal to cum[k] belongs to the
         # first sequence whose cum exceeds it, so the p = 0 sequence 1 is skipped
-        dist = OutcomeDistribution(n_stages=2, probs=np.array([0.25, 0.0, 0.5, 0.25]))
+        dist = OutcomeDistribution(np.array([0.25, 0.0, 0.5, 0.25]))
         under_quarter, under_three_quarters = np.nextafter([0.25, 0.75], 0.0)
         uniforms = [0.0, 0.25, 0.25, under_quarter, 0.75, 0.75, under_three_quarters, 0.5]
         uniforms.append(LAST_UNIFORM)
@@ -495,7 +492,7 @@ class TestSampleThreads:
             "import sys\n"
             "import numpy as np\n"
             "from polamp.simulate import OutcomeDistribution, sample\n"
-            "report = sample(OutcomeDistribution(1, np.array([0.25, 0.75])), 3, 100_000)\n"
+            "report = sample(OutcomeDistribution(np.array([0.25, 0.75])), 3, 100_000)\n"
             "assert report.counts.sum() == 100_000\n"
             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
         )

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polamp import _pool, verify
@@ -38,6 +38,25 @@ def test_zero_draws_trivial():
     assert report.passed
     assert report.errata == ()
     assert all(s.draws == 0 and s.max_residual == 0.0 for s in report.suites)
+
+
+#: Residuals and tolerances with the edges of ``<``: nan, inf, 0 and equal values.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True), st.sampled_from([0.0, DEFAULT_TOLERANCE, EIGENSOLVER_TOLERANCE])
+)
+
+
+@given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), max_size=4), st.booleans())
+@example([(5.0, 1e-12)], False)  # a residual far above its tolerance
+@example([(float("nan"), 1.0), (1.0, float("inf")), (2.0, 2.0)], False)
+@settings(max_examples=200, deadline=None)
+def test_verdict_is_read_from_the_residual_and_tolerance(pairs, equal):
+    if equal and pairs:
+        pairs[0] = (pairs[0][1], pairs[0][1])  # a residual equal to its tolerance fails
+    suites = tuple(verify.SuiteResult("s", 1, r, t) for r, t in pairs)
+    for suite, (residual, tolerance) in zip(suites, pairs):
+        assert suite.passed == (residual < tolerance)
+    assert verify.VerifyReport(suites, ()).passed == all(s.passed for s in suites)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +265,7 @@ def test_errata_take_the_first_lane_of_equal_maxima(monkeypatch):
         return verify._worst([verify._job(4, None, 0.5, (), forms, "ties", ids)], 4)
 
     suite, *records = results()
-    assert suite == verify.SuiteResult("ties", 4, 2.0, 0.5, passed=False)
+    assert suite == verify.SuiteResult("ties", 4, 2.0, 0.5) and not suite.passed
     assert [(r.equation, r.element) for r in records] == [("Eq11", "m11"), ("Eq12", "m12")]
     first, larger = records
     assert (first.paper_value, first.derived_value, first.max_abs_diff) == (0j, 1 + 0j, 1.0)
