@@ -48,7 +48,6 @@ _LAZY = {
     "exact_distribution": "simulate",
     "sample": "simulate",
     "ScenarioError": "scenario",
-    "ScenarioFile": "scenario",
     "load_scenario_file": "scenario",
     "parse_scenario": "scenario",
     "ErrataRecord": "verify",
@@ -79,7 +78,6 @@ __all__ = [
     "OutcomeDistribution",
     "SampleReport",
     "ScenarioError",
-    "ScenarioFile",
     "StageCapError",
     "StateVector2",
     "SuiteResult",

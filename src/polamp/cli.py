@@ -19,8 +19,8 @@ Exit codes: 0 success, 1 output closed by the reader, 2 usage error,
 3 unreadable or invalid scenario file (including one of more stages than
 ``DEFAULT_STAGE_CAP``), 4 invariant-suite failure in ``verify``.
 
-Every setting is a flag or, for ``simulate``'s seed and trials, a scenario
-key that the flag overrides; the environment sets nothing. Numbers pass the
+Every setting is a flag with its default in the parser; a scenario file is
+the chain alone, and the environment sets nothing. Numbers pass the
 library's checks (``check_seed``, ``check_count``, ``check_angle``,
 ``check_eigenvalue``, ``check_tolerance`` of :mod:`polamp.directions`); the
 parser reports a rejected flag as a usage error.
@@ -133,11 +133,6 @@ def _record(args, kind: str, human: str, **fields) -> None:
         print(human)
 
 
-def _first(*values):
-    """The first of ``values`` that is not None."""
-    return next(v for v in values if v is not None)
-
-
 def _direction(args, prefix: str) -> Direction:
     """Direction ``prefix`` of the parsed arguments.
 
@@ -239,13 +234,13 @@ def cmd_simulate(args) -> int:
     from .simulate import StageCapError, exact_distribution, sample
 
     try:
-        loaded = load_scenario_file(args.scenario)
+        scenario = load_scenario_file(args.scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
 
     try:
-        dist = exact_distribution(loaded.scenario)
+        dist = exact_distribution(scenario)
     except StageCapError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_FILE
@@ -258,9 +253,7 @@ def cmd_simulate(args) -> int:
     if args.exact:
         return EXIT_OK
 
-    seed = _first(args.seed, loaded.seed, 0)
-    trials = _first(args.trials, loaded.trials, DEFAULT_TRIALS)
-    report = sample(dist, seed=seed, trials=trials)
+    report = sample(dist, seed=args.seed, trials=args.trials)
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
     _write_rows(_SAMPLE_ROW[machine], dist.n_stages, report.counts, report.expected, report.sigma)
@@ -292,7 +285,7 @@ def cmd_verify(args) -> int:
         flag, relation = ("PASS", "<") if s.passed else ("FAIL", ">=")
         human = (
             f"{flag} {s.name:<26} max residual {s.max_residual:.3e}"
-            f" {relation} {s.tolerance:.0e} ({s.draws} draws)"
+            f" {relation} {s.tolerance!r} ({s.draws} draws)"
         )
         _record(
             args, "suite", human, name=s.name, draws=s.draws, max_residual=s.max_residual,
@@ -359,22 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"branch_{prefix}", type=_branch, help=f"branch of {of}: + or -")
 
     p = sub.choices["operator"]
-    p.add_argument("--r-plus", type=_eigenvalue, default=1.0, help="value on the parallel branch")
-    p.add_argument("--r-minus", type=_eigenvalue, default=-1.0, help="value on the perpendicular branch")
+    p.add_argument(
+        "--r-plus", type=_eigenvalue, default=1.0, help="value on the parallel branch (default: %(default)s)"
+    )
+    p.add_argument(
+        "--r-minus", type=_eigenvalue, default=-1.0,
+        help="value on the perpendicular branch (default: %(default)s)",
+    )
 
     p = sub.choices["simulate"]
     p.add_argument("scenario", help="scenario file (JSON, angles in degrees)")
-    p.add_argument("--seed", type=_seed_u64, default=None, help="RNG seed (overrides the file)")
-    p.add_argument("--trials", type=_positive_int, default=None, help="trial count (overrides the file)")
+    p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed (default: %(default)s)")
+    p.add_argument(
+        "--trials", type=_positive_int, default=DEFAULT_TRIALS, help="trial count (default: %(default)s)"
+    )
     p.add_argument("--exact", action="store_true", help="exact distribution only, no sampling")
 
     p = sub.choices["verify"]
     p.add_argument(
         "--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE,
-        help=f"numeric tolerance (default: {DEFAULT_TOLERANCE})",
+        help="numeric tolerance (default: %(default)s)",
     )
-    p.add_argument("--draws", type=_non_negative_int, default=DEFAULT_DRAWS, help="random draws per suite")
-    p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed for the draws")
+    p.add_argument(
+        "--draws", type=_non_negative_int, default=DEFAULT_DRAWS,
+        help="random draws per suite (default: %(default)s)",
+    )
+    p.add_argument("--seed", type=_seed_u64, default=0, help="RNG seed for the draws (default: %(default)s)")
     return parser
 
 

@@ -47,11 +47,11 @@ class Branch(Enum):
     MINUS = "-"
 
     @classmethod
-    def from_token(cls, token: str) -> "Branch":
+    def from_token(cls, token: str, name: str = "branch") -> "Branch":
         """Parse exactly ``+`` or ``-``."""
         if isinstance(token, str) and token in ("+", "-"):
             return cls(token)
-        raise ValueError(f"invalid branch {_shown(token)}: expected '+' or '-'")
+        raise _must_be(token, name, "'+' or '-'")
 
 
 #: The members as module names: an enum attribute lookup costs a Python call.

@@ -4,14 +4,13 @@ Schema (angles in degrees, as humans write them)::
 
     {
       "initial": {"theta_deg": 0, "alpha_deg": 0, "branch": "+"},
-      "stages": [{"theta_deg": 45, "alpha_deg": 0}, {"theta_deg": 90}],
-      "seed": 42,          // optional
-      "trials": 1000000    // optional
+      "stages": [{"theta_deg": 45, "alpha_deg": 0}, {"theta_deg": 90}]
     }
 
-Unknown keys are rejected by path, e.g. ``stages[1].phi_deg``, and so is
-a key repeated in one object, e.g. ``stages[1].alpha_deg``. ``alpha_deg``
-defaults to 0. ``seed`` and ``trials`` pass the checks of
+A document is the chain alone: the seed and trial count of a run are flags.
+Unknown keys are rejected by path, e.g. ``stages[1].phi_deg`` or ``seed``,
+and so is a key repeated in one object, e.g. ``stages[1].alpha_deg``.
+``alpha_deg`` defaults to 0. The angles and the branch pass the checks of
 :mod:`polamp.directions`, named by their path.
 """
 
@@ -19,22 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .directions import Branch, BranchLabel, Direction, check_angle, check_count, check_seed
+from .directions import Branch, BranchLabel, Direction, check_angle
 from .simulate import MeasurementScenario
 
 
 class ScenarioError(ValueError):
     """Invalid scenario file; the message names the file and key path."""
-
-
-@dataclass(frozen=True)
-class ScenarioFile:
-    scenario: MeasurementScenario
-    seed: int | None = None
-    trials: int | None = None
 
 
 class _Object(dict):
@@ -67,9 +58,15 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
             raise ScenarioError(f"{where}.{key}: unknown key")
 
 
-def _checked(mapping: dict, key: str, where: str, check, default=None):
+#: The ``default`` of a key that must be present.
+_REQUIRED = object()
+
+
+def _checked(mapping: dict, key: str, where: str, check, default=_REQUIRED):
     """``mapping[key]`` through ``check``, named by its path; ``default`` if absent."""
     if key not in mapping:  # a present null is checked, and rejected
+        if default is _REQUIRED:
+            raise ScenarioError(f"{where}.{key}: missing required key")
         return default
     try:
         return check(mapping[key], f"{where}.{key}")
@@ -81,29 +78,22 @@ def _direction(mapping: dict, where: str, extra: frozenset = frozenset()) -> Dir
     """The direction of ``mapping``, whose keys besides the angles are ``extra``."""
     _require_mapping(mapping, where)
     _reject_unknown(mapping, {"theta_deg", "alpha_deg"} | extra, where)
-    if "theta_deg" not in mapping:
-        raise ScenarioError(f"{where}.theta_deg: missing required key")
     theta = _checked(mapping, "theta_deg", where, check_angle)  # degrees, bounded as radians are
     alpha = _checked(mapping, "alpha_deg", where, check_angle, default=0.0)
     return Direction(math.radians(theta), math.radians(alpha))
 
 
-def parse_scenario(document: dict) -> ScenarioFile:
+def parse_scenario(document: dict) -> MeasurementScenario:
     """Validate a decoded scenario document; diagnostics start ``scenario.``."""
     where = "scenario"
     _require_mapping(document, where)
-    _reject_unknown(document, {"initial", "stages", "seed", "trials"}, where)
+    _reject_unknown(document, {"initial", "stages"}, where)
 
     if "initial" not in document:
         raise ScenarioError(f"{where}.initial: missing required key")
     initial_map = document["initial"]
     direction = _direction(initial_map, f"{where}.initial", extra=frozenset({"branch"}))
-    if "branch" not in initial_map:
-        raise ScenarioError(f"{where}.initial.branch: missing required key")
-    try:
-        branch = Branch.from_token(initial_map["branch"])
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.initial.branch: {exc}") from None
+    branch = _checked(initial_map, "branch", f"{where}.initial", Branch.from_token)
     initial = BranchLabel(direction, branch)
 
     if "stages" not in document:
@@ -114,13 +104,10 @@ def parse_scenario(document: dict) -> ScenarioFile:
     stages = tuple(
         _direction(stage, f"{where}.stages[{k}]") for k, stage in enumerate(stages_raw)
     )
-
-    seed = _checked(document, "seed", where, check_seed)
-    trials = _checked(document, "trials", where, check_count)
-    return ScenarioFile(MeasurementScenario(initial, stages), seed=seed, trials=trials)
+    return MeasurementScenario(initial, stages)
 
 
-def load_scenario_file(path: str | Path) -> ScenarioFile:
+def load_scenario_file(path: str | Path) -> MeasurementScenario:
     """Read and validate a scenario file; diagnostics name the file."""
     path = Path(path)
     try:

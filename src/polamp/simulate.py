@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,8 +88,19 @@ class MeasurementScenario:
         return len(self.stages)
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class _ArrayRecord:
+    """A record of arrays: equal to a record of its type with equal fields, and unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeDistribution(_ArrayRecord):
     """Probability of every outcome sequence of a scenario: the table alone.
 
     ``probs[i]`` is the probability of sequence ``i`` (module docstring),
@@ -122,8 +133,8 @@ class OutcomeDistribution:
         return self.probs.size.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class SampleReport:
+@dataclass(frozen=True, eq=False)
+class SampleReport(_ArrayRecord):
     """Counts per outcome sequence from a seeded Monte Carlo run."""
 
     seed: int

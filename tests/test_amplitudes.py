@@ -356,8 +356,10 @@ class TestDirections:
         assert Branch.from_token("+") is Branch.PLUS
         assert Branch.from_token("-") is Branch.MINUS
         for token in ("x", "plus", "minus", "PLUS", " + ", "-\n", ""):  # no other spelling
-            with pytest.raises(ValueError, match=f"^invalid branch {re.escape(repr(token))}: "):
+            with pytest.raises(ValueError, match=f"^branch: must be '\\+' or '-', got {re.escape(repr(token))}$"):
                 Branch.from_token(token)
+        with pytest.raises(ValueError, match="^initial.branch: must be "):
+            Branch.from_token("x", "initial.branch")
 
     @pytest.mark.parametrize("branch", ["-", "+", 1, None])
     def test_label_rejects_a_branch_that_is_no_branch(self, branch):
@@ -372,7 +374,7 @@ class TestDirections:
 
     @pytest.mark.parametrize("token", [1, None, 1.0, b"+", ["+"]])
     def test_branch_rejects_a_non_string_with_a_value_error(self, token):
-        with pytest.raises(ValueError, match="invalid branch .*: expected '\\+' or '-'"):
+        with pytest.raises(ValueError, match="^branch: must be '\\+' or '-', got "):
             Branch.from_token(token)
 
 

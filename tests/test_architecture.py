@@ -574,7 +574,6 @@ PUBLIC_WITHOUT_CALLER = {
     "ErrataRecord": "element of VerifyReport.errata",
     "OutcomeDistribution": "returned by exact_distribution, taken by sample",
     "SampleReport": "returned by sample",
-    "ScenarioFile": "returned by load_scenario_file and parse_scenario",
     "StateVector2": "returned by state_vector and eigenvector_states",
     "SuiteResult": "element of VerifyReport.suites",
     "VerifyReport": "returned by run_all",
@@ -648,7 +647,7 @@ def test_readme_examples_run():
     exec(compile(readme_library_example(), "README.md", "exec"), {})
     section = (ROOT / "README.md").read_text().split("### Scenario files", 1)[1]
     example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-    assert polamp.parse_scenario(json.loads(example)).scenario.n_stages == 2
+    assert polamp.parse_scenario(json.loads(example)).n_stages == 2
 
 
 def public_callers() -> set[str]:

@@ -55,9 +55,13 @@ GOLDEN_OUTPUTS = [
     # ``simulate --machine`` as recorded when every trial was classified on its own: the
     # counts of a seeded run are a contract. 1,000,003 trials make several default
     # blocks and a partial block of 3 mod 4
-    ("simulate_two_stage.txt", ["simulate", str(DATA / "simulate_two_stage.json"), "--machine"], EXIT_OK),
+    ("simulate_two_stage.txt",
+     ["simulate", str(DATA / "simulate_two_stage.json"), "--machine",
+      "--seed", "20240611", "--trials", "1000003"], EXIT_OK),
     # its first stage equals the preparation, so 32 of its sequences have p = 0
-    ("simulate_six_stage.txt", ["simulate", str(DATA / "simulate_six_stage.json"), "--machine"], EXIT_OK),
+    ("simulate_six_stage.txt",
+     ["simulate", str(DATA / "simulate_six_stage.json"), "--machine",
+      "--seed", "18446744073709551557", "--trials", "300000"], EXIT_OK),
 ]
 
 #: Human and ``--machine`` output of amp, prob, operator (default and custom
@@ -88,8 +92,6 @@ NON_FINITE = ["nan", "inf", "-inf", "1e309"]
 MALUS = {
     "initial": {"theta_deg": 0, "alpha_deg": 0, "branch": "+"},
     "stages": [{"theta_deg": 45, "alpha_deg": 0}, {"theta_deg": 90, "alpha_deg": 0}],
-    "seed": 42,
-    "trials": 100000,
 }
 
 
@@ -480,7 +482,9 @@ class TestSimulate:
         assert sum(by_seq.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_report(self, capsys, malus_file):
-        code, lines = run_capture(capsys, ["simulate", malus_file, "--machine"])
+        code, lines = run_capture(
+            capsys, ["simulate", malus_file, "--machine", "--seed", "42", "--trials", "100000"]
+        )
         assert code == EXIT_OK
         report = fields(lines[-1])
         assert report["_record"] == "report"
@@ -490,13 +494,11 @@ class TestSimulate:
         samples = [fields(l) for l in lines if l.startswith("sample")]
         assert sum(int(s["count"]) for s in samples) == 100000
 
-    def test_flags_override_file(self, capsys, malus_file):
-        code, lines = run_capture(
-            capsys, ["simulate", malus_file, "--machine", "--seed", "7", "--trials", "1000"]
-        )
+    def test_no_flags_sample_seed_0_at_the_default_trials(self, capsys, malus_file):
+        code, lines = run_capture(capsys, ["simulate", malus_file, "--machine"])
+        assert code == EXIT_OK
         report = fields(lines[-1])
-        assert report["seed"] == "7"
-        assert report["trials"] == "1000"
+        assert (report["seed"], report["trials"]) == ("0", "100000")
 
     def test_deterministic_output(self, capsys, malus_file):
         _, first = run_capture(capsys, ["simulate", malus_file, "--machine"])
@@ -555,8 +557,8 @@ class TestSimulate:
         assert expected[0] == EXIT_OK
 
     def test_sample_lines_print_the_library_statistics(self, capsys, malus_file):
-        _, lines = run_capture(capsys, ["simulate", malus_file, "--machine"])
-        dist = exact_distribution(load_scenario_file(malus_file).scenario)
+        _, lines = run_capture(capsys, ["simulate", malus_file, "--machine", "--seed", "42"])
+        dist = exact_distribution(load_scenario_file(malus_file))
         report = sample(dist, seed=42, trials=100000)
         samples = [fields(l) for l in lines if l.startswith("sample")]
         assert [float(s["expected"]) for s in samples] == report.expected.tolist()
@@ -569,13 +571,15 @@ class TestSimulate:
         assert code == EXIT_OK
         assert counted.call_count == 1
 
-    def test_trials_beyond_int64_in_the_file_exits_3(self, capsys, tmp_path):
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({**MALUS, "trials": 10**25}))
-        assert run(["simulate", str(path)]) == EXIT_FILE
+    @pytest.mark.parametrize("key, value", [("seed", 42), ("trials", 1000), ("trials", 10**25)])
+    def test_a_run_setting_in_the_file_exits_3(self, capsys, tmp_path, key, value):
+        # a file is the chain alone: a seed or trial count there is no setting of the run
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({**MALUS, key: value}))
+        assert run(["simulate", str(path), "--seed", "7", "--trials", "1000"]) == EXIT_FILE
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: scenario.trials: ")
-        assert "2**63" in captured.err and captured.out == ""
+        assert captured.err == f"error: {path}: scenario.{key}: unknown key\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -641,7 +645,7 @@ def chain_document(n_stages, first_is_initial, seed=5):
     if first_is_initial:
         stages[0] = {"theta_deg": theta[0], "alpha_deg": alpha[0]}
     initial = {"theta_deg": theta[0], "alpha_deg": alpha[0], "branch": "+"}
-    return {"initial": initial, "stages": stages, "seed": 11, "trials": 5000}
+    return {"initial": initial, "stages": stages}
 
 
 def fstring_simulate_output(dist, report, machine):
@@ -751,11 +755,11 @@ class TestSimulateRows:
         document = chain_document(n_stages, first_is_initial)
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(document))
-        dist = exact_distribution(load_scenario_file(path).scenario)
+        dist = exact_distribution(load_scenario_file(path))
         if first_is_initial:
             assert not dist.probs[len(dist.probs) // 2 :].any()
         report = None if "--exact" in mode else sample(dist, seed=11, trials=5000)
-        assert run(["simulate", str(path), *mode]) == EXIT_OK
+        assert run(["simulate", str(path), *mode, "--seed", "11", "--trials", "5000"]) == EXIT_OK
         assert capsys.readouterr().out == fstring_simulate_output(dist, report, "--machine" in mode)
 
     @given(
@@ -893,8 +897,9 @@ class TestVerify:
         assert any(l.startswith("PASS") for l in lines)
         assert "all invariant suites pass" in lines[-1]
 
-    def test_human_lines_compare_the_residual_the_right_way(self, capsys):
-        code, lines = run_capture(capsys, ["verify", "--draws", "100", "--tolerance", "1e-300"])
+    @pytest.mark.parametrize("tolerance", ["1e-300", "8.9e-16"])
+    def test_human_lines_compare_the_residual_the_right_way(self, capsys, tolerance):
+        code, lines = run_capture(capsys, ["verify", "--draws", "100", "--tolerance", tolerance])
         assert code == EXIT_VERIFY
         suites = [l.split() for l in lines if l.startswith(("PASS", "FAIL"))]
         assert any(words[0] == "FAIL" for words in suites)
@@ -905,6 +910,13 @@ class TestVerify:
             assert relation == ("<" if flag == "PASS" else ">="), words
             assert (residual < tolerance) == (flag == "PASS"), words
 
+    def test_human_lines_print_the_tolerance_in_force(self, capsys):
+        # at one significant digit 8.9e-16 would read 9e-16, above the residual that fails it
+        code, lines = run_capture(capsys, ["verify", "--draws", "100", "--tolerance", "8.9e-16"])
+        assert code == EXIT_VERIFY
+        (chaining,) = [line for line in lines if line.split()[1] == "chaining"]
+        assert chaining.startswith("FAIL") and chaining.endswith(" >= 8.9e-16 (100 draws)")
+
 
 # ---------------------------------------------------------------------------
 # the parser interface
@@ -914,12 +926,13 @@ class TestVerify:
 #: types bound the magnitude (2**1023 and 2**511), and are no longer one type.
 ANGLE, BRANCH, EIGENVALUE = "_angle", "_branch", "_eigenvalue"
 
+#: The end of a valued option's help: argparse writes its default there.
+DEFAULT = " (default: %(default)s)"
+
 HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, "show this help message and exit")
 MACHINE = (("--machine",), "machine", False, None, "machine-readable output")
 RAD = (("--rad",), "rad", False, None, "angles are radians (default: degrees)")
-TOLERANCE = (
-    ("--tolerance",), "tolerance", 1e-12, "_positive_float", "numeric tolerance (default: 1e-12)",
-)
+TOLERANCE = (("--tolerance",), "tolerance", 1e-12, "_positive_float", "numeric tolerance" + DEFAULT)
 MEASURED = [
     ((), "theta_b", None, ANGLE, "plane angle of the measured direction"),
     ((), "alpha_b", None, ANGLE, "relative phase of the measured direction"),
@@ -951,8 +964,8 @@ INTERFACE = {
              [*label_positionals("a"), *label_positionals("b"), *LABEL_FLAGS]),
     "operator": ("observable matrix, eigenvectors and residuals", [
         *MEASURED, *BASIS, *LABEL_FLAGS,
-        (("--r-plus",), "r_plus", 1.0, EIGENVALUE, "value on the parallel branch"),
-        (("--r-minus",), "r_minus", -1.0, EIGENVALUE, "value on the perpendicular branch"),
+        (("--r-plus",), "r_plus", 1.0, EIGENVALUE, "value on the parallel branch" + DEFAULT),
+        (("--r-minus",), "r_minus", -1.0, EIGENVALUE, "value on the perpendicular branch" + DEFAULT),
     ]),
     "eigvec": ("eigenvector pair of the polarization operator", [*MEASURED, *BASIS, *LABEL_FLAGS]),
     "expect": ("polarization expectation value",
@@ -960,14 +973,14 @@ INTERFACE = {
     "simulate": ("exact and Monte Carlo analyzer-chain statistics", [
         ((), "scenario", None, None, "scenario file (JSON, angles in degrees)"),
         HELP, MACHINE,
-        (("--seed",), "seed", None, "_seed_u64", "RNG seed (overrides the file)"),
-        (("--trials",), "trials", None, "_positive_int", "trial count (overrides the file)"),
+        (("--seed",), "seed", 0, "_seed_u64", "RNG seed" + DEFAULT),
+        (("--trials",), "trials", 100_000, "_positive_int", "trial count" + DEFAULT),
         (("--exact",), "exact", False, None, "exact distribution only, no sampling"),
     ]),
     "verify": ("run every invariant suite and report errata", [
         HELP, MACHINE, TOLERANCE,
-        (("--draws",), "draws", 100_000, "_non_negative_int", "random draws per suite"),
-        (("--seed",), "seed", 0, "_seed_u64", "RNG seed for the draws"),
+        (("--draws",), "draws", 100_000, "_non_negative_int", "random draws per suite" + DEFAULT),
+        (("--seed",), "seed", 0, "_seed_u64", "RNG seed for the draws" + DEFAULT),
     ]),
 }
 
@@ -1007,9 +1020,23 @@ def test_help_lists_every_argument(capsys, monkeypatch, name):
         run([name, "--help"])
     assert exc.value.code == EXIT_OK
     out = " ".join(capsys.readouterr().out.split())
-    for option_strings, dest, _, _, help_text in INTERFACE[name][1]:
-        assert " ".join(help_text.split()) in out
+    for option_strings, dest, default, _, help_text in INTERFACE[name][1]:
+        assert " ".join(help_text.replace("%(default)s", str(default)).split()) in out
         assert all(option in out for option in option_strings) and (option_strings or dest in out)
+
+
+@pytest.mark.parametrize("name", INTERFACE)
+def test_help_shows_the_default_of_every_valued_option(monkeypatch, name):
+    # README: every setting is a flag, with its default in --help
+    monkeypatch.setenv("COLUMNS", "300")
+    parser = subcommands()[name][1]
+    out = " ".join(parser.format_help().split())
+    for action in parser._actions:
+        if not action.option_strings or action.nargs == 0:  # a positional, --help or a switch
+            continue
+        assert action.default is not None, action.dest
+        entry = out.split(f"{action.option_strings[-1]} {action.dest.upper()} ", 1)[1]
+        assert entry.split(" --")[0].endswith(f"(default: {action.default})"), entry
 
 
 # ---------------------------------------------------------------------------
@@ -1053,11 +1080,11 @@ def test_deg_is_no_flag(capsys, argv):
 
 @pytest.mark.parametrize("token", ["plus", "PLUS", " + ", "minus"])
 def test_branch_is_exactly_plus_or_minus(capsys, tmp_path, token):
-    expected = f"invalid branch {token!r}: expected '+' or '-'"
+    expected = f"must be '+' or '-', got {token!r}"
     with pytest.raises(SystemExit) as exc:
         run(["amp", "30", "0", token, "0", "0", "+"])
     assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().err.endswith(f"argument branch_a: {expected}\n")
+    assert capsys.readouterr().err.endswith(f"argument branch_a: branch: {expected}\n")
     path = tmp_path / "word.json"
     path.write_text(json.dumps({**MALUS, "initial": {**MALUS["initial"], "branch": token}}))
     assert run(["simulate", str(path)]) == EXIT_FILE

@@ -1,10 +1,10 @@
 """Every layer takes the same values for each input range.
 
 Each range is stated once, in :mod:`polamp.directions`. For a value at or
-near a bound, the CLI flag, the scenario key and the library call must
-either all accept it with the same result or all reject it with the same
-``must be ...`` phrase. The CLI receives the value as text, ``str(value)``;
-a scenario file as JSON holds it. An angle is checked in its own unit,
+near a bound, the CLI flag, the scenario key (an angle's only) and the
+library call must either all accept it with the same result or all reject
+it with the same ``must be ...`` phrase. The CLI receives the value as text,
+``str(value)``; a scenario file as JSON holds it. An angle is checked in its own unit,
 before the conversion to radians, so a scenario's degrees and a radian
 argument take the same numbers.
 """
@@ -67,17 +67,14 @@ def command(argv, target, pick):
     return call
 
 
-def scenario_key(key, read=None):
-    """The scenario layer: ``key`` of the document, or of its ``initial`` object
-    where ``read`` is None, set to the value as JSON decodes it."""
+def scenario_key(key):
+    """The scenario layer: ``key`` of the document's ``initial`` object, set to
+    the value as JSON decodes it."""
 
     def call(value):
         plain = value.item() if isinstance(value, np.generic) else value  # JSON has no numpy types
-        document = {**SCENARIO, key: plain} if read else {
-            **SCENARIO, "initial": {**SCENARIO["initial"], key: plain}
-        }
-        loaded = parse_scenario(json.loads(json.dumps(document)))
-        return read(loaded) if read else None
+        initial = {**SCENARIO["initial"], key: plain}
+        parse_scenario(json.loads(json.dumps({**SCENARIO, "initial": initial})))
 
     return call
 
@@ -100,14 +97,12 @@ LAYERS = {
         command(["simulate", SCENARIO_FILE, "--seed={}"], "polamp.simulate.sample",
                 lambda *a, **k: k["seed"]),
         command(["verify", "--seed={}"], "polamp.verify.run_all", lambda **k: k["seed"]),
-        scenario_key("seed", lambda loaded: loaded.seed),
         lambda v: sample(DISTRIBUTION, seed=v, trials=4).seed,
         lambda v: run_all(draws=0, seed=v) and None,
     ],
     "trials": [
         command(["simulate", SCENARIO_FILE, "--trials={}"], "polamp.simulate.sample",
                 lambda *a, **k: k["trials"]),
-        scenario_key("trials", lambda loaded: loaded.trials),
         patched(lambda v: sample(DISTRIBUTION, seed=0, trials=v),
                 "polamp.simulate.map_in_order", lambda fn, blocks: blocks.stop),
     ],

@@ -10,7 +10,9 @@ through its constructor's checks, and has no method that builds an unchecked
 record. The public constructors of the state and observable records check
 every field, as ``Direction`` and ``BranchLabel`` do. The result records of
 :mod:`polamp.simulate` and :mod:`polamp.verify` store no value that their other
-fields fix: it is a property, and no constructor takes it.
+fields fix: it is a property, and no constructor takes it. The two of them that
+hold arrays equal a record of their own type whose fields are equal, and do
+not hash.
 """
 
 import copy
@@ -33,7 +35,7 @@ from polamp import (
     StateVector2,
     observable_matrix,
 )
-from polamp.simulate import OutcomeDistribution, SampleReport
+from polamp.simulate import OutcomeDistribution, SampleReport, sample
 from polamp.verify import SuiteResult
 
 #: Angles where the cached trig is most fragile: signed zeros, subnormals, the
@@ -236,3 +238,37 @@ def test_a_derived_value_is_no_field(cls):
     assert isinstance(getattr(cls, derived), property)
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
         cls(**dict.fromkeys(names), **{derived: None})
+
+
+TABLE = [0.25, 0.25, 0.5, 0.0]
+
+
+def array_records():
+    """(record, a twin built anew, a record that differs in one field) of each array record."""
+    distribution = OutcomeDistribution(TABLE)
+    report = sample(distribution, 0, 10)
+    return [
+        (distribution, OutcomeDistribution(list(TABLE)), OutcomeDistribution([0.25, 0.25, 0.0, 0.5])),
+        (distribution, OutcomeDistribution(TABLE), OutcomeDistribution([0.5, 0.5])),
+        (report, sample(OutcomeDistribution(TABLE), 0, 10), dataclasses.replace(report, seed=1)),
+        (report, report, sample(distribution, 0, 11)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record, twin, other", array_records(), ids=["table", "shape", "seed", "trials"]
+)
+def test_array_records_compare_by_value(record, twin, other):
+    assert record == twin and not record != twin
+    assert record != other and not record == other
+    for stranger in (None, tuple(getattr(record, f.name) for f in dataclasses.fields(record)), 0.25):
+        assert record != stranger and not record == stranger
+    assert OutcomeDistribution(TABLE) != sample(OutcomeDistribution(TABLE), 0, 10)
+
+
+def test_array_records_do_not_hash():
+    distribution = OutcomeDistribution(TABLE)
+    for record in (distribution, sample(distribution, 0, 10)):
+        assert type(record).__hash__ is None
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)
