@@ -96,14 +96,15 @@ def _read_label(label: BranchLabel) -> tuple[Direction, bool]:
     return direction, branch is _MINUS
 
 
-def _block(a: Direction, b: Direction):
+def _block(a: Direction, b: Direction, names=("direction", "direction")):
     """:func:`amp_matrix`'s block between two directions, from the cos/sin each
     :class:`~polamp.directions.Direction` holds and ``cmath.exp`` of the phase
-    difference: a block of Python complex. Every label function reads its
-    directions here, so this is where a non-:class:`Direction` is rejected.
+    difference: a block of Python complex. Every label function reads its directions
+    here, so this is where a non-:class:`Direction` is rejected, by its name in ``names``.
     """
     if not (isinstance(a, Direction) and isinstance(b, Direction)):
-        raise _must_be(b if isinstance(a, Direction) else a, "direction", "a Direction")
+        a_ok = isinstance(a, Direction)
+        raise _must_be(b if a_ok else a, names[a_ok], "a Direction")
     _, alpha_a, cos_a, sin_a = a
     _, alpha_b, cos_b, sin_b = b
     return _combine(cos_a, sin_a, cos_b, sin_b, cmath.exp(1j * (alpha_a - alpha_b)))

@@ -13,29 +13,30 @@ product construction is the only route here, written once in
 :func:`_elements`. It takes a block from either trig source of
 :mod:`polamp.amplitudes`: :func:`observable_elements_product` is the
 batched form over the kernel :func:`~polamp.amplitudes.amp_matrix`, and
-:func:`observable_matrix` the scalar form over one label block, bit for
+:class:`Observable2` the scalar form over one label block, bit for
 bit equal to the batched form on Python floats. The closed trig
 expressions live in :mod:`polamp.closedforms`, where :mod:`polamp.verify`
 checks them against it.
 
-The scalar forms (:func:`observable_matrix`, :func:`eigenvector_states`,
+The scalar forms (:class:`Observable2`, :func:`eigenvector_states`,
 :func:`expectation` and :func:`expectation_closed`) compute on Python
 complex alone, from the label blocks and the cos/sin each direction holds.
 numpy is imported only by the kernel, for the batched form, so ``import
-polamp`` and the scalar API run without it. :func:`observable_matrix` checks
-its eigenvalues once and builds the record in :func:`_observable`, which
-:func:`polarization_operator` calls directly with its constant +1 and -1.
-:class:`Observable2` is an immutable record (:mod:`polamp.directions`).
+polamp`` and the scalar API run without it. An :class:`Observable2`
+(:func:`observable_matrix` in the paper's terms) is an immutable record
+(:mod:`polamp.directions`) of two directions and two eigenvalues, from which
+it computes its elements.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .amplitudes import StateVector2, _block, _probability_of, _read_label, _squared, amp_matrix
 from .directions import (
     DEFAULT_TOLERANCE,
     BranchLabel,
     Direction,
-    _complex,
     _instance,
     _new,
     _Record,
@@ -44,27 +45,24 @@ from .directions import (
 
 
 class Observable2(_Record):
-    """A 2x2 Hermitian observable with its defining eigenvalues and directions.
+    """The observable with values (r_plus, r_minus) on the branches of
+    ``measure_dir``, as a 2x2 Hermitian matrix over the outcomes of ``basis_dir``.
 
-    ``measure_dir`` is the direction whose branches carry the eigenvalues
-    (r_plus, r_minus); ``basis_dir`` is the direction whose outcomes index
-    the matrix elements. The elements must be complex numbers (not bools)
-    and the eigenvalues pass :func:`~polamp.directions.check_eigenvalue`.
+    It is the tuple ``(measure_dir, basis_dir, r_plus, r_minus, m11, m12, m21, m22)``:
+    the two directions and the eigenvalues (:func:`~polamp.directions.check_eigenvalue`)
+    are checked, and the elements computed from them by :func:`_elements`.
     """
 
     __slots__ = ()
-    _fields = ("m11", "m12", "m21", "m22", "r_plus", "r_minus", "measure_dir", "basis_dir")
+    _fields = ("measure_dir", "basis_dir", "r_plus", "r_minus")
 
-    def __new__(
-        cls, m11: complex, m12: complex, m21: complex, m22: complex,
-        r_plus: float, r_minus: float, measure_dir: Direction, basis_dir: Direction,
-    ):
-        elements = (_complex(m, name) for m, name in zip((m11, m12, m21, m22), cls._fields))
-        return _new(cls, (
-            *elements, check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus"),
-            _instance(measure_dir, Direction, "measure_dir"),
-            _instance(basis_dir, Direction, "basis_dir"),
-        ))
+    def __new__(cls, measure_dir: Direction, basis_dir: Direction, r_plus: float, r_minus: float):
+        r_plus, r_minus = check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus")
+        block = _block(basis_dir, measure_dir, ("basis_dir", "measure_dir"))
+        (m11, m12), (m21, m22) = _elements(block, r_plus, r_minus)
+        return _new(cls, (measure_dir, basis_dir, r_plus, r_minus, m11, m12, m21, m22))
+
+    m11, m12, m21, m22 = (property(itemgetter(index)) for index in range(4, 8))
 
     @property
     def trace(self) -> complex:
@@ -98,24 +96,8 @@ def observable_elements_product(theta_c, alpha_c, theta_b, alpha_b, r_plus, r_mi
     return _elements(amp_matrix(theta_c, alpha_c, theta_b, alpha_b), r_plus, r_minus)
 
 
-def observable_matrix(
-    measure: Direction, basis: Direction, r_plus: float, r_minus: float
-) -> Observable2:
-    """Observable with values (r_plus, r_minus) on the branches of ``measure``,
-    as a matrix over the outcomes of ``basis``.
-
-    Built from amplitude products; the result is Hermitian with trace r_plus + r_minus
-    and determinant r_plus * r_minus, both finite by :func:`~polamp.directions.check_eigenvalue`.
-    """
-    r_plus, r_minus = check_eigenvalue(r_plus, "r_plus"), check_eigenvalue(r_minus, "r_minus")
-    return _observable(measure, basis, r_plus, r_minus)
-
-
-def _observable(measure: Direction, basis: Direction, r_plus: float, r_minus: float) -> Observable2:
-    """:func:`observable_matrix` on eigenvalues that are already checked."""
-    # one label block through the batched form's formula: its bits on Python floats
-    (m11, m12), (m21, m22) = _elements(_block(basis, measure), r_plus, r_minus)
-    return _new(Observable2, (m11, m12, m21, m22, r_plus, r_minus, measure, basis))
+#: The paper's name for the :class:`Observable2` constructor.
+observable_matrix = Observable2
 
 
 def polarization_operator(measure: Direction, basis: Direction) -> Observable2:
@@ -123,7 +105,9 @@ def polarization_operator(measure: Direction, basis: Direction) -> Observable2:
 
     Traceless, determinant -1, and involutory (its square is the identity).
     """
-    return _observable(measure, basis, +1.0, -1.0)
+    # the constants need no eigenvalue check; _block checks the directions
+    (m11, m12), (m21, m22) = _elements(_block(basis, measure), 1.0, -1.0)
+    return _new(Observable2, (measure, basis, 1.0, -1.0, m11, m12, m21, m22))
 
 
 def eigenvector_states(
@@ -144,11 +128,11 @@ def expectation(state: StateVector2, obs: Observable2) -> float:
     """Expectation value <state| obs |state>.
 
     ``obs`` must be an :class:`Observable2`, and ``state`` a :class:`StateVector2`
-    normalized within the package tolerance ``DEFAULT_TOLERANCE``. The
-    imaginary residue of the quadratic form, zero up to rounding for Hermitian
-    matrices, rounds in proportion to the eigenvalues: it is checked against
-    the tolerance times the larger of 1 and ``|r_plus|``, ``|r_minus|``, and
-    discarded.
+    normalized within the package tolerance ``DEFAULT_TOLERANCE``. Every
+    :class:`Observable2` is built Hermitian, so the imaginary residue of the
+    quadratic form is rounding alone, in proportion to the eigenvalues: the
+    check against the tolerance times the larger of 1 and ``|r_plus|``,
+    ``|r_minus|`` guards that rounding, and the residue is discarded.
     """
     state, obs = _instance(state, StateVector2, "state"), _instance(obs, Observable2, "obs")
     tol = DEFAULT_TOLERANCE

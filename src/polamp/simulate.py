@@ -45,6 +45,7 @@ from .directions import (
     BranchLabel,
     Direction,
     _instance,
+    _must_be,
     check_count,
     check_seed,
 )
@@ -89,7 +90,7 @@ class MeasurementScenario:
 
 
 class _ArrayRecord:
-    """A record of arrays: equal to a record of its type with equal fields, and unhashable."""
+    """A record of arrays, equal by field to one of its type, unhashable, pickled via its checks."""
 
     __hash__ = None
 
@@ -98,6 +99,9 @@ class _ArrayRecord:
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution(_ArrayRecord):
@@ -105,15 +109,18 @@ class OutcomeDistribution(_ArrayRecord):
 
     ``probs[i]`` is the probability of sequence ``i`` (module docstring),
     whose label is the ``i``-th of :func:`sequence_labels`. Summing out the
-    last stage is ``probs.reshape(-1, 2).sum(axis=1)``. ``probs`` is stored as a
-    read-only float64 copy, so the checks hold for its life: it is 1-D, with ``2**n``
-    finite, non-negative entries (``n = n_stages >= 1``, read from its length), not all 0,
-    summing to 1 within ``8 * (n + 1)`` eps (5x :func:`exact_distribution`'s worst rounding).
+    last stage is ``probs.reshape(-1, 2).sum(axis=1)``. A table of integers or floats is
+    stored as a read-only float64 copy, so the checks hold for its life: it is 1-D, with
+    ``2**n`` finite, non-negative entries (``n = n_stages >= 1``, read from its length), not
+    all 0, summing to 1 within ``8 * (n + 1)`` eps (5x the worst rounding of
+    :func:`exact_distribution`).
     """
 
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if np.asarray(self.probs).dtype.kind not in "iuf":
+            raise _must_be(self.probs, "probs", "a table of integers or floats")
         probs = np.array(self.probs, dtype=np.float64)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -135,17 +142,39 @@ class OutcomeDistribution(_ArrayRecord):
 
 @dataclass(frozen=True, eq=False)
 class SampleReport(_ArrayRecord):
-    """Counts per outcome sequence from a seeded Monte Carlo run."""
+    """Counts per outcome sequence from a seeded Monte Carlo run of ``distribution``, an
+    :class:`OutcomeDistribution`: ``counts[i]`` is sequence ``i``'s, stored as a read-only
+    int64 copy of the shape of ``distribution.probs``. Every other value is read from these.
+    """
 
+    distribution: OutcomeDistribution
     seed: int
-    trials: int
-    #: Count of every sequence, indexed as ``OutcomeDistribution.probs``.
     counts: np.ndarray = field(repr=False)
-    #: Expected count of every sequence, trials * p.
-    expected: np.ndarray = field(repr=False)
-    #: |count - expected| of every sequence in binomial standard deviations;
-    #: 0 where p is 0 or 1 and the count matches, inf where it does not.
-    sigma: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        probs = _instance(self.distribution, OutcomeDistribution, "distribution").probs
+        counts = np.array(self.counts, dtype=np.int64)
+        if counts.shape != probs.shape:
+            raise _must_be(self.counts, "counts", f"a count per sequence, shape {probs.shape}")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def trials(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def expected(self) -> np.ndarray:
+        return self.trials * self.distribution.probs
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """|count - expected| of every sequence in binomial standard deviations."""
+        # where p is 0 or 1 the deviation is 0/0 = nan if the count matches, else inf
+        probs, trials = self.distribution.probs, self.trials
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma = np.abs(self.counts - trials * probs) / np.sqrt(trials * probs * (1.0 - probs))
+        return np.where(np.isnan(sigma), 0.0, sigma)
 
     @property
     def max_abs_deviation_sigma(self) -> float:
@@ -208,12 +237,9 @@ def sample(
     these numbers are its counts (bit-identical for any block size and
     thread count). A double in the rounding tail, at or above ``cum[-1]``,
     maps to the last sequence with nonzero probability, so p = 0 is never
-    drawn. ``distribution`` must be an :class:`OutcomeDistribution`, which has
-    checked its probabilities on construction.
-    ``seed``, ``trials`` and ``block_size`` pass the checks of :mod:`polamp.directions`.
-
-    The report's ``max_abs_deviation_sigma``, the largest of its ``sigma``, is the largest
-    per-sequence deviation from the expected count in binomial standard deviations.
+    drawn. ``distribution`` must be an :class:`OutcomeDistribution`, which has checked
+    its probabilities, and ``seed``, ``trials`` and ``block_size`` pass the checks of
+    :mod:`polamp.directions`. The report holds ``distribution``, ``seed`` and the counts.
     """
     distribution = _instance(distribution, OutcomeDistribution, "distribution")
     seed, trials = check_seed(seed), check_count(trials, "trials")
@@ -237,14 +263,4 @@ def sample(
     counts = np.diff(below, prepend=0)
     counts[last_possible] += trials - below[-1]
 
-    expected = trials * probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.abs(counts - expected) / np.sqrt(trials * probs * (1.0 - probs))
-    sigma[np.isnan(sigma)] = 0.0  # 0/0: p is 0 or 1 and the count matches
-    return SampleReport(
-        seed=seed,
-        trials=trials,
-        counts=counts,
-        expected=expected,
-        sigma=sigma,
-    )
+    return SampleReport(distribution, seed, counts)

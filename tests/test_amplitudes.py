@@ -395,8 +395,13 @@ DIRECTION_ARGUMENTS = {
 }
 
 
-#: A scenario checks its fields when it is built, and names them as fields.
-FIELD_NAMES = {"exact_distribution.stage": "stages[1]", "exact_distribution.initial": "initial"}
+#: A scenario and an observable check their fields when they are built, and name them as fields.
+FIELD_NAMES = {
+    "exact_distribution.stage": "stages[1]",
+    "exact_distribution.initial": "initial",
+    "observable_matrix.measure": "measure_dir",
+    "observable_matrix.basis": "basis_dir",
+}
 
 
 # a plain 4-tuple has a Direction's layout, (theta, alpha, cos, sin), but no check behind it

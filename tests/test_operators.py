@@ -26,7 +26,7 @@ from polamp import (
 )
 from polamp.amplitudes import StateVector2
 from polamp.closedforms import observable_elements
-from polamp.directions import DEFAULT_TOLERANCE
+from polamp.directions import DEFAULT_TOLERANCE, _new
 
 TOL = 1e-12
 
@@ -278,8 +278,10 @@ class TestExpectation:
         assert math.isfinite(expectation(state_vector(plus(ta, aa), c), obs))
 
     def test_rejects_non_hermitian_matrix(self):
+        # the constructor computes only Hermitian elements, so the check, which guards
+        # rounding, is reached by a record built past it, with m21 not conj(m12)
         d = Direction(0.0)
-        obs = Observable2(1, 1j, 1j, -1, 1.0, -1.0, d, d)  # m21 is not conj(m12)
+        obs = _new(Observable2, (d, d, 1.0, -1.0, 1 + 0j, 1j, 1j, -1 + 0j))
         state = StateVector2(math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j)
         with pytest.raises(ValueError, match="not Hermitian"):
             expectation(state, obs)

@@ -8,15 +8,18 @@ what a caller sees: a record equals only a record of its own type, hashes as
 it compares, prints its fields only, cannot be changed, pickles and copies
 through its constructor's checks, and has no method that builds an unchecked
 record. The public constructors of the state and observable records check
-every field, as ``Direction`` and ``BranchLabel`` do. The result records of
-:mod:`polamp.simulate` and :mod:`polamp.verify` store no value that their other
-fields fix: it is a property, and no constructor takes it. The two of them that
-hold arrays equal a record of their own type whose fields are equal, and do
-not hash.
+every field, as ``Direction`` and ``BranchLabel`` do. No record stores a value
+that its other fields fix: an ``Observable2`` computes its elements from its
+directions and eigenvalues, and the result records of :mod:`polamp.simulate`
+and :mod:`polamp.verify` read such a value as a property that no constructor
+takes. Every record that ``polamp`` exports is in one of the tables below. The
+two records that hold arrays equal a record of their own type whose fields are
+equal, and do not hash.
 """
 
 import copy
 import dataclasses
+import enum
 import math
 import operator
 import pickle
@@ -27,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polamp
 from polamp import (
     Branch,
     BranchLabel,
@@ -35,8 +39,8 @@ from polamp import (
     StateVector2,
     observable_matrix,
 )
-from polamp.simulate import OutcomeDistribution, SampleReport, sample
-from polamp.verify import SuiteResult
+from polamp.simulate import MeasurementScenario, OutcomeDistribution, SampleReport, sample
+from polamp.verify import ErrataRecord, SuiteResult, VerifyReport
 
 #: Angles where the cached trig is most fragile: signed zeros, subnormals, the
 #: smallest normal and the largest powers of two a ``Direction`` takes.
@@ -63,7 +67,7 @@ FIELDS = {
     Direction: ("theta", "alpha"),
     BranchLabel: ("direction", "branch"),
     StateVector2: ("c_plus", "c_minus"),
-    Observable2: ("m11", "m12", "m21", "m22", "r_plus", "r_minus", "measure_dir", "basis_dir"),
+    Observable2: ("measure_dir", "basis_dir", "r_plus", "r_minus"),
 }
 
 #: Each record type's public attributes besides its fields: read-only
@@ -72,7 +76,7 @@ DERIVED = {
     Direction: set(),
     BranchLabel: set(),
     StateVector2: {"norm"},
-    Observable2: {"trace", "determinant"},
+    Observable2: {"m11", "m12", "m21", "m22", "trace", "determinant"},
 }
 
 
@@ -170,7 +174,7 @@ def test_no_method_builds_an_unchecked_record(cls):
 #: A valid argument list of each checked constructor.
 VALID = {
     StateVector2: (0.6 + 0j, 0.8j),
-    Observable2: (1 + 0j, 0j, 0j, -1 + 0j, 1.0, -1.0, Direction(0.3), Direction(0.0)),
+    Observable2: (Direction(0.3), Direction(0.0), 1.0, -1.0),
 }
 
 #: What a field of each kind takes, and values it rejects.
@@ -179,7 +183,7 @@ EIGENVALUE = ("a finite number below 2**511 in magnitude", [math.nan, 2.0**511, 
 DIRECTION = ("a Direction", [(0.3, 0.0), 0.3, Direction(0.3) * 1])
 KINDS = {
     StateVector2: [COMPLEX] * 2,
-    Observable2: [COMPLEX] * 4 + [EIGENVALUE] * 2 + [DIRECTION] * 2,
+    Observable2: [DIRECTION] * 2 + [EIGENVALUE] * 2,
 }
 
 
@@ -203,8 +207,30 @@ def test_public_constructors_check_every_field(cls, index, bad, what):
 def test_public_constructors_take_any_complex_number_and_real_eigenvalues():
     state = StateVector2(1, 0.0)
     assert state == StateVector2(1 + 0j, 0j) and state.norm == 1.0
-    obs = Observable2(*VALID[Observable2][:4], 3, -2, Direction(0.3), Direction(0.0))
+    obs = Observable2(Direction(0.3), Direction(0.0), 3, -2)
     assert (type(obs.r_plus), obs.r_plus, obs.r_minus) == (float, 3.0, -2.0)
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+def test_no_constructor_takes_a_derived_value(cls):
+    for name in DERIVED[cls]:
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            cls(*VALID[cls], **{name: 0})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # an observable whose trace, 2, is not the sum of its eigenvalues, 12
+        lambda: Observable2(1, 0, 0, 1, 5.0, 7.0, Direction(0.3), Direction(0.0)),
+        # a report of 10 trials whose counts sum to 2
+        lambda: SampleReport(0, 10, [1, 1], [99.0, 99.0], [0.0, 0.0]),
+    ],
+    ids=["Observable2", "SampleReport"],
+)
+def test_a_record_that_contradicts_itself_cannot_be_built(build):
+    with pytest.raises(TypeError, match=r"positional arguments but \d were given"):
+        build()
 
 
 @given(records)
@@ -223,11 +249,17 @@ def test_records_have_no_order(record):
             compare(record, twin)
 
 
-#: Each result record's stored fields, and the value it derives from them.
+#: Each result record's stored fields, and the values it derives from them.
 RESULT_FIELDS = {
-    OutcomeDistribution: (("probs",), "n_stages"),
-    SuiteResult: (("name", "draws", "max_residual", "tolerance"), "passed"),
-    SampleReport: (("seed", "trials", "counts", "expected", "sigma"), "max_abs_deviation_sigma"),
+    OutcomeDistribution: (("probs",), {"n_stages"}),
+    SampleReport: (
+        ("distribution", "seed", "counts"),
+        {"trials", "expected", "sigma", "max_abs_deviation_sigma"},
+    ),
+    MeasurementScenario: (("initial", "stages"), {"n_stages"}),
+    SuiteResult: (("name", "draws", "max_residual", "tolerance"), {"passed"}),
+    VerifyReport: (("suites", "errata"), {"passed"}),
+    ErrataRecord: (("equation", "element", "paper_value", "derived_value", "max_abs_diff"), set()),
 }
 
 
@@ -235,9 +267,19 @@ RESULT_FIELDS = {
 def test_a_derived_value_is_no_field(cls):
     names, derived = RESULT_FIELDS[cls]
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
-    assert isinstance(getattr(cls, derived), property)
-    with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
-        cls(**dict.fromkeys(names), **{derived: None})
+    for name in derived:
+        assert isinstance(getattr(cls, name), property)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            cls(**dict.fromkeys(names), **{name: None})
+
+
+def test_every_exported_record_is_in_a_table():
+    exported = {getattr(polamp, name) for name in polamp.__all__}
+    records = {
+        obj for obj in exported
+        if isinstance(obj, type) and not issubclass(obj, (enum.Enum, Exception))
+    }
+    assert records == set(FIELDS) | set(RESULT_FIELDS)
 
 
 TABLE = [0.25, 0.25, 0.5, 0.0]
@@ -272,3 +314,11 @@ def test_array_records_do_not_hash():
         assert type(record).__hash__ is None
         with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
             hash(record)
+
+
+def test_array_records_pickle_and_copy_through_their_checks():
+    distribution = OutcomeDistribution(TABLE)
+    for record, array in ((distribution, "probs"), (sample(distribution, 0, 10), "counts")):
+        for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(again) is type(record) and again == record
+            assert not getattr(again, array).flags.writeable

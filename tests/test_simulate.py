@@ -225,8 +225,41 @@ class TestSample:
     def test_largest_deviation_is_read_from_sigma(self):
         report = sample(exact_distribution(malus_chain()), seed=5, trials=20000)
         assert report.max_abs_deviation_sigma == float(report.sigma.max())
-        built = SampleReport(0, 10, np.array([10, 0]), np.array([5.0, 5.0]), np.array([0.0, 3.0]))
-        assert built.max_abs_deviation_sigma == 3.0
+        built = SampleReport(OutcomeDistribution([0.5, 0.5]), 0, [10, 0])
+        assert (built.trials, built.expected.tolist()) == (10, [5.0, 5.0])
+        assert built.sigma.tolist() == pytest.approx([10**0.5] * 2, rel=1e-15)
+        assert built.max_abs_deviation_sigma == float(built.sigma.max())
+
+    def test_a_certain_outcome_deviates_by_zero_or_infinitely_many_sigma(self):
+        certain = OutcomeDistribution([1.0, 0.0])
+        assert SampleReport(certain, 0, [10, 0]).sigma.tolist() == [0.0, 0.0]
+        assert SampleReport(certain, 0, [9, 1]).sigma.tolist() == [math.inf, math.inf]
+
+    def test_counts_are_a_read_only_copy(self):
+        fair = OutcomeDistribution([0.5, 0.5])
+        report = sample(fair, 0, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            report.counts[0] = 99
+        assert report.counts.tolist() == [6, 4] and report.trials == 10
+        source = np.array([4, 6])
+        built = SampleReport(fair, 0, source)
+        source[0] = 99
+        assert built.counts.tolist() == [4, 6] and built.counts.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "distribution, counts, what",
+        [
+            ([0.5, 0.5], [5, 5], "distribution: must be an OutcomeDistribution, got list"),
+            (
+                OutcomeDistribution([0.5, 0.5]), [3, 3, 4],
+                "counts: must be a count per sequence, shape (2,), got list",
+            ),
+        ],
+        ids=["distribution", "counts"],
+    )
+    def test_a_report_checks_its_fields(self, distribution, counts, what):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+            SampleReport(distribution, 0, counts)
 
     def test_seed_changes_counts(self):
         dist = exact_distribution(malus_chain())
@@ -317,6 +350,16 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError, match=f"^{what}$"):
             OutcomeDistribution(probs)
 
+    @pytest.mark.parametrize(
+        "probs, shown",
+        [([0.5 + 0j, 0.5], "list"), ({"a": 1}, "dict"), ("ab", "'ab'"), ([True, False], "list")],
+        ids=["complex", "dict", "str", "bool"],
+    )
+    def test_table_of_no_integers_or_floats_rejected(self, probs, shown):
+        what = f"probs: must be a table of integers or floats, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+            OutcomeDistribution(probs)
+
     def test_stage_count_is_read_from_the_table_length(self):
         for k in range(1, 21):
             # 2**k entries of 2**-k sum to 1 exactly; 8 MB at k = 20
@@ -327,6 +370,8 @@ class TestOutcomeDistribution:
         dist = OutcomeDistribution([0.25, 0, 0.5, 0.25])
         assert isinstance(dist.probs, np.ndarray) and dist.probs.dtype == np.float64
         assert dist.probs.tolist() == [0.25, 0.0, 0.5, 0.25]
+        for table in ([0, 1], np.array([0, 1], dtype=np.int8)):
+            assert OutcomeDistribution(table).probs.tolist() == [0.0, 1.0]
         report = sample(dist, seed=3, trials=1000)
         assert report.counts.sum() == 1000 and report.counts[1] == 0
 
