@@ -256,8 +256,9 @@ def cmd_simulate(args) -> int:
     report = sample(dist, seed=args.seed, trials=args.trials)
     if not machine:
         print(f"monte carlo: seed={report.seed} trials={report.trials}")
-    _write_rows(_SAMPLE_ROW[machine], dist.n_stages, report.counts, report.expected, report.sigma)
-    max_sigma = report.max_abs_deviation_sigma
+    sigma = report.sigma
+    _write_rows(_SAMPLE_ROW[machine], dist.n_stages, report.counts, report.expected, sigma)
+    max_sigma = float(sigma.max())
     human = f"max deviation = {max_sigma:.2f} sigma"
     _record(args, "report", human, seed=report.seed, trials=report.trials, max_sigma=max_sigma)
     return EXIT_OK

@@ -15,19 +15,22 @@ Randomness contract
 -------------------
 Sampling uses the counter-based Philox-4x64-10 generator (numpy), keyed by
 the user seed, which is platform-independent and seedable. Trial ``i``
-consumes exactly the ``i``-th double of that stream, so results are
-deterministic in (scenario, seed, trials). Stream-split rule for parallel
-or blocked execution: partition the trial index space into contiguous
-ranges whose boundaries are multiples of 4 (the Philox output block is
-four 64-bit words); a worker owning [lo, hi) reconstructs its uniforms by
+reads exactly the ``i``-th 64-bit word of that stream, so results are
+deterministic in (scenario, seed, trials). Its uniform is
+``u = (word >> 11) * 2**-53``, the double numpy's ``Generator.random``
+makes of the same word; the counts never build it and so rest only on the
+bit stream that NEP 19 guarantees. Stream-split rule for parallel or
+blocked execution: partition the trial index space into contiguous ranges
+whose boundaries are multiples of 4 (the Philox output block is four
+64-bit words); a worker owning [lo, hi) reconstructs its words by
 advancing the counter ``lo / 4`` blocks. :func:`sample` applies the rule
 across threads: its blocks run on one thread per available CPU, each block
-draws its own doubles and counts those below each cumulative probability,
-and the per-sequence sums are bit-identical for every partition and every
-thread count. A block of n doubles counts a table of at most
-``n.bit_length()`` entries by one comparison pass per entry, and a longer
-table by sorting (about log2 n passes) and ``searchsorted``; both give the
-same exact counts.
+reads its own words and counts those below the integer limit of each
+cumulative probability it needs, and the per-sequence sums are
+bit-identical for every partition and every thread count. A block of n
+words counts at most ``n.bit_length()`` limits by one comparison pass per
+limit, and more by sorting (about log2 n passes) and ``searchsorted``;
+both give the same exact counts.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from .directions import (
     check_seed,
 )
 
-#: Trials per sampling block by default (a multiple of 4). A block is drawn
-#: inside the thread that counts it, so the uniforms held at once are 2 MB
+#: Trials per sampling block by default (a multiple of 4). A block is read
+#: inside the thread that counts it, so the words held at once are 2 MB
 #: (8 B per trial) per thread, one thread per available CPU, for any trial count.
 DEFAULT_BLOCK_SIZE = 1 << 18
 
@@ -89,6 +92,18 @@ class MeasurementScenario:
         return len(self.stages)
 
 
+def _table(value, name: str, kinds: str, what: str) -> np.ndarray:
+    """``value`` as an array of a dtype kind in ``kinds``; any other value, a ragged
+    nesting of sequences included, is a ``ValueError`` that names ``name``."""
+    try:
+        table = np.asarray(value)
+    except ValueError:
+        table = None
+    if table is None or table.dtype.kind not in kinds:
+        raise _must_be(value, name, what)
+    return table
+
+
 class _ArrayRecord:
     """A record of arrays, equal by field to one of its type, unhashable, pickled via its checks."""
 
@@ -119,9 +134,8 @@ class OutcomeDistribution(_ArrayRecord):
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if np.asarray(self.probs).dtype.kind not in "iuf":
-            raise _must_be(self.probs, "probs", "a table of integers or floats")
-        probs = np.array(self.probs, dtype=np.float64)
+        what = "a table of integers or floats"
+        probs = np.array(_table(self.probs, "probs", "iuf", what), dtype=np.float64)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         n = self.n_stages
@@ -143,8 +157,9 @@ class OutcomeDistribution(_ArrayRecord):
 @dataclass(frozen=True, eq=False)
 class SampleReport(_ArrayRecord):
     """Counts per outcome sequence from a seeded Monte Carlo run of ``distribution``, an
-    :class:`OutcomeDistribution`: ``counts[i]`` is sequence ``i``'s, stored as a read-only
-    int64 copy of the shape of ``distribution.probs``. Every other value is read from these.
+    :class:`OutcomeDistribution`: ``counts[i]`` is sequence ``i``'s. A table of non-negative
+    integers of the shape of ``distribution.probs`` is stored as a read-only int64 copy.
+    Every other value is read from these.
     """
 
     distribution: OutcomeDistribution
@@ -153,9 +168,12 @@ class SampleReport(_ArrayRecord):
 
     def __post_init__(self):
         probs = _instance(self.distribution, OutcomeDistribution, "distribution").probs
-        counts = np.array(self.counts, dtype=np.int64)
+        what = "a table of non-negative integers"
+        counts = np.array(_table(self.counts, "counts", "iu", what), dtype=np.int64)
         if counts.shape != probs.shape:
             raise _must_be(self.counts, "counts", f"a count per sequence, shape {probs.shape}")
+        if np.any(counts < 0):
+            raise _must_be(self.counts, "counts", what)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -206,18 +224,18 @@ def exact_distribution(scenario: MeasurementScenario) -> OutcomeDistribution:
     return OutcomeDistribution(probs)
 
 
-def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Doubles ``start .. start+count`` of the Philox(key=seed) stream.
+def _word_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Words ``start .. start+count`` of the Philox(key=seed) stream, as uint64.
 
     ``start`` must be a multiple of 4: Philox emits four 64-bit words per
-    counter block and one double consumes one word.
+    counter block.
     """
     if start % 4 != 0:
         raise ValueError("block start must be a multiple of 4 (Philox block alignment)")
     bg = np.random.Philox(key=seed)
     if start:
         bg.advance(start // 4)
-    return np.random.Generator(bg).random(count)
+    return bg.random_raw(count)
 
 
 def sample(
@@ -229,17 +247,24 @@ def sample(
     """Monte Carlo realization of ``distribution`` (see :func:`exact_distribution`).
 
     Trial ``i`` draws sequence ``j`` iff ``cum[j-1] <= u < cum[j]``, with
-    ``u`` its stream double (module docstring) and ``cum`` the cumulative
-    probabilities. Trials run in blocks of ``block_size`` (a multiple of 4),
-    on one thread per available CPU. A block of n doubles counts those below
-    each ``cum[j]`` by comparison when ``cum`` has at most ``n.bit_length()``
-    entries, else by sorting them and ``searchsorted``; the differences of
-    these numbers are its counts (bit-identical for any block size and
-    thread count). A double in the rounding tail, at or above ``cum[-1]``,
-    maps to the last sequence with nonzero probability, so p = 0 is never
-    drawn. ``distribution`` must be an :class:`OutcomeDistribution`, which has checked
-    its probabilities, and ``seed``, ``trials`` and ``block_size`` pass the checks of
-    :mod:`polamp.directions`. The report holds ``distribution``, ``seed`` and the counts.
+    ``u = (w >> 11) * 2**-53`` the uniform of its stream word ``w`` (module
+    docstring) and ``cum`` the cumulative probabilities. As ``w >> 11`` is an
+    integer, ``u < c`` holds exactly when ``w < ceil(c * 2**53) * 2**11``: a
+    block counts its words below these limits and never builds ``u``. Only
+    the entries before the last sequence with nonzero probability are
+    counted, since that sequence takes every other trial, the rounding tail
+    at or above ``cum[-1]`` included, so p = 0 is never drawn. Of those, an
+    entry whose step ``ceil(c * 2**53)`` is 0 is passed by no word, and one
+    of ``2**53`` or more (a limit past the last word) by every word, so no
+    block reads either. Trials run in blocks of ``block_size`` (a multiple
+    of 4), on one thread per available CPU. A block of n words counts at
+    most ``n.bit_length()`` limits by comparison, more by sorting the words
+    and ``searchsorted``; the differences of these numbers are its counts
+    (bit-identical for any block size and thread count). ``distribution``
+    must be an :class:`OutcomeDistribution`, which has checked its
+    probabilities, and ``seed``, ``trials`` and ``block_size`` pass the
+    checks of :mod:`polamp.directions`. The report holds ``distribution``,
+    ``seed`` and the counts.
     """
     distribution = _instance(distribution, OutcomeDistribution, "distribution")
     seed, trials = check_seed(seed), check_count(trials, "trials")
@@ -248,19 +273,26 @@ def sample(
         raise ValueError(f"block_size: must be a multiple of 4, got {block_size}")
 
     probs = distribution.probs
-    cum = np.cumsum(probs)
     last_possible = int(np.flatnonzero(probs)[-1])
+    # scaling by a power of two is exact; cum is non-decreasing, so the steps
+    # of 0 (passed by no word) lead and those of 2**53 or more (by all) trail
+    steps = np.ceil(np.cumsum(probs[:last_possible]) * 2.0**53)
+    lo, hi = np.searchsorted(steps, [1.0, 2.0**53])
+    limits = steps[lo:hi].astype(np.uint64) << np.uint64(11)
 
-    def below_cum(lo):
-        u = _uniform_block(seed, lo, min(block_size, trials - lo))
-        # one pass per entry against the sort's ~log2(n) passes
-        if cum.size <= u.size.bit_length():
-            return np.array([np.count_nonzero(u < c) for c in cum])
-        u.sort()
-        return np.searchsorted(u, cum, side="left")
+    def below_limits(start):
+        w = _word_block(seed, start, min(block_size, trials - start))
+        # one pass per limit against the sort's ~log2(n) passes
+        if limits.size <= w.size.bit_length():
+            return np.array([np.count_nonzero(w < limit) for limit in limits], dtype=np.int64)
+        w.sort()
+        return np.searchsorted(w, limits, side="left")
 
-    below = sum(map_in_order(below_cum, range(0, trials, block_size)))
-    counts = np.diff(below, prepend=0)
-    counts[last_possible] += trials - below[-1]
+    below = np.zeros(last_possible, dtype=np.int64)
+    below[hi:] = trials
+    if limits.size:
+        below[lo:hi] = sum(map_in_order(below_limits, range(0, trials, block_size)))
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[: last_possible + 1] = np.diff(below, prepend=0, append=trials)
 
     return SampleReport(distribution, seed, counts)

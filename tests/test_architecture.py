@@ -201,6 +201,65 @@ def test_verify_draws_only_in_its_block_draw_helper():
     assert len(inside) == 1 and len(draw_calls(tree)) == len(inside)
 
 
+#: The names through which a module reads the Philox stream.
+PHILOX = {"Philox", "advance", "random_raw"}
+
+
+def philox_reads(tree: ast.AST) -> list[str]:
+    """Every use of ``Philox`` or of a Philox stream method under ``tree``."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in PHILOX)
+        or (isinstance(node, ast.Name) and node.id in PHILOX)
+    ]
+
+
+def double_draws(tree: ast.AST) -> list[str]:
+    """Every use of ``Generator`` and every ``.random(...)`` call under ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "Generator") or (
+            isinstance(node, ast.Name) and node.id == "Generator"
+        ):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "random":
+            found.append(ast.unparse(node))
+    return found
+
+
+def sampling_path() -> list[str]:
+    """``simulate`` and every polamp module it imports."""
+    imported = imported_modules(parse("simulate"))
+    return ["simulate", *sorted(p.stem for p in SRC.glob("*.py") if f"polamp.{p.stem}" in imported)]
+
+
+def test_sample_reads_philox_only_in_its_word_helper():
+    # the counts rest on the words NEP 19 fixes; a double from Generator.random
+    # would rest them on numpy's conversion as well
+    tree = parse("simulate")
+    inside = philox_reads(top_level_function(tree, "_word_block"))
+    assert inside and len(philox_reads(tree)) == len(inside)
+    path = sampling_path()
+    assert {"_pool", "amplitudes", "directions"} <= set(path)
+    assert {module: double_draws(parse(module)) for module in path} == {module: [] for module in path}
+
+
+def test_stream_guard_sees_a_planted_double_draw():
+    source = (
+        "def _word_block(seed, start, count):\n"
+        "    return np.random.Philox(key=seed).random_raw(count)\n"
+        "def _uniform_block(seed, start, count):\n"
+        "    bg = np.random.Philox(key=seed)\n"
+        "    bg.advance(start // 4)\n"
+        "    return np.random.Generator(bg).random(count)\n"
+    )
+    tree = ast.parse(source)
+    inside = philox_reads(top_level_function(tree, "_word_block"))
+    assert len(inside) == 2 and len(philox_reads(tree)) == 4
+    assert sorted(double_draws(tree)) == ["np.random.Generator", "np.random.Generator(bg).random(count)"]
+
+
 #: The verify suites, in report order.
 SUITE_NAMES = (
     "amplitude_oracle",

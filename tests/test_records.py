@@ -26,6 +26,7 @@ import pickle
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +232,27 @@ def test_no_constructor_takes_a_derived_value(cls):
 def test_a_record_that_contradicts_itself_cannot_be_built(build):
     with pytest.raises(TypeError, match=r"positional arguments but \d were given"):
         build()
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [1.7, -3],  # was stored as [1, -3], a report of -2 trials
+        [4.0, 6.0],
+        np.array([4.0, 6.0]),
+        [-1, 11],
+        np.full(2, 2**63, dtype=np.uint64),  # -2**63 as an int64
+        [True, False],
+        [[1], [2, 3]],
+        "ab",
+    ],
+    ids=["fractional_and_negative", "float", "float_array", "negative", "beyond_int64", "bool", "ragged", "str"],
+)
+def test_a_report_takes_only_non_negative_integer_counts(counts):
+    shown = "list" if isinstance(counts, list) else repr(counts)
+    what = f"counts: must be a table of non-negative integers, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}$"):
+        SampleReport(OutcomeDistribution([0.5, 0.5]), 0, counts)
 
 
 @given(records)

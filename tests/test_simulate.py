@@ -30,8 +30,13 @@ from polamp.simulate import DEFAULT_BLOCK_SIZE, OutcomeDistribution, SampleRepor
 
 TOL = 1e-12
 
-#: The largest double below 1: the top of the sampling stream's range.
-LAST_UNIFORM = np.nextafter(1.0, 0.0)
+#: The all-ones word: the top of the sampling stream, whose uniform is the
+#: largest double below 1.
+LAST_WORD = 2**64 - 1
+
+#: The low 11 bits of a stream word, which its uniform ignores: every case
+#: that builds words runs with them clear and with them set.
+LOW_BITS = {"low_bits_clear": 0, "low_bits_set": 0x7FF}
 
 P, M = Branch.PLUS, Branch.MINUS
 
@@ -53,10 +58,34 @@ def tail_chain():
     )
 
 
-def stream_of(uniforms):
-    """Stand-in for the Philox stream that yields ``uniforms`` in trial order."""
-    uniforms = np.asarray(uniforms, dtype=float)
-    return lambda seed, start, count: uniforms[start : start + count]
+def three_stage_chain():
+    """Three stages at fixed angles: all 8 sequences possible, 7 limits."""
+    return random_chain([0.3, 0.2, 1.1, 0.4, 2.0, 1.3, 0.7, 2.9], 3, False)
+
+
+def stream_of(words):
+    """Stand-in for the Philox stream that yields ``words`` in trial order."""
+    words = np.asarray(words, dtype=np.uint64)
+    return lambda seed, start, count: words[start : start + count].copy()
+
+
+def words_of(uniforms, low):
+    """The stream words whose uniforms are ``uniforms``, each ``k * 2**-53``:
+    word ``k << 11``, its low 11 bits set to ``low``."""
+    steps = np.asarray(uniforms, dtype=float) * 2.0**53
+    assert np.all(steps == np.floor(steps)) and np.all(steps < 2.0**53)
+    return [(int(k) << 11) | low for k in steps]
+
+
+def uniforms_of(words):
+    """Each word's uniform, ``(word >> 11) * 2**-53``: numpy's ``random`` of it."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+def numpy_doubles(seed, count):
+    """The first ``count`` doubles numpy's own ``Generator.random`` draws from
+    the Philox(key=seed) stream: the reference that counts are checked against."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(count)
 
 
 def random_chain(angles, n_stages, first_is_initial):
@@ -352,8 +381,11 @@ class TestOutcomeDistribution:
 
     @pytest.mark.parametrize(
         "probs, shown",
-        [([0.5 + 0j, 0.5], "list"), ({"a": 1}, "dict"), ("ab", "'ab'"), ([True, False], "list")],
-        ids=["complex", "dict", "str", "bool"],
+        [
+            ([0.5 + 0j, 0.5], "list"), ({"a": 1}, "dict"), ("ab", "'ab'"), ([True, False], "list"),
+            ([[0.5], [0.25, 0.25]], "list"),
+        ],
+        ids=["complex", "dict", "str", "bool", "ragged"],
     )
     def test_table_of_no_integers_or_floats_rejected(self, probs, shown):
         what = f"probs: must be a table of integers or floats, got {shown}"
@@ -407,11 +439,13 @@ class TestOutcomeDistribution:
 
 class TestSampleTail:
 
-    def test_rounding_tail_maps_to_a_possible_sequence(self):
+    @pytest.mark.parametrize("low", LOW_BITS.values(), ids=LOW_BITS)
+    def test_rounding_tail_maps_to_a_possible_sequence(self, low):
         dist = exact_distribution(tail_chain())
         probs = dist.probs
-        assert probs[-1] == 0.0 and np.cumsum(probs)[-1] <= LAST_UNIFORM
-        with mock.patch.object(simulate, "_uniform_block", stream_of([LAST_UNIFORM] * 8)):
+        top = words_of([np.nextafter(1.0, 0.0)], low)[0]
+        assert probs[-1] == 0.0 and np.cumsum(probs)[-1] <= uniforms_of([top])[0]
+        with mock.patch.object(simulate, "_word_block", stream_of([top] * 8)):
             report = sample(dist, seed=0, trials=8)
         assert report.counts[np.flatnonzero(probs)[-1]] == 8
         assert report.counts.sum() == 8
@@ -421,27 +455,30 @@ class TestSampleTail:
         angles=st.lists(st.floats(-4.0, 4.0), min_size=14, max_size=14),
         n_stages=st.integers(1, 6),
         first_is_initial=st.booleans(),
-        uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=40),
     )
     @settings(max_examples=200, deadline=None)
-    def test_zero_probability_is_never_sampled(self, angles, n_stages, first_is_initial, uniforms):
+    def test_zero_probability_is_never_sampled(self, angles, n_stages, first_is_initial, words):
         pairs = list(zip(angles[::2], angles[1::2]))
         stages = [Direction(t, a) for t, a in pairs[1 : n_stages + 1]]
         if first_is_initial:
             stages[0] = Direction(*pairs[0])
         scenario = MeasurementScenario(initial=plus(*pairs[0]), stages=tuple(stages))
-        uniforms = [*uniforms, LAST_UNIFORM]
+        words = [*words, LAST_WORD]
         dist = exact_distribution(scenario)
-        with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
-            report = sample(dist, seed=0, trials=len(uniforms))
+        with mock.patch.object(simulate, "_word_block", stream_of(words)):
+            report = sample(dist, seed=0, trials=len(words))
         assert not report.counts[dist.probs == 0.0].any()
-        assert report.counts.sum() == len(uniforms)
+        assert report.counts.sum() == len(words)
+        assert np.array_equal(report.counts, per_trial_counts(dist, uniforms_of(words)))
 
 
 class TestSampleCounting:
-    """Counting blocks, by comparison or by sorting, gives exactly the
-    per-trial inverse-CDF counts. A block of n doubles compares a table of at
-    most n.bit_length() entries and sorts against a longer one."""
+    """Counting blocks of words, by comparison or by sorting, gives exactly the
+    per-trial inverse-CDF counts of numpy's doubles. Only the entries before
+    the last possible sequence have a limit, and one that no word or every
+    word passes has none; a block of n words compares at most n.bit_length()
+    limits and sorts against more."""
 
     @given(
         angles=st.lists(st.floats(-4.0, 4.0), min_size=18, max_size=18),
@@ -457,44 +494,49 @@ class TestSampleCounting:
     ):
         dist = exact_distribution(random_chain(angles, n_stages, first_is_initial))
         report = sample(dist, seed=seed, trials=trials, block_size=block_size)
-        reference = per_trial_counts(dist, simulate._uniform_block(seed, 0, trials))
-        assert np.array_equal(report.counts, reference)
+        assert np.array_equal(report.counts, per_trial_counts(dist, numpy_doubles(seed, trials)))
 
-    def test_ties_go_to_the_next_possible_sequence(self):
+    @pytest.mark.parametrize("low", LOW_BITS.values(), ids=LOW_BITS)
+    def test_ties_go_to_the_next_possible_sequence(self, low):
         # cum = (0.25, 0.25, 0.75, 1): a double equal to cum[k] belongs to the
         # first sequence whose cum exceeds it, so the p = 0 sequence 1 is skipped
         dist = OutcomeDistribution(np.array([0.25, 0.0, 0.5, 0.25]))
-        under_quarter, under_three_quarters = np.nextafter([0.25, 0.75], 0.0)
+        under_quarter, under_three_quarters = 0.25 - 2.0**-53, 0.75 - 2.0**-53
         uniforms = [0.0, 0.25, 0.25, under_quarter, 0.75, 0.75, under_three_quarters, 0.5]
-        uniforms.append(LAST_UNIFORM)
-        # 4 entries: blocks of 4 (4, 4, 1) sort; of 8, 8 compares and the last 1 sorts;
-        # of 12, one block of 9 compares
+        words = [*words_of(uniforms, low), LAST_WORD]
+        # 3 limits: blocks of 4 (4, 4, 1) and of 8 (8, 1) compare, and their
+        # last word sorts; of 12, one block of 9 compares
         for block_size in (4, 8, 12):
-            with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
-                report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
+            with mock.patch.object(simulate, "_word_block", stream_of(words)):
+                report = sample(dist, seed=0, trials=len(words), block_size=block_size)
             assert report.counts.tolist() == [2, 0, 4, 3]
 
-    def test_repeated_and_boundary_doubles_match_reference(self):
-        dist = exact_distribution(tail_chain())
-        cum = np.cumsum(dist.probs)
-        edges = [np.nextafter(c, d) for c in cum for d in (0.0, 1.0)]
-        uniforms = [0.0, *cum, *cum, *edges, *cum[::-1], LAST_UNIFORM, LAST_UNIFORM, 0.0] * 4
-        # 8 entries against 176 doubles: blocks of 4, 12 and 64 sort; 128 compares
-        # and its last 48 sort; 256 (one block of 176) compares
+    @pytest.mark.parametrize("low", LOW_BITS.values(), ids=LOW_BITS)
+    @pytest.mark.parametrize("chain", [tail_chain, three_stage_chain], ids=["tail", "three_stage"])
+    def test_repeated_and_boundary_words_match_reference(self, chain, low):
+        # the words at floor(c * 2**53) and ceil(c * 2**53), shifted left by 11,
+        # for every cumulative probability c: the last below c and the first not
+        dist = exact_distribution(chain())
+        steps = np.cumsum(dist.probs) * 2.0**53
+        top = 2**53 - 1
+        edges = [min(int(f(k)), top) << 11 | low for k in steps for f in (np.floor, np.ceil)]
+        words = [0, *edges, *edges, *edges[::-1], LAST_WORD, LAST_WORD, low] * 4
+        # 208 words: tail has 3 limits, and every block compares; three_stage has
+        # 7: blocks of 4 and 12 sort, larger ones compare, and at 64 the last 16 sort
         for block_size in (4, 12, 64, 128, 256):
-            with mock.patch.object(simulate, "_uniform_block", stream_of(uniforms)):
-                report = sample(dist, seed=0, trials=len(uniforms), block_size=block_size)
-            assert np.array_equal(report.counts, per_trial_counts(dist, np.array(uniforms)))
+            with mock.patch.object(simulate, "_word_block", stream_of(words)):
+                report = sample(dist, seed=0, trials=len(words), block_size=block_size)
+            assert np.array_equal(report.counts, per_trial_counts(dist, uniforms_of(words)))
 
     @pytest.mark.parametrize(
         "n_stages, block_size, trials",
         [
-            (3, 124, 1000),  # 8 entries: 124 doubles sort (bit length 7)
-            (3, 128, 1000),  # 128 compare (bit length 8), the last 104 sort
+            (3, 60, 1000),  # 7 limits: 60 words sort (bit length 6)
+            (3, 64, 1000),  # 64 compare (bit length 7), the last 40 sort
             (3, 256, 1000),  # every block compares, the last 232 too
-            (4, 32764, 70000),  # 16 entries: 32764 doubles sort (bit length 15)
-            (4, 32768, 70000),  # 32768 compare (bit length 16), the last 4464 sort
-            (5, 4100, 10003),  # 32 entries sort below 2^31 doubles: every block sorts
+            (4, 16380, 70000),  # 15 limits: 16380 words sort (bit length 14)
+            (4, 16384, 70000),  # 16384 compare (bit length 15), the last 4464 sort
+            (5, 4100, 10003),  # 31 limits sort below 2^31 words: every block sorts
         ],
     )
     @given(
@@ -506,10 +548,89 @@ class TestSampleCounting:
     def test_both_routes_match_per_trial_reference(
         self, n_stages, block_size, trials, angles, first_is_initial, seed
     ):
+        # the limit counts hold when the last sequence is possible; a first
+        # stage equal to the preparation halves them
         dist = exact_distribution(random_chain(angles, n_stages, first_is_initial))
         report = sample(dist, seed=seed, trials=trials, block_size=block_size)
-        reference = per_trial_counts(dist, simulate._uniform_block(seed, 0, trials))
-        assert np.array_equal(report.counts, reference)
+        assert np.array_equal(report.counts, per_trial_counts(dist, numpy_doubles(seed, trials)))
+
+
+class TestStreamWords:
+    """The counts read raw Philox words, which NEP 19 fixes; a word's uniform
+    is the double numpy's ``random`` makes of it, and a limit is exact."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 4, 4 * 12345])
+    def test_a_words_uniform_is_numpys_double(self, seed, start):
+        words = simulate._word_block(seed, start, 1000)
+        assert words.dtype == np.uint64
+        doubles = numpy_doubles(seed, start + 1000)[start:]
+        assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, doubles)
+
+    def test_misaligned_start_rejected(self):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            simulate._word_block(0, 2, 8)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [1.0, 0.0], [1.0, 0.0, 0.0, 2.0**-60], [1.0 + 2.0**-50, 0.0, 0.0, 2.0**-60],
+            [0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+        ],
+        ids=["certain_first", "one_then_tail", "above_one_then_tail", "certain_last", "zeros_then_one"],
+    )
+    def test_a_table_without_a_limit_reads_no_word(self, probs):
+        # before the last possible sequence every cumulative probability is 0,
+        # passed by no word, or 1 or more, passed by every word: the counts are
+        # known without reading the stream
+        dist = OutcomeDistribution(probs)
+        with mock.patch.object(simulate, "_word_block", side_effect=AssertionError("read")):
+            report = sample(dist, seed=0, trials=1001, block_size=4)
+        assert report.counts.tolist() == [1001 if p >= 1.0 else 0 for p in probs]
+
+    @pytest.mark.parametrize("low", LOW_BITS.values(), ids=LOW_BITS)
+    @pytest.mark.parametrize("second", [0.5, 0.5 + 2.0**-50], ids=["one", "above_one"])
+    def test_an_entry_every_word_passes_before_the_last_possible(self, second, low):
+        # cum = (0.5, 1 or more, the same, then the tail): only 0.5 is a limit
+        dist = OutcomeDistribution([0.5, second, 0.0, 2.0**-60])
+        uniforms = [0.0, 0.5 - 2.0**-53, 0.5, 0.75, np.nextafter(1.0, 0.0)]
+        words = [*words_of(uniforms, low), LAST_WORD]
+        for block_size in (4, 8):
+            with mock.patch.object(simulate, "_word_block", stream_of(words)):
+                report = sample(dist, seed=0, trials=len(words), block_size=block_size)
+            assert report.counts.tolist() == [2, 4, 0, 0]
+            assert np.array_equal(report.counts, per_trial_counts(dist, uniforms_of(words)))
+
+    @pytest.mark.parametrize("low", LOW_BITS.values(), ids=LOW_BITS)
+    def test_leading_zero_probabilities(self, low):
+        # cum = (0, 0, 0.25, 1): only 0.25 is a limit, and the zero word, below
+        # none, draws sequence 2
+        dist = OutcomeDistribution([0.0, 0.0, 0.25, 0.75])
+        uniforms = [0.0, 2.0**-53, 0.25 - 2.0**-53, 0.25, 0.5]
+        words = [*words_of(uniforms, low), LAST_WORD]
+        with mock.patch.object(simulate, "_word_block", stream_of(words)):
+            report = sample(dist, seed=0, trials=len(words))
+        assert report.counts.tolist() == [0, 0, 3, 3]
+        assert np.array_equal(report.counts, per_trial_counts(dist, uniforms_of(words)))
+
+    @pytest.mark.parametrize("low", LOW_BITS.values(), ids=LOW_BITS)
+    @pytest.mark.parametrize("grid", [0.25, 0.75])
+    @pytest.mark.parametrize("side", [-1, 0, 1], ids=["ulp_below", "on_grid", "ulp_above"])
+    def test_an_entry_on_the_grid_and_an_ulp_either_side(self, side, grid, low):
+        # below 0.5 an ulp is finer than the 2**-53 grid of uniforms, above it equal
+        c = grid if side == 0 else np.nextafter(grid, grid + side)
+        dist = OutcomeDistribution([c, 1.0 - c])
+        assert dist.probs[0] == c
+        step = 2.0**-53
+        uniforms = [grid - 2 * step, grid - step, grid, grid + step, grid + 2 * step]
+        words = words_of(uniforms, low)
+        with mock.patch.object(simulate, "_word_block", stream_of(words)):
+            report = sample(dist, seed=0, trials=len(words))
+        below = sum(u < c for u in uniforms)
+        assert report.counts.tolist() == [below, len(uniforms) - below]
+        assert np.array_equal(report.counts, per_trial_counts(dist, uniforms_of(words)))
+        # c on the grid is not below itself; at 0.75 the ulp below is on the grid too
+        assert below == {-1: 1 if grid == 0.75 else 2, 0: 2, 1: 3}[side]
 
 
 #: CPU sets for the thread pool: one worker, the machine's own, more than it has.
@@ -528,7 +649,7 @@ class TestSampleThreads:
         dist = exact_distribution(tail_chain())
         trials = 9 * block_size + 3  # ten blocks, the last one partial
         report = sample(dist, seed=77, trials=trials, block_size=block_size)
-        reference = per_trial_counts(dist, simulate._uniform_block(77, 0, trials))
+        reference = per_trial_counts(dist, numpy_doubles(77, trials))
         assert np.array_equal(report.counts, reference)
 
     def test_one_block_starts_no_pool(self):
@@ -550,7 +671,7 @@ class TestSampleThreads:
         # 1001 blocks of 4 trials, a thread switch every microsecond (about 0.1 s)
         monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         dist = exact_distribution(tail_chain())
-        reference = per_trial_counts(dist, simulate._uniform_block(5, 0, 4003))
+        reference = per_trial_counts(dist, numpy_doubles(5, 4003))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
