@@ -17,32 +17,32 @@ from collections import deque
 from itertools import islice
 
 
-def map_in_order(fn, *sequences):
-    """Yield ``fn(*items)`` for each ``items`` of ``zip(*sequences)``, in order.
+def map_in_order(fn, items):
+    """Yield ``fn(item)`` for each of ``items``, a sequence, in order.
 
-    The calls run on ``min(available CPUs, len(sequences[0]))`` threads; one
+    The calls run on ``min(available CPUs, len(items))`` threads; one
     thread means the caller's, which makes each call as its result is taken.
     At most two calls per thread are submitted ahead of the result being
     yielded, so the results held at once are bounded by the thread count,
     not by the number of items.
     """
-    n = len(sequences[0])
+    n = len(items)
     if not n:
         return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, n)
     if workers == 1:
-        yield from map(fn, *sequences)
+        yield from map(fn, items)
         return
     # imported here, so that one-block runs start no slower; ``import polamp`` loads
     # neither this module nor numpy (see ``polamp/__init__``)
     from concurrent.futures import ThreadPoolExecutor
 
-    items = zip(*sequences)
+    items = iter(items)
     with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(fn, *args) for args in islice(items, 2 * workers))
+        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * workers))
         while pending:
             result = pending.popleft().result()
             # refill the window with the next item, if any
-            pending.extend(pool.submit(fn, *args) for args in islice(items, 1))
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
             yield result

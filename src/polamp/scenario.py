@@ -8,10 +8,11 @@ Schema (angles in degrees, as humans write them)::
     }
 
 A document is the chain alone: the seed and trial count of a run are flags.
-Unknown keys are rejected by path, e.g. ``stages[1].phi_deg`` or ``seed``,
-and so is a key repeated in one object, e.g. ``stages[1].alpha_deg``.
-``alpha_deg`` defaults to 0. The angles and the branch pass the checks of
-:mod:`polamp.directions`, named by their path.
+One reader (:func:`_read`) applies every object rule, in this order: an
+object, no key repeated (e.g. ``stages[1].alpha_deg``), none unknown (e.g.
+``stages[1].phi_deg`` or ``seed``), then each key in schema order, one object
+after another; a fault is named by its path. ``alpha_deg`` defaults to 0. The
+angles and the branch pass the checks of :mod:`polamp.directions`.
 """
 
 from __future__ import annotations
@@ -43,68 +44,62 @@ def _unique_keys(pairs: list) -> _Object:
     return document
 
 
-def _require_mapping(value, where: str) -> dict:
+#: The ``default`` of a key that must be present.
+_REQUIRED = object()
+
+
+def _read(value, where: str, keys: dict) -> list:
+    """The values of object ``value``'s keys, named by their paths from ``where``.
+
+    ``keys`` maps each allowed key to ``(check, default)``. ``value`` must be an object
+    with no key repeated and none unknown. Then, in the order of ``keys``, each key's value
+    is ``check(value, path)``, or its ``default`` if it is absent; a check's ``ValueError``
+    is a :class:`ScenarioError`.
+    """
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
     duplicate = getattr(value, "duplicate", None)  # a document decoded elsewhere has none
     if duplicate is not None:
         raise ScenarioError(f"{where}.{duplicate}: duplicate key")
-    return value
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    for key in mapping:
-        if key not in allowed:
+    for key in value:
+        if key not in keys:
             raise ScenarioError(f"{where}.{key}: unknown key")
-
-
-#: The ``default`` of a key that must be present.
-_REQUIRED = object()
-
-
-def _checked(mapping: dict, key: str, where: str, check, default=_REQUIRED):
-    """``mapping[key]`` through ``check``, named by its path; ``default`` if absent."""
-    if key not in mapping:  # a present null is checked, and rejected
-        if default is _REQUIRED:
+    values = []
+    for key, (check, default) in keys.items():
+        if key not in value and default is _REQUIRED:  # a present null is checked, and rejected
             raise ScenarioError(f"{where}.{key}: missing required key")
-        return default
-    try:
-        return check(mapping[key], f"{where}.{key}")
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+        try:
+            values.append(check(value[key], f"{where}.{key}") if key in value else default)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+    return values
 
 
-def _direction(mapping: dict, where: str, extra: frozenset = frozenset()) -> Direction:
-    """The direction of ``mapping``, whose keys besides the angles are ``extra``."""
-    _require_mapping(mapping, where)
-    _reject_unknown(mapping, {"theta_deg", "alpha_deg"} | extra, where)
-    theta = _checked(mapping, "theta_deg", where, check_angle)  # degrees, bounded as radians are
-    alpha = _checked(mapping, "alpha_deg", where, check_angle, default=0.0)
-    return Direction(math.radians(theta), math.radians(alpha))
+#: The keys of a stage; the initial object has a branch too.
+_ANGLES = {"theta_deg": (check_angle, _REQUIRED), "alpha_deg": (check_angle, 0.0)}
+_INITIAL = {**_ANGLES, "branch": (Branch.from_token, _REQUIRED)}
+
+
+def _direction(value, where: str, keys: dict = _ANGLES) -> list:
+    """The direction of object ``value``, then the values of its keys after the angles."""
+    theta, alpha, *rest = _read(value, where, keys)  # degrees, bounded as radians are
+    return [Direction(math.radians(theta), math.radians(alpha)), *rest]
+
+
+def _initial(value, where: str) -> BranchLabel:
+    return BranchLabel(*_direction(value, where, _INITIAL))
+
+
+def _stages(value, where: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{where}: expected a non-empty list")
+    return tuple(_direction(stage, f"{where}[{k}]")[0] for k, stage in enumerate(value))
 
 
 def parse_scenario(document: dict) -> MeasurementScenario:
     """Validate a decoded scenario document; diagnostics start ``scenario.``."""
-    where = "scenario"
-    _require_mapping(document, where)
-    _reject_unknown(document, {"initial", "stages"}, where)
-
-    if "initial" not in document:
-        raise ScenarioError(f"{where}.initial: missing required key")
-    initial_map = document["initial"]
-    direction = _direction(initial_map, f"{where}.initial", extra=frozenset({"branch"}))
-    branch = _checked(initial_map, "branch", f"{where}.initial", Branch.from_token)
-    initial = BranchLabel(direction, branch)
-
-    if "stages" not in document:
-        raise ScenarioError(f"{where}.stages: missing required key")
-    stages_raw = document["stages"]
-    if not isinstance(stages_raw, list) or not stages_raw:
-        raise ScenarioError(f"{where}.stages: expected a non-empty list")
-    stages = tuple(
-        _direction(stage, f"{where}.stages[{k}]") for k, stage in enumerate(stages_raw)
-    )
-    return MeasurementScenario(initial, stages)
+    keys = {"initial": (_initial, _REQUIRED), "stages": (_stages, _REQUIRED)}
+    return MeasurementScenario(*_read(document, "scenario", keys))
 
 
 def load_scenario_file(path: str | Path) -> MeasurementScenario:

@@ -73,7 +73,8 @@ class MeasurementScenario:
     """An initial branch label followed by an ordered list of analyzers.
 
     ``initial`` must be a :class:`BranchLabel` and ``stages`` an iterable of one or more
-    :class:`Direction`; a field of another type is a ``ValueError`` that names it.
+    :class:`Direction`; a field of another type is a ``ValueError`` that names it. It
+    pickles and copies through these checks.
     """
 
     initial: BranchLabel
@@ -86,6 +87,9 @@ class MeasurementScenario:
         if not stages:
             raise ValueError("scenario needs at least one stage")
         object.__setattr__(self, "stages", stages)
+
+    def __reduce__(self):
+        return MeasurementScenario, (self.initial, self.stages)
 
     @property
     def n_stages(self) -> int:

@@ -24,14 +24,18 @@ Eq53-Eq56 table: one job, whose worst lanes give both its result and its
 records. The expected outcome: records for Eq58, Eq59 and Eq72, none for
 Eq53-Eq56.
 
+:func:`run_all` is the one entrance, and alone checks its inputs. A suite,
+``suite_<name>``, is its residual function, declared by :func:`_suite` with
+the ranges of its draws; ``suite.job`` builds its job.
+
 A suite or table is one kind of job (:func:`_job`) over arrays of ``draws``
 doubles from the run's PCG64 stream, but no such array exists: each block
 of ``LANE_BLOCK`` lanes draws its own slice of them in its worker thread by
 counter advance (:func:`_draws`), so memory does not grow with the draw
-count. A run draws the lanes of every suite and then of the other two
-tables first; then one function (:func:`_worst`) maps all their blocks as
-one stream (no barrier between suites) and reduces them: each residual's
-largest value and the first lane holding it. An erratum reads its stated
+count. A run's jobs (:func:`_jobs`) draw the lanes of every suite and then
+of the other two tables first; then one function (:func:`_worst`) maps all
+their blocks as one stream (no barrier between suites) and reduces them:
+each residual's largest value and the first lane holding it. An erratum reads its stated
 and derived values by drawing that lane again. ``polamp verify`` keeps freed blocks in
 glibc's heap (:func:`polamp.cli._keep_heap_resident`).
 
@@ -117,16 +121,11 @@ def _draws(rng: np.random.Generator, n: int, *ranges):
     state and moved by counter advance, so a block draws only its own lanes,
     in its own thread. ``uniform`` takes one 64-bit output per double, so the
     lanes equal the slices of the full arrays: the stream-split rule of
-    ``sample`` (Philox), here for PCG64, the generator of ``run_all``.
+    ``sample`` (Philox), here for PCG64, the new generator of ``run_all``,
+    which holds no buffered 32-bit half for ``advance`` to drop.
     """
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.PCG64:
-        raise TypeError(f"verify draws need a PCG64 generator, not {type(bitgen).__name__}")
-    state = bitgen.state
-    bitgen.advance(n * len(ranges))
-    # advance drops a buffered 32-bit half that drawing doubles would have kept
-    buffered = {key: state[key] for key in ("has_uint32", "uinteger")}
-    bitgen.state = {**bitgen.state, **buffered}
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(n * len(ranges))
 
     def lanes(lo: int, hi: int) -> list:
         block = np.random.PCG64()
@@ -195,25 +194,16 @@ def _job(n, rng, tol, ranges, fn, name=None, equation_ids=None) -> tuple:
 
 
 def _suite(*ranges, floor: float = 0.0, equation_ids=None):
-    """Declare a suite ``(n, rng, tol)`` by its draw ranges and its function (see :func:`_job`).
+    """Declare a suite: its residual function, by the ranges of its lanes (see :func:`_job`).
 
-    It passes below ``max(tol, floor)``; ``suite.job(n, rng, tol)`` draws lanes for :func:`_worst`.
+    It passes below ``max(tol, floor)``; ``suite.job(n, rng, tol)`` draws its lanes for
+    :func:`_worst`, and its blocks call the residual function itself.
     """
 
     def declare(fn):
         name = fn.__name__.removeprefix("suite_")
-
-        def job(n, rng, tol):
-            return _job(n, rng, max(tol, floor), ranges, fn, name, equation_ids)
-
-        def suite(n, rng, tol=DEFAULT_TOLERANCE) -> SuiteResult:
-            n, tol = check_count(n, "draws", low=0), check_tolerance(tol)
-            return _worst([job(n, rng, tol)], n)[0]
-
-        suite.__name__ = suite.__qualname__ = fn.__name__
-        suite.__doc__ = fn.__doc__
-        suite.job = job
-        return suite
+        fn.job = lambda n, rng, tol: _job(n, rng, max(tol, floor), ranges, fn, name, equation_ids)
+        return fn
 
     return declare
 
@@ -464,8 +454,9 @@ ALL_SUITES = (
 )
 
 
-def _table_jobs(n, rng, tol) -> list:
-    """The jobs of the polarization and standard-limit errata tables, their lanes drawn in that order."""
+def _jobs(n, rng, tol) -> list:
+    """The jobs of a run: every suite's, then the polarization and standard-limit errata
+    tables', their lanes drawn in that order."""
 
     # the polarization operator has fixed eigenvalues: its lanes stand for the eigenvalue arrays
     # of an observable too, which it does not read, so that each table's draws keep their place
@@ -482,7 +473,7 @@ def _table_jobs(n, rng, tol) -> list:
             observable_elements_product(0.0, 0.0, tb, ab, 1.0, -1.0),
         )
 
-    return [
+    return [suite.job(n, rng, tol) for suite in ALL_SUITES] + [
         _job(n, rng, tol, [*[_ANGLE] * 4, *_EIGENVALUES], polarization,
              equation_ids=closedforms.POLARIZATION_ELEMENT_IDS),
         _job(n, rng, tol, [_ANGLE] * 3, standard,
@@ -495,8 +486,7 @@ def run_all(
 ) -> VerifyReport:
     """Run every suite and errata table, deterministically, as one block stream."""
     draws, seed = check_count(draws, "draws", low=0), check_seed(seed)
-    tolerance, rng = check_tolerance(tolerance), np.random.default_rng(seed)
-    jobs = [s.job(draws, rng, tolerance) for s in ALL_SUITES] + _table_jobs(draws, rng, tolerance)
-    results = _worst(jobs, draws)
+    tolerance = check_tolerance(tolerance)
+    results = _worst(_jobs(draws, np.random.default_rng(seed), tolerance), draws)
     suites = tuple(r for r in results if isinstance(r, SuiteResult))
     return VerifyReport(suites, tuple(r for r in results if isinstance(r, ErrataRecord)))

@@ -1,30 +1,22 @@
 """Acceptance criteria, one test per criterion.
 
 Each test pins the criterion's stated draw count, tolerance and (where
-stated) runtime budget. The terminal summary prints one PASS/FAIL line per
-criterion (see conftest.py).
+stated) runtime budget. A criterion on a verify suite reads it from one
+``run_all`` report at that draw count and tolerance, made once for the module.
+The terminal summary prints one PASS/FAIL line per criterion (see conftest.py).
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from polamp import Direction, MeasurementScenario, exact_distribution, plus, sample
 from polamp.amplitudes import amp_matrix
 from polamp import closedforms
 from polamp.operators import observable_elements_product
-from polamp.verify import (
-    run_all,
-    suite_amplitude_oracle,
-    suite_chaining,
-    suite_eigen_residual,
-    suite_expectation_consistency,
-    suite_hermiticity,
-    suite_orthonormality,
-    suite_probability_forms,
-    suite_standard_limits,
-)
+from polamp.verify import run_all
 
 DRAWS = 100_000
 TRIANGLE_DRAWS = 10_000
@@ -35,47 +27,51 @@ def _angles(rng, n, groups):
     return [rng.uniform(-2 * np.pi, 2 * np.pi, n) for _ in range(2 * groups)]
 
 
-def test_criterion_01_amplitude_oracle_equivalence():
+@pytest.fixture(scope="module")
+def run():
+    """One ``run_all`` at the criteria's draw count and tolerance, and its wall time."""
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    result = suite_amplitude_oracle(DRAWS, rng, TOL)
-    elapsed = time.perf_counter() - start
-    assert result.draws == DRAWS
-    assert result.max_residual < TOL
+    report = run_all(draws=DRAWS, seed=100, tolerance=TOL)
+    return report, time.perf_counter() - start
+
+
+def suite(run, name):
+    """The named suite of the run, which must have covered every draw at the criteria's tolerance."""
+    (result,) = [s for s in run[0].suites if s.name == name]
+    assert (result.draws, result.tolerance) == (DRAWS, TOL)
+    return result
+
+
+def test_criterion_01_amplitude_oracle_equivalence(run):
+    start = time.perf_counter()
+    assert suite(run, "amplitude_oracle").max_residual < TOL
 
     # independent re-statement of the oracle for one branch pair
-    ta, aa, tb, ab = _angles(rng, 1000, 2)
+    ta, aa, tb, ab = _angles(np.random.default_rng(101), 1000, 2)
     oracle = (
         np.conj(np.cos(tb)) * np.cos(ta)
         + np.conj(np.sin(tb) * np.exp(1j * ab)) * np.sin(ta) * np.exp(1j * aa)
     )
     assert np.max(np.abs(amp_matrix(ta, aa, tb, ab)[0][0] - oracle)) < TOL
-    assert elapsed < 5.0
+    # the budget covers the whole run, every other suite and table included
+    assert run[1] + (time.perf_counter() - start) < 5.0
 
 
-def test_criterion_02_chaining():
-    rng = np.random.default_rng(102)
-    result = suite_chaining(DRAWS, rng, TOL)
-    assert result.draws == DRAWS
-    assert result.max_residual < TOL
+def test_criterion_02_chaining(run):
+    assert suite(run, "chaining").max_residual < TOL
 
 
-def test_criterion_03_hermiticity_orthonormality():
-    rng = np.random.default_rng(103)
-    hermiticity = suite_hermiticity(DRAWS, rng, TOL)
-    orthonormality = suite_orthonormality(DRAWS, rng, TOL)
-    assert hermiticity.max_residual < TOL
-    assert orthonormality.max_residual < TOL
+def test_criterion_03_hermiticity_orthonormality(run):
+    assert suite(run, "hermiticity").max_residual < TOL
+    assert suite(run, "orthonormality").max_residual < TOL
 
 
-def test_criterion_04_probability_closed_forms():
-    rng = np.random.default_rng(104)
-    result = suite_probability_forms(DRAWS, rng, TOL)
-    assert result.max_residual < TOL
+def test_criterion_04_probability_closed_forms(run):
+    assert suite(run, "probability_forms").max_residual < TOL
 
     # the stated symmetries are shared expressions in the closed route,
     # hence exact; spot-check the squared-modulus route agrees too
-    ta, aa, tb, ab = _angles(rng, DRAWS, 2)
+    ta, aa, tb, ab = _angles(np.random.default_rng(104), DRAWS, 2)
     (pp, pm), (mp, mm) = amp_matrix(ta, aa, tb, ab)
     equal = np.abs(pp) ** 2
     assert np.max(np.abs(np.abs(mm) ** 2 - equal)) < TOL
@@ -123,25 +119,16 @@ def test_criterion_05_operator_oracle_triangle():
     assert np.max(np.abs(eigvals[:, 1] - r_plus)) < TRIANGLE_TOL
 
 
-def test_criterion_06_eigenvalue_equation():
-    rng = np.random.default_rng(106)
-    result = suite_eigen_residual(DRAWS, rng, TOL)
-    assert result.draws == DRAWS
-    assert result.max_residual < TOL
+def test_criterion_06_eigenvalue_equation(run):
+    assert suite(run, "eigen_residual").max_residual < TOL
 
 
-def test_criterion_07_expectation_consistency():
-    rng = np.random.default_rng(107)
-    result = suite_expectation_consistency(DRAWS, rng, TOL)
-    assert result.draws == DRAWS
-    assert result.max_residual < TOL
+def test_criterion_07_expectation_consistency(run):
+    assert suite(run, "expectation_consistency").max_residual < TOL
 
 
-def test_criterion_08_standard_limit_reductions():
-    rng = np.random.default_rng(108)
-    result = suite_standard_limits(DRAWS, rng, TOL)
-    assert result.draws == DRAWS
-    assert result.max_residual < TOL
+def test_criterion_08_standard_limit_reductions(run):
+    assert suite(run, "standard_limits").max_residual < TOL
 
 
 def test_criterion_09_errata_detection():

@@ -305,15 +305,112 @@ def test_verify_reduces_blocks_in_one_function():
 
 
 def test_verify_suites_keep_their_signature():
-    # the block runner must not leak the residual function's lane parameters
-    expected = [("n", inspect.Parameter.empty), ("rng", inspect.Parameter.empty)]
-    expected.append(("tol", DEFAULT_TOLERANCE))
-    assert [s.__name__ for s in verify.ALL_SUITES] == [f"suite_{n}" for n in SUITE_NAMES]
-    for suite, name in zip(verify.ALL_SUITES, SUITE_NAMES):
-        assert getattr(verify, suite.__name__) is suite
+    # a suite is its residual function, whose parameters are its lanes; ``run_all`` is the one
+    # entrance, and no public function takes a draw count, a generator and a tolerance
+    assert verify.ALL_SUITES == tuple(getattr(verify, f"suite_{name}") for name in SUITE_NAMES)
+    assert tuple(s.name for s in verify.run_all(draws=0).suites) == SUITE_NAMES
+    lane_kinds = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.VAR_POSITIONAL)
+    for suite in verify.ALL_SUITES:
         params = inspect.signature(suite).parameters.values()
-        assert [(p.name, p.default) for p in params] == expected
-        assert suite(0, np.random.default_rng(0)).name == name
+        assert all(p.kind in lane_kinds and p.default is p.empty for p in params), suite.__name__
+        residuals, lanes, _ = suite.job(3, np.random.default_rng(0), DEFAULT_TOLERANCE)
+        inspect.signature(suite).bind(*lanes(0, 3))
+        assert all(np.shape(r) == (3,) for r in residuals(*lanes(0, 3))), suite.__name__
+    public = [
+        fn for name, fn in vars(verify).items()
+        if inspect.isfunction(fn) and fn.__module__ == verify.__name__ and not name.startswith("_")
+    ]
+    assert len(public) == len(SUITE_NAMES) + 1
+    for fn in public:
+        assert list(inspect.signature(fn).parameters)[:3] != ["n", "rng", "tol"], fn.__name__
+
+
+def enclosing_functions(tree: ast.Module, hit) -> list[str]:
+    """The name of the top-level function around each node under ``tree`` for which
+    ``hit(node)`` holds, or ``"<module>"`` for a node outside every function.
+    Docstrings are no such nodes."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    return [
+        top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for top in tree.body
+        for node in ast.walk(top)
+        if id(node) not in docstrings and hit(node)
+    ]
+
+
+#: The checks of verify's inputs: its draw count, seed and tolerance.
+VERIFY_CHECKS = {"check_count", "check_seed", "check_tolerance"}
+
+
+def check_calls(tree: ast.Module) -> list[str]:
+    """The top-level function around every call of a ``VERIFY_CHECKS`` name under ``tree``."""
+
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in VERIFY_CHECKS
+
+    return enclosing_functions(tree, hit)
+
+
+def test_verify_checks_its_inputs_only_in_run_all():
+    # the one entrance checks each input once; a second entrance would check them again
+    assert check_calls(parse("verify")) == ["run_all"] * len(VERIFY_CHECKS)
+
+
+def test_check_guard_sees_a_planted_second_entrance():
+    source = (
+        "def _suite(*ranges):\n"
+        "    def declare(fn):\n"
+        "        def suite(n, rng, tol):\n"
+        "            n, tol = check_count(n, 'draws', low=0), directions.check_tolerance(tol)\n"
+        "        return suite\n"
+        "    return declare\n"
+        "def run_all(draws, seed, tolerance):\n"
+        "    'check_count(draws)'\n"
+        "    return check_seed(seed), check_tolerance\n"
+    )
+    assert check_calls(ast.parse(source)) == ["_suite", "_suite", "run_all"]
+
+
+#: The diagnostics of a scenario object's shape and keys.
+OBJECT_DIAGNOSTICS = ("missing required key", "unknown key", "duplicate key", "expected an object")
+
+
+def phrase_sites(tree: ast.Module, phrase: str) -> list[str]:
+    """The top-level function around every string under ``tree`` that holds ``phrase``."""
+    return enclosing_functions(
+        tree, lambda node: isinstance(node, ast.Constant) and phrase in str(node.value)
+    )
+
+
+def test_scenario_reads_every_object_through_one_function():
+    # one reader applies every object rule; a check written elsewhere would have to keep
+    # the reader's order and wording by hand
+    tree = parse("scenario")
+    sites = {phrase: phrase_sites(tree, phrase) for phrase in OBJECT_DIAGNOSTICS}
+    assert sites == dict.fromkeys(OBJECT_DIAGNOSTICS, ["_read"])
+
+
+def test_diagnostic_guard_sees_a_planted_second_site():
+    source = (
+        '"""A docstring may name a missing required key."""\n'
+        "def _read(value, where):\n"
+        "    raise E(f'{where}.{key}: missing required key')\n"
+        "def parse(document):\n"
+        "    'or an unknown key'\n"
+        "    if 'stages' not in document:\n"
+        "        raise E('scenario.stages: missing required key')\n"
+        "UNKNOWN = ': unknown key'\n"
+    )
+    tree = ast.parse(source)
+    assert phrase_sites(tree, "missing required key") == ["_read", "parse"]
+    assert phrase_sites(tree, "unknown key") == ["<module>"]
 
 
 def closedform_sites(tree: ast.AST) -> list[str]:

@@ -34,7 +34,6 @@ from polamp import (
 )
 from polamp.cli import EXIT_USAGE, run
 from polamp.directions import check_angle, check_count, check_seed
-from polamp.verify import suite_amplitude_oracle
 
 SCENARIO_FILE = str(Path(__file__).parent / "data" / "simulate_two_stage.json")
 SCENARIO = {"initial": {"theta_deg": 0, "branch": "+"}, "stages": [{"theta_deg": 30}]}
@@ -109,13 +108,10 @@ LAYERS = {
     "draws": [
         command(["verify", "--draws={}"], "polamp.verify.run_all", lambda **k: k["draws"]),
         patched(lambda v: run_all(draws=v), "polamp.verify._worst", lambda jobs, n: n),
-        patched(lambda v: suite_amplitude_oracle(v, np.random.default_rng(0)),
-                "polamp.verify._worst", lambda jobs, n: n),
     ],
     "tolerance": [
         command(["verify", "--tolerance={}"], "polamp.verify.run_all", lambda **k: k["tolerance"]),
         lambda v: run_all(draws=0, tolerance=v).suites[0].tolerance,
-        lambda v: suite_amplitude_oracle(0, np.random.default_rng(0), v).tolerance,
     ],
     "angle": [
         command(["amp", "--rad", "--", "{}", "0", "+", "0", "0", "+"], "polamp.cli.amplitude",

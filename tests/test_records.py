@@ -14,7 +14,8 @@ directions and eigenvalues, and the result records of :mod:`polamp.simulate`
 and :mod:`polamp.verify` read such a value as a property that no constructor
 takes. Every record that ``polamp`` exports is in one of the tables below. The
 two records that hold arrays equal a record of their own type whose fields are
-equal, and do not hash.
+equal, and do not hash. They and a ``MeasurementScenario`` pickle and copy through
+their checks too.
 """
 
 import copy
@@ -39,6 +40,7 @@ from polamp import (
     Observable2,
     StateVector2,
     observable_matrix,
+    plus,
 )
 from polamp.simulate import MeasurementScenario, OutcomeDistribution, SampleReport, sample
 from polamp.verify import ErrataRecord, SuiteResult, VerifyReport
@@ -344,3 +346,23 @@ def test_array_records_pickle_and_copy_through_their_checks():
         for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert type(again) is type(record) and again == record
             assert not getattr(again, array).flags.writeable
+
+
+def test_a_scenario_pickles_and_copies_through_its_checks():
+    scenario = MeasurementScenario(plus(0.5, 0.25), [Direction(1.0), Direction(-2.0, 3.0)])
+    reduced = (MeasurementScenario, (scenario.initial, scenario.stages))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert scenario.__reduce_ex__(protocol) == reduced
+        assert pickle.loads(pickle.dumps(scenario, protocol)) == scenario
+    for again in (copy.copy(scenario), copy.deepcopy(scenario)):
+        assert type(again) is MeasurementScenario and again == scenario
+    # a scenario made around the constructor does not load: the constructor's checks run
+    stageless = object.__new__(MeasurementScenario)
+    object.__setattr__(stageless, "initial", scenario.initial)
+    object.__setattr__(stageless, "stages", ())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(stageless, protocol)
+        with pytest.raises(ValueError, match="^scenario needs at least one stage$"):
+            pickle.loads(data)
+    with pytest.raises(ValueError, match="^scenario needs at least one stage$"):
+        copy.deepcopy(stageless)

@@ -161,3 +161,50 @@ def test_any_json_value_parses_or_raises_scenario_error(document):
         parse_scenario(document)
     except ScenarioError:
         pass
+
+
+#: A valid ``initial`` object, as JSON text.
+OK = '{"theta_deg": 0, "branch": "+"}'
+#: The start of check_angle's message after a key's path.
+ANGLE = "must be a finite number below 2**1023 in magnitude, got"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # within one object: the object, then repeated keys, then unknown ones, then each key
+        ("[]", "scenario: expected an object, got list"),
+        ('{"initial": null, "stages": null}', "scenario.initial: expected an object, got NoneType"),
+        ('{"initial": ' + OK + ', "extra": 1}', "scenario.extra: unknown key"),
+        ('{"initial": {"branch": "+", "phi_deg": 0}, "stages": []}',
+         "scenario.initial.phi_deg: unknown key"),
+        ('{"initial": {"theta_deg": 0, "theta_deg": 1, "phi_deg": 0}}',
+         "scenario.initial.theta_deg: duplicate key"),
+        # initial before stages, whatever the document's order
+        ('{"stages": "no"}', "scenario.initial: missing required key"),
+        ('{"stages": [], "initial": {"branch": "+"}}', "scenario.initial.theta_deg: missing required key"),
+        ('{"initial": ' + OK + ', "stages": []}', "scenario.stages: expected a non-empty list"),
+        # theta_deg, then alpha_deg, then branch
+        ('{"initial": {"branch": "x", "alpha_deg": "y", "theta_deg": "z"}}',
+         f"scenario.initial.theta_deg: {ANGLE} 'z'"),
+        ('{"initial": {"branch": "x", "alpha_deg": "y", "theta_deg": 0}}',
+         f"scenario.initial.alpha_deg: {ANGLE} 'y'"),
+        ('{"initial": {"branch": "x", "theta_deg": 0}}',
+         "scenario.initial.branch: must be '+' or '-', got 'x'"),
+        ('{"initial": {"alpha_deg": 0}}', "scenario.initial.theta_deg: missing required key"),
+        ('{"initial": {"theta_deg": 0}}', "scenario.initial.branch: missing required key"),
+        # stages[0] before stages[1]
+        ('{"initial": ' + OK + ', "stages": [{"alpha_deg": 0}, {"phi_deg": 1}]}',
+         "scenario.stages[0].theta_deg: missing required key"),
+        ('{"initial": ' + OK + ', "stages": [{"theta_deg": 0}, {"phi_deg": 1, "theta_deg": "x"}]}',
+         "scenario.stages[1].phi_deg: unknown key"),
+        ('{"initial": ' + OK + ', "stages": [null, {"theta_deg": "x"}]}',
+         "scenario.stages[0]: expected an object, got NoneType"),
+    ],
+)
+def test_a_document_with_several_faults_reports_the_first_in_reading_order(tmp_path, text, message):
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario_file(path)
+    assert str(exc.value) == f"{path}: {message}"

@@ -1,5 +1,6 @@
 """The verification layer itself: suites, determinism, discrimination."""
 
+import functools
 import sys
 import tracemalloc
 
@@ -11,14 +12,7 @@ from hypothesis import strategies as st
 from polamp import _pool, verify
 from polamp.amplitudes import amp_matrix
 from polamp.directions import DEFAULT_TOLERANCE
-from polamp.verify import (
-    DEFAULT_DRAWS,
-    EIGENSOLVER_TOLERANCE,
-    run_all,
-    suite_amplitude_oracle,
-    suite_operator_oracle_triangle,
-    suite_periodicity,
-)
+from polamp.verify import DEFAULT_DRAWS, EIGENSOLVER_TOLERANCE, run_all
 
 
 def test_run_all_passes_at_default_tolerance():
@@ -83,26 +77,6 @@ def test_run_all_rejects_out_of_range_inputs(key, value):
         run_all(**{key: value})
 
 
-@pytest.mark.parametrize(
-    "n, tol, key",
-    [
-        (-5, DEFAULT_TOLERANCE, "draws"),
-        (2.5, DEFAULT_TOLERANCE, "draws"),
-        (2**63, DEFAULT_TOLERANCE, "draws"),
-        (10, 0.0, "tolerance"),
-        (10, -1e-12, "tolerance"),
-        (10, float("inf"), "tolerance"),
-        (10, float("nan"), "tolerance"),
-    ],
-)
-@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda suite: suite.__name__)
-def test_suites_reject_what_run_all_rejects(suite, n, tol, key):
-    # a negative count would pass vacuously and an infinite tolerance would
-    # pass the suite, as in run_all
-    with pytest.raises(ValueError, match=f"^{key}: must be "):
-        suite(n, np.random.default_rng(0), tol)
-
-
 def test_run_all_accepts_the_largest_u64_seed():
     assert run_all(draws=5, seed=np.uint64(2**64 - 1)) == run_all(draws=5, seed=2**64 - 1)
 
@@ -136,25 +110,31 @@ def test_errata_elements_are_off_diagonal():
     assert {r.element for r in records} == {"m12", "m21"}
 
 
+def suite(report, name):
+    """The named suite of a report."""
+    (result,) = [s for s in report.suites if s.name == name]
+    return result
+
+
 def test_suites_actually_measure():
     # a residual of exactly zero everywhere would suggest a vacuous check;
     # the amplitude oracle compares two different float paths, so rounding
     # noise must appear at large draw counts
-    rng = np.random.default_rng(3)
-    result = suite_amplitude_oracle(50_000, rng)
+    result = suite(run_all(draws=50_000, seed=3), "amplitude_oracle")
     assert 0.0 < result.max_residual < 1e-12
 
 
 def test_triangle_uses_wider_tolerance():
-    rng = np.random.default_rng(5)
-    result = suite_operator_oracle_triangle(1000, rng)
-    assert result.tolerance == EIGENSOLVER_TOLERANCE
-    assert result.passed
-    # the suite raises a tighter tolerance to its floor itself
-    result = suite_operator_oracle_triangle(1000, rng, tol=1e-12)
-    assert result.tolerance == EIGENSOLVER_TOLERANCE
-    assert result.passed
-    assert suite_operator_oracle_triangle(10, rng, tol=1e-9).tolerance == 1e-9
+    triangle = "operator_oracle_triangle"
+    report = run_all(draws=1000, seed=5)
+    assert suite(report, triangle).tolerance == EIGENSOLVER_TOLERANCE
+    assert report.passed
+    # the suite raises a tighter tolerance to its floor itself, and only it does
+    report = run_all(draws=1000, seed=5, tolerance=1e-12)
+    assert suite(report, triangle).tolerance == EIGENSOLVER_TOLERANCE
+    assert {s.tolerance for s in report.suites if s.name != triangle} == {1e-12}
+    assert report.passed
+    assert suite(run_all(draws=10, seed=5, tolerance=1e-9), triangle).tolerance == 1e-9
 
 
 @pytest.mark.parametrize("s, t", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -166,7 +146,7 @@ def test_periodicity_checks_every_element(monkeypatch, s, t):
         return block
 
     monkeypatch.setattr(verify, "amp_matrix", drifting)
-    assert not suite_periodicity(100, np.random.default_rng(8)).passed
+    assert not suite(run_all(draws=100, seed=8), "periodicity").passed
 
 
 def test_default_draw_count():
@@ -201,20 +181,21 @@ def test_results_do_not_depend_on_blocks_or_workers(
 @pytest.mark.parametrize("draws", [*BLOCK_DRAWS, 20001])
 def test_run_all_is_the_public_suites_then_the_errata(draws):
     for tol in (DEFAULT_TOLERANCE, 1e-300):
-        # one block stream for the whole run draws every lane as the entry points do,
-        # then the lanes of the polarization and standard-limit tables
-        rng = np.random.default_rng(21)
-        suites = tuple(suite(draws, rng, tol) for suite in verify.ALL_SUITES)
-        tables = verify._worst(verify._table_jobs(draws, rng, tol), draws)
+        # one block stream for the whole run gives what its jobs give one at a time, in
+        # run order: every suite, then the polarization and standard-limit tables
+        jobs = verify._jobs(draws, np.random.default_rng(21), tol)
+        *suites, polarization, standard = [verify._worst([job], draws) for job in jobs]
+        names = [result.name for result, *_ in suites]
+        assert names == [s.__name__.removeprefix("suite_") for s in verify.ALL_SUITES]
         # the Eq53-Eq56 records come from the observable suite's own job and its worst lanes
-        rng = np.random.default_rng(21)
-        jobs = [suite.job(draws, rng, tol) for suite in verify.ALL_SUITES]
         k = verify.ALL_SUITES.index(verify.suite_observable_closed_forms)
-        observable, *records = verify._worst([jobs[k]], draws)
-        assert observable == suites[k]
+        _, *records = suites[k]
+        assert all(len(results) == 1 for i, results in enumerate(suites) if i != k)
         flagged = ["Eq53", "Eq54", "Eq55", "Eq56"] if draws and tol == 1e-300 else []
         assert [r.equation for r in records] == flagged
-        expected = verify.VerifyReport(suites, tuple(records + tables))
+        expected = verify.VerifyReport(
+            tuple(result for result, *_ in suites), tuple(records + polarization + standard)
+        )
         assert run_all(draws=draws, seed=21, tolerance=tol) == expected
 
 
@@ -222,9 +203,9 @@ def test_run_all_maps_every_block_in_one_stream(monkeypatch):
     # one pool per run: no thread waits at a barrier between suites
     calls = []
 
-    def counted(fn, *sequences):
-        calls.append(len(sequences[0]))
-        return _pool.map_in_order(fn, *sequences)
+    def counted(fn, items):
+        calls.append(len(items))
+        return _pool.map_in_order(fn, items)
 
     monkeypatch.setattr(verify, "LANE_BLOCK", 512)
     monkeypatch.setattr(verify, "map_in_order", counted)
@@ -276,6 +257,74 @@ def test_errata_take_the_first_lane_of_equal_maxima(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# each suite: a residual function whose job ``run_all`` reduces over blocks
+# ---------------------------------------------------------------------------
+
+SUITE_IDS = [s.__name__.removeprefix("suite_") for s in verify.ALL_SUITES]
+
+
+def lane_count(suite) -> int:
+    """The number of lane arrays the suite's residual function takes."""
+    _, lanes, _ = suite.job(0, np.random.default_rng(0), DEFAULT_TOLERANCE)
+    return len(lanes(0, 0))
+
+
+@pytest.mark.parametrize("draws", [0, 1, 64, 200])
+@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=SUITE_IDS)
+def test_a_suite_is_the_largest_residual_over_all_its_lanes_at_once(monkeypatch, suite, draws):
+    # blocks of 64 lanes, the last one partial, reduce to what one call over every lane gives:
+    # each residual's largest value and its first lane; no draws call it never and give 0
+    monkeypatch.setattr(verify, "LANE_BLOCK", 64)
+    residuals, lanes, _ = suite.job(draws, np.random.default_rng(17), DEFAULT_TOLERANCE)
+    arrays = [np.asarray(a) for a in residuals(*lanes(0, draws))] if draws else []
+    assert all(a.shape == (draws,) for a in arrays)
+    if draws:
+        (worst,) = verify._worst([(residuals, lanes, lambda worst: [worst])], draws)
+        assert worst == [(a.max(), a.argmax()) for a in arrays]
+    expected = max((float(a.max()) for a in arrays), default=0.0)
+    job = suite.job(draws, np.random.default_rng(17), DEFAULT_TOLERANCE)
+    (result,) = verify._worst([job], draws)
+    name = suite.__name__.removeprefix("suite_")
+    floor = EIGENSOLVER_TOLERANCE if suite is verify.suite_operator_oracle_triangle else 0.0
+    assert result == verify.SuiteResult(name, draws, expected, max(DEFAULT_TOLERANCE, floor))
+    assert result.passed
+
+
+@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=SUITE_IDS)
+def test_a_suite_draws_its_lanes_where_the_suites_before_it_end(unblocked_reports, suite):
+    # a run's stream holds each suite's lane arrays in ALL_SUITES order, so a suite's job
+    # alone, from a generator advanced past the arrays before it, gives its entry in the report
+    k = verify.ALL_SUITES.index(suite)
+    rng = np.random.default_rng(21)
+    rng.bit_generator.advance(1001 * sum(lane_count(s) for s in verify.ALL_SUITES[:k]))
+    (result,) = verify._worst([suite.job(1001, rng, DEFAULT_TOLERANCE)], 1001)
+    assert result == unblocked_reports[1001].suites[k]
+
+
+@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=SUITE_IDS)
+def test_a_wrapped_suite_keeps_its_job_and_its_blocks_call_it_unwrapped(
+    monkeypatch, unblocked_reports, suite
+):
+    # a tracer puts a functools.wraps wrapper in place of each public function, ALL_SUITES
+    # entries included: the job survives as an attribute, and the blocks, which run in worker
+    # threads, still call the residual function itself and never the wrapper
+    calls = []
+
+    @functools.wraps(suite)
+    def wrapper(*lanes):
+        calls.append(len(lanes))
+        return suite(*lanes)
+
+    k = verify.ALL_SUITES.index(suite)
+    monkeypatch.setattr(verify, suite.__name__, wrapper)
+    wrapped = (*verify.ALL_SUITES[:k], wrapper, *verify.ALL_SUITES[k + 1 :])
+    monkeypatch.setattr(verify, "ALL_SUITES", wrapped)
+    assert wrapper.job is suite.job
+    assert run_all(draws=1001, seed=21) == unblocked_reports[1001]
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # per-block draws: each block draws its own lanes, by PCG64 counter advance
 # ---------------------------------------------------------------------------
 
@@ -307,21 +356,6 @@ def test_block_draws_are_slices_of_the_full_arrays(n, lane_block):
             assert np.array_equal(got, full[lo : lo + lane_block])
     # the caller's generator continues where the full draws left off
     assert rng.random() == expected_rng.random()
-
-
-def test_draws_advance_the_caller_as_drawing_would():
-    # a buffered 32-bit half survives, as it does when doubles are drawn
-    rng, expected = np.random.default_rng(9), np.random.default_rng(9)
-    for g in (rng, expected):
-        g.integers(0, 2**31, dtype=np.int32)
-    verify._draws(rng, 1000, verify._ANGLE, None)
-    expected.uniform(*verify._ANGLE, 1000), expected.random(1000)
-    assert rng.bit_generator.state == expected.bit_generator.state
-
-
-def test_draws_need_pcg64():
-    with pytest.raises(TypeError, match="PCG64"):
-        verify._draws(np.random.Generator(np.random.Philox(0)), 10, verify._ANGLE)
 
 
 def test_memory_does_not_grow_with_draws(monkeypatch):
